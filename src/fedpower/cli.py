@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, engine, linalg, privacy
 from .data import ShardedDataset, SyntheticSpec, parse_libsvm, partition, scale_features, synth
-from .errors import FedPowerError, InvalidBudget
+from .errors import ConfigError, FedPowerError, InvalidBudget
 
 __all__ = [
     "CsvTrace",
@@ -37,6 +37,7 @@ __all__ = [
 TRACE_COLUMNS = "t,comm_count,eps_spent,delta_spent,sin_theta_k,rho_t,eta,wall_ms"
 COMPARE_COLUMNS = "algorithm,final_error_mean,final_error_std,repeats"
 SWEEP_COLUMNS = "epsilon,min_sin_theta_mean,min_sin_theta_std,eps_spent_total,delta_spent_total,status"
+TRACE_INT_COLUMNS = {"t": int, "comm_count": int}  # every other trace column is a float
 SCHEMA_VERSION = 1
 SWEEP_WINDOW = 40  # iterations over which the sweep takes the minimum error
 
@@ -132,6 +133,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _check_keys(doc)
         ds = doc.get("dataset", {})
         synthetic = None
         libsvm_path = None
@@ -162,9 +164,9 @@ class ExperimentConfig:
             p=int(sched.get("p", 1)),
             explicit_steps=tuple(int(t) for t in sched.get("steps", ())),
             alignment=doc.get("alignment", engine.ALIGN_SIGN),
-            epsilon=_parse_float(priv.get("epsilon", "inf")),
+            epsilon=float(priv.get("epsilon", "inf")),
             delta=float(priv.get("delta", 1e-5)),
-            eps_split=tuple(_parse_float(e) for e in split) if split else None,
+            eps_split=tuple(float(e) for e in split) if split else None,
             participation_kind=part.get("kind", "full"),
             participation_count=(int(part["K"]) if part.get("K") is not None else None),
             participation_scheme=(
@@ -178,10 +180,30 @@ class ExperimentConfig:
         )
 
 
-def _parse_float(value) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
+# Every key a config may hold, by dotted path of the object holding it.
+CONFIG_KEYS = {
+    "": {
+        "dataset", "m", "partition", "k", "r", "T", "schedule", "alignment", "privacy",
+        "participation", "repeats", "seed", "record_every_step", "measure_wall_time", "out",
+    },
+    "dataset": {"synthetic", "libsvm", "scale"},
+    "dataset.synthetic": {"n", "d", "singular_values", "seed"},
+    "schedule": {"kind", "p", "steps"},
+    "privacy": {"epsilon", "delta", "eps_split"},
+    "participation": {"kind", "K", "scheme"},
+}
+
+
+def _check_keys(doc: dict) -> None:
+    for path, allowed in CONFIG_KEYS.items():
+        node = doc
+        for part in filter(None, path.split(".")):
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        for key in node:
+            if key not in allowed:
+                raise ConfigError(f"unknown config key {path + '.' + key if path else key!r}")
 
 
 def _json_float(value: float):
@@ -347,10 +369,10 @@ def parse_trace(text: str) -> dict:
         elif columns is None:
             columns = line.split(",")
         else:
-            values = line.split(",")
-            record = dict(zip(columns, values))
-            for key in columns:
-                record[key] = float(record[key]) if "." in record[key] or "e" in record[key] or "inf" in record[key] else int(record[key])
+            record = {
+                key: TRACE_INT_COLUMNS.get(key, float)(cell)
+                for key, cell in zip(columns, line.split(","))
+            }
             repeats[-1]["records"].append(record)
     return {"config": config, "seed": seed, "columns": columns, "repeats": repeats, "summary": summary}
 
@@ -405,6 +427,16 @@ def _thread_count(requested: int | None) -> int:
     return max(1, int(os.environ.get(THREADS_ENV, "1")))
 
 
+def _map_repeats(one, repeats: int, threads: int | None) -> list:
+    """``[one(i) for i in range(repeats)]``, fanned out over a thread pool
+    when more than one thread is requested. Results keep repeat order."""
+    workers = _thread_count(threads)
+    if workers == 1 or repeats == 1:
+        return [one(i) for i in range(repeats)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(repeats)))
+
+
 def _repeat_results(matrix, cfg, reference, threads=None, epsilon=None) -> list[RepeatResult]:
     def one(idx: int) -> RepeatResult:
         rep_seed = privacy.derive_seed(cfg.seed, idx)
@@ -412,11 +444,7 @@ def _repeat_results(matrix, cfg, reference, threads=None, epsilon=None) -> list[
         trace = _execute(dataset, _run_config(cfg, rep_seed, epsilon=epsilon), reference)
         return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
 
-    workers = _thread_count(threads)
-    if workers == 1 or cfg.repeats == 1:
-        return [one(i) for i in range(cfg.repeats)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(cfg.repeats)))
+    return _map_repeats(one, cfg.repeats, threads)
 
 
 def _reference_for(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -469,32 +497,31 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
     """
     matrix = load_matrix(cfg)
     reference = _reference_for(matrix, cfg.k)
-    errors: dict[str, list[float]] = {name: [] for name in COMPARE_ALGORITHMS}
-    for idx in range(cfg.repeats):
+
+    def one(idx: int) -> dict[str, float]:
         rep_seed = privacy.derive_seed(cfg.seed, idx)
         dataset = _dataset_for_repeat(matrix, cfg, rep_seed)
+        errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
             run_cfg = replace(_run_config(cfg, rep_seed), alignment=align)
-            trace = _execute(dataset, run_cfg, reference)
-            errors[name].append(trace.records[-1].sin_theta_k)
-        errors["UDA"].append(
-            linalg.projection_distance(baselines.uda(dataset, cfg.k).u, reference)
+            errors[name] = _execute(dataset, run_cfg, reference).records[-1].sin_theta_k
+        errors["UDA"] = linalg.projection_distance(baselines.uda(dataset, cfg.k).u, reference)
+        errors["WDA"] = linalg.projection_distance(baselines.wda(dataset, cfg.k).u, reference)
+        errors["DR-SVD"] = linalg.projection_distance(
+            baselines.dr_svd(dataset, cfg.k, rep_seed).v, reference
         )
-        errors["WDA"].append(
-            linalg.projection_distance(baselines.wda(dataset, cfg.k).u, reference)
-        )
-        errors["DR-SVD"].append(
-            linalg.projection_distance(baselines.dr_svd(dataset, cfg.k, rep_seed).v, reference)
-        )
-    rows = [
-        {
+        return errors
+
+    per_repeat = _map_repeats(one, cfg.repeats, threads)
+    rows = []
+    for name in COMPARE_ALGORITHMS:
+        errors = [rep[name] for rep in per_repeat]
+        rows.append({
             "algorithm": name,
-            "final_error_mean": _mean(errors[name]),
-            "final_error_std": _std(errors[name]),
+            "final_error_mean": _mean(errors),
+            "final_error_std": _std(errors),
             "repeats": cfg.repeats,
-        }
-        for name in COMPARE_ALGORITHMS
-    ]
+        })
     trace = CsvTrace(kind="compare", config=cfg.to_dict(), seed=cfg.seed, rows=rows)
     if cfg.out:
         trace.write(cfg.out)
@@ -513,7 +540,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     rows = []
     sub_traces = {}
     for eps in eps_list:
-        eps = _parse_float(eps)
+        eps = float(eps)
         row = {
             "epsilon": eps,
             "min_sin_theta_mean": math.nan,

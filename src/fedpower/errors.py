@@ -48,3 +48,12 @@ class TooManyShards(FedPowerError):
 class DegenerateData(FedPowerError):
     """The dataset is degenerate for the requested diagnostic (e.g. an
     all-zero second-moment matrix)."""
+
+
+class ConfigError(FedPowerError, ValueError):
+    """An experiment config holds a key the runner does not read."""
+
+
+class NonFinite(FedPowerError, ValueError):
+    """An array that must be finite (an iterate, an aggregate, or an SVD
+    input) holds NaN or infinity."""

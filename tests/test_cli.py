@@ -6,6 +6,7 @@ import pytest
 
 from fedpower import cli
 from fedpower.cli import ExperimentConfig, parse_trace
+from fedpower.errors import ConfigError
 
 
 def config_doc(**overrides):
@@ -45,6 +46,26 @@ def test_config_round_trip():
 def test_config_requires_one_dataset():
     with pytest.raises(ValueError):
         ExperimentConfig(k=1, r=1, horizon=1)
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="'alignmnet'"):
+        ExperimentConfig.from_dict(config_doc(alignmnet="opt"))
+    with pytest.raises(ConfigError, match="'privacy.epsilonn'"):
+        ExperimentConfig.from_dict(config_doc(privacy={"epsilonn": 1.0}))
+    doc = config_doc()
+    doc["dataset"]["synthetic"]["sed"] = 3
+    with pytest.raises(ConfigError, match="'dataset.synthetic.sed'"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_accepts_every_key_it_writes():
+    for doc in (
+        config_doc(schedule={"kind": "explicit", "steps": [2, 5]}, out="x.csv"),
+        config_doc(participation={"kind": "partial", "K": 2, "scheme": 1}),
+    ):
+        cfg = ExperimentConfig.from_dict(doc)
+        assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 def test_run_experiment_trace_and_summary():
@@ -101,6 +122,20 @@ def test_trace_parse_round_trip():
     assert parsed["summary"]["final_sin_theta_mean"] == trace.summary()["final_sin_theta_mean"]
 
 
+def test_trace_parse_types_cells_by_column():
+    cfg = ExperimentConfig.from_dict(config_doc(repeats=1))
+    lines = cli.run_experiment(cfg).render().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#") and i > 4)
+    cells = lines[row].split(",")
+    cells[4] = "nan"  # sin_theta_k
+    cells[7] = "0"  # wall_ms written without a decimal point
+    lines[row] = ",".join(cells)
+    record = parse_trace("\n".join(lines))["repeats"][0]["records"][0]
+    assert math.isnan(record["sin_theta_k"])
+    assert isinstance(record["wall_ms"], float) and record["wall_ms"] == 0.0
+    assert isinstance(record["t"], int) and isinstance(record["comm_count"], int)
+
+
 def test_threads_do_not_change_results():
     cfg = ExperimentConfig.from_dict(config_doc(repeats=3))
     solo = cli.run_experiment(cfg, threads=1)
@@ -109,6 +144,20 @@ def test_threads_do_not_change_results():
 
 
 # ---------------------------------------------------------------- compare
+
+
+def test_compare_threads_do_not_change_bytes(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(repeats=3, T=12)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"compare{threads}.csv"
+        code = cli.main(["compare", "--config", str(cfg_path), "--threads", threads, "--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 
 
 def test_compare_single_shard_degenerate():
