@@ -54,9 +54,8 @@ def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed
     ``M z``, so the trajectory matches :func:`power_method` on the assembled
     second-moment matrix up to floating-point summation order.
     """
-    grams = [linalg.gram(s) for s in dataset.shards]
     z = initial_basis(dataset.d, r, seed)
-    for z in _distributed_iterates(grams, dataset.weights, z, num_iterations):
+    for z in _distributed_iterates(dataset.shard_grams, dataset.weights, z, num_iterations):
         pass
     return z
 
@@ -68,11 +67,6 @@ def _top_eigenpairs(sym: np.ndarray, k: int) -> SvdResult:
     return SvdResult(basis, res.singular_values[:k].copy(), basis)
 
 
-def _local_topk(shard, k):
-    res = linalg.svd(linalg.gram(shard))
-    return res.u[:, :k], res.singular_values[:k]
-
-
 def uda(dataset: ShardedDataset, k: int) -> SvdResult:
     """One-shot unweighted averaging of local rank-k eigenspaces.
 
@@ -82,10 +76,9 @@ def uda(dataset: ShardedDataset, k: int) -> SvdResult:
     """
     if k > dataset.d:
         raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
-    d = dataset.d
-    acc = np.zeros((d, d))
-    for shard in dataset.shards:
-        v_hat, _ = _local_topk(shard, k)
+    vecs, _ = dataset.local_eigenpairs(k)
+    acc = np.zeros((dataset.d, dataset.d))
+    for v_hat in vecs:
         acc += v_hat @ v_hat.T
     return _top_eigenpairs(acc / dataset.m, k)
 
@@ -95,10 +88,9 @@ def wda(dataset: ShardedDataset, k: int) -> SvdResult:
     eigenvalue: the server averages ``v_hat diag(s) v_hat.T``."""
     if k > dataset.d:
         raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
-    d = dataset.d
-    acc = np.zeros((d, d))
-    for shard in dataset.shards:
-        v_hat, s_hat = _local_topk(shard, k)
+    vecs, vals = dataset.local_eigenpairs(k)
+    acc = np.zeros((dataset.d, dataset.d))
+    for v_hat, s_hat in zip(vecs, vals):
         acc += (v_hat * s_hat) @ v_hat.T
     return _top_eigenpairs(acc / dataset.m, k)
 

@@ -140,10 +140,7 @@ class ExperimentConfig:
         if "synthetic" in ds:
             s = ds["synthetic"]
             synthetic = SyntheticSpec(
-                n=int(s["n"]),
-                d=int(s["d"]),
-                singular_values=tuple(s["singular_values"]),
-                seed=int(s.get("seed", 0)),
+                int(s["n"]), int(s["d"]), tuple(s["singular_values"]), int(s.get("seed", 0))
             )
         if "libsvm" in ds:
             libsvm_path = ds["libsvm"]
@@ -168,10 +165,8 @@ class ExperimentConfig:
             delta=float(priv.get("delta", 1e-5)),
             eps_split=tuple(float(e) for e in split) if split else None,
             participation_kind=part.get("kind", "full"),
-            participation_count=(int(part["K"]) if part.get("K") is not None else None),
-            participation_scheme=(
-                int(part["scheme"]) if part.get("scheme") is not None else None
-            ),
+            participation_count=None if part.get("K") is None else int(part["K"]),
+            participation_scheme=None if part.get("scheme") is None else int(part["scheme"]),
             repeats=int(doc.get("repeats", 1)),
             seed=int(doc.get("seed", 0)),
             record_every_step=bool(doc.get("record_every_step", False)),
@@ -180,30 +175,23 @@ class ExperimentConfig:
         )
 
 
-# Every key a config may hold, by dotted path of the object holding it.
-CONFIG_KEYS = {
-    "": {
-        "dataset", "m", "partition", "k", "r", "T", "schedule", "alignment", "privacy",
-        "participation", "repeats", "seed", "record_every_step", "measure_wall_time", "out",
-    },
-    "dataset": {"synthetic", "libsvm", "scale"},
-    "dataset.synthetic": {"n", "d", "singular_values", "seed"},
-    "schedule": {"kind", "p", "steps"},
-    "privacy": {"epsilon", "delta", "eps_split"},
-    "participation": {"kind", "K", "scheme"},
-}
+# Every key a config may hold, as a dotted path from the document root.
+CONFIG_KEYS = frozenset("""
+    dataset dataset.libsvm dataset.scale dataset.synthetic dataset.synthetic.n
+    dataset.synthetic.d dataset.synthetic.singular_values dataset.synthetic.seed m partition
+    k r T schedule schedule.kind schedule.p schedule.steps alignment privacy privacy.epsilon
+    privacy.delta privacy.eps_split participation participation.kind participation.K
+    participation.scheme repeats seed record_every_step measure_wall_time out
+""".split())
 
 
-def _check_keys(doc: dict) -> None:
-    for path, allowed in CONFIG_KEYS.items():
-        node = doc
-        for part in filter(None, path.split(".")):
-            node = node.get(part) if isinstance(node, dict) else None
-        if not isinstance(node, dict):
-            continue
-        for key in node:
-            if key not in allowed:
-                raise ConfigError(f"unknown config key {path + '.' + key if path else key!r}")
+def _check_keys(doc: dict, prefix: str = "") -> None:
+    for key, value in doc.items():
+        path = prefix + key
+        if path not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {path!r}")
+        if isinstance(value, dict):
+            _check_keys(value, path + ".")
 
 
 def _json_float(value: float):
@@ -212,9 +200,7 @@ def _json_float(value: float):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -267,67 +253,32 @@ class CsvTrace:
         }
 
     def render(self) -> str:
+        columns = {"trace": TRACE_COLUMNS, "compare": COMPARE_COLUMNS, "sweep": SWEEP_COLUMNS}.get(self.kind)
+        if columns is None:
+            raise ValueError(f"unknown trace kind {self.kind!r}")
         lines = [
             f"# schema=fedpower.{self.kind}.v{SCHEMA_VERSION}",
             f"# config={json.dumps(self.config, sort_keys=True)}",
             f"# seed={self.seed}",
             f"# {privacy.STREAM_NOTE}",
+            columns,
         ]
-        if self.kind == "trace":
-            lines.append(TRACE_COLUMNS)
-            for idx, rep in enumerate(self.repeats):
-                note = ";".join(rep.notes)
-                lines.append(
-                    f"# repeat={idx} seed={rep.seed} eta={rep.eta!r}"
-                    + (f" notes={note}" if note else "")
-                )
-                for rec in rep.records:
-                    wall = rec.wall_ms if self.measure_wall_time else 0.0
-                    lines.append(
-                        ",".join(
-                            _fmt(v)
-                            for v in (
-                                rec.t,
-                                rec.comm_count,
-                                rec.eps_spent,
-                                rec.delta_spent,
-                                rec.sin_theta_k,
-                                rec.rho_t,
-                                rec.eta,
-                                wall,
-                            )
-                        )
-                    )
-            summary = self.summary()
+        keys = columns.split(",")
+        if self.kind != "trace":
+            lines.extend(",".join(_fmt(row[key]) for key in keys) for row in self.rows)
+            return "\n".join(lines) + "\n"
+        for idx, rep in enumerate(self.repeats):
+            note = ";".join(rep.notes)
             lines.append(
-                "# summary "
-                + " ".join(f"{key}={_fmt(val)}" for key, val in summary.items())
+                f"# repeat={idx} seed={rep.seed} eta={rep.eta!r}" + (f" notes={note}" if note else "")
             )
-        elif self.kind == "compare":
-            lines.append(COMPARE_COLUMNS)
-            for row in self.rows:
-                lines.append(
-                    f"{row['algorithm']},{_fmt(row['final_error_mean'])},"
-                    f"{_fmt(row['final_error_std'])},{row['repeats']}"
-                )
-        elif self.kind == "sweep":
-            lines.append(SWEEP_COLUMNS)
-            for row in self.rows:
-                lines.append(
-                    ",".join(
-                        _fmt(row[key])
-                        for key in (
-                            "epsilon",
-                            "min_sin_theta_mean",
-                            "min_sin_theta_std",
-                            "eps_spent_total",
-                            "delta_spent_total",
-                        )
-                    )
-                    + f",{row['status']}"
-                )
-        else:
-            raise ValueError(f"unknown trace kind {self.kind!r}")
+            for rec in rep.records:
+                cells = [getattr(rec, key) for key in keys]
+                if not self.measure_wall_time:
+                    cells[-1] = 0.0  # wall_ms
+                lines.append(",".join(map(_fmt, cells)))
+        summary = self.summary()
+        lines.append("# summary " + " ".join(f"{key}={_fmt(val)}" for key, val in summary.items()))
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -416,9 +367,8 @@ def _run_config(cfg: ExperimentConfig, run_seed: int, epsilon=None, eps_split="u
 
 
 def _execute(dataset: ShardedDataset, run_cfg: engine.RunConfig, reference) -> engine.RunTrace:
-    if run_cfg.participation.kind == "partial":
-        return engine.run_partial(dataset, run_cfg, reference=reference)
-    return engine.run_full(dataset, run_cfg, reference=reference)
+    run = engine.run_partial if run_cfg.participation.kind == "partial" else engine.run_full
+    return run(dataset, run_cfg, reference=reference)
 
 
 def _thread_count(requested: int | None) -> int:
@@ -606,16 +556,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             doc = json.load(fh)
     if args.libsvm:
         doc["dataset"] = {"libsvm": args.libsvm, "scale": doc.get("dataset", {}).get("scale", True)}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.repeats is not None:
-        doc["repeats"] = args.repeats
-    if args.k is not None:
-        doc["k"] = args.k
-    if args.T is not None:
-        doc["T"] = args.T
-    if args.m is not None:
-        doc["m"] = args.m
+    for key in ("seed", "repeats", "k", "T", "m"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     cfg = ExperimentConfig.from_dict(doc)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
@@ -658,29 +601,22 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "run":
-            trace = run_experiment(cfg, threads=args.threads)
-            if not cfg.out:
-                sys.stdout.write(trace.render())
-        elif args.command == "compare":
-            trace = compare_baselines(cfg, threads=args.threads)
-            if not cfg.out:
-                sys.stdout.write(trace.render())
-        elif args.command == "privacy-sweep":
-            eps_list = [e.strip() for e in args.eps_list.split(",") if e.strip()]
-            trace = privacy_sweep(cfg, eps_list, threads=args.threads)
-            if not cfg.out:
-                sys.stdout.write(trace.render())
-        elif args.command == "inspect-dataset":
+        if args.command == "inspect-dataset":
             json.dump(inspect_dataset(cfg), sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
+            return 0
+        if args.command == "run":
+            trace = run_experiment(cfg, threads=args.threads)
+        elif args.command == "compare":
+            trace = compare_baselines(cfg, threads=args.threads)
+        else:
+            eps_list = [e.strip() for e in args.eps_list.split(",") if e.strip()]
+            trace = privacy_sweep(cfg, eps_list, threads=args.threads)
+        if not cfg.out:
+            sys.stdout.write(trace.render())
     except (FedPowerError, ValueError, OSError, KeyError) as exc:
-        payload = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "command": args.command,
-            "config": args.config,
-        }
+        payload = {"error": type(exc).__name__, "message": str(exc), "command": args.command,
+                   "config": args.config}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
     return 0

@@ -8,17 +8,19 @@ Matrices are stored dense; the intended scale is desk-size experiments
 from __future__ import annotations
 
 import gzip
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DegenerateData,
     DimensionMismatch,
     IndexOutOfRange,
     ParseError,
     TooManyShards,
 )
-from .linalg import as_matrix, orth
+from .linalg import as_matrix, gram, orth, svd
 
 __all__ = [
     "DENSE_ENTRY_LIMIT",
@@ -36,9 +38,15 @@ DENSE_ENTRY_LIMIT = 10**8
 
 @dataclass(frozen=True)
 class ShardedDataset:
-    """A global n x d matrix split into m row shards with weights s_i / n."""
+    """A global n x d matrix split into m row shards with weights s_i / n.
+
+    The shard Grams, ``eta`` and the local eigenpairs are built on first use
+    and cached, so every run and baseline on one dataset shares them. The
+    Gram stack keeps m * d * d floats alive for the dataset's lifetime.
+    """
 
     shards: tuple[np.ndarray, ...]
+    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.shards:
@@ -83,6 +91,38 @@ class ShardedDataset:
         """Second-moment matrix of the full dataset, ``A.T @ A / n``."""
         a = self.stacked()
         return (a.T @ a) / a.shape[0]
+
+    @cached_property
+    def shard_grams(self) -> np.ndarray:
+        """(m, d, d) stack of the shard second-moment matrices ``M_i``."""
+        grams = np.empty((self.m, self.d, self.d))
+        for i, shard in enumerate(self.shards):
+            grams[i] = gram(shard)
+        return grams
+
+    @cached_property
+    def eta(self) -> float:
+        """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards."""
+        m_global = self.global_gram()
+        denom = float(np.linalg.norm(m_global, 2))
+        if denom == 0.0:
+            raise DegenerateData("global second-moment matrix is zero")
+        worst = max(float(np.linalg.norm(g - m_global, 2)) for g in self.shard_grams)
+        return worst / denom
+
+    def local_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard
+        Gram, cached per k. One SVD per shard: a stacked SVD would hold two
+        (m, d, d) factors at once."""
+        if k not in self._eigenpairs:
+            vecs = np.empty((self.m, self.d, k))
+            vals = np.empty((self.m, k))
+            for i, g in enumerate(self.shard_grams):
+                res = svd(g)
+                vecs[i] = res.u[:, :k]
+                vals[i] = res.singular_values[:k]
+            self._eigenpairs[k] = (vecs, vals)
+        return self._eigenpairs[k]
 
 
 @dataclass(frozen=True)

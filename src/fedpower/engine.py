@@ -9,10 +9,10 @@ broadcast back. Runs are bit-reproducible for a fixed seed: every random
 draw comes from a dedicated counter-based stream keyed by (site, round,
 worker), and aggregation always sums in worker-index order.
 
-Workers are conceptually concurrent; each owns its state, and the server
-aggregation is the only synchronization point. The implementation executes
-them sequentially, which by construction matches what any fan-out would
-produce.
+Workers are conceptually concurrent. The implementation holds their bases
+in one (m, d, r) stack and advances them together (one batched product with
+the dataset's cached Gram stack, one batched QR, one stacked alignment per
+round), giving each slice exactly the arithmetic of a lone worker.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg, privacy
 from .data import ShardedDataset
-from .errors import DegenerateData, DimensionMismatch, InvalidBudget
+from .errors import DimensionMismatch, InvalidBudget
 
 __all__ = [
     "ALIGN_NONE",
@@ -36,7 +36,6 @@ __all__ = [
     "RunTrace",
     "SyncRecord",
     "SyncSchedule",
-    "WorkerState",
     "baseline_index",
     "build_schedule",
     "draw_participants",
@@ -166,15 +165,6 @@ class RunConfig:
         return self.schedule.horizon
 
 
-@dataclass
-class WorkerState:
-    """One device: its shard's second-moment matrix and current basis."""
-
-    id: int
-    shard_gram: np.ndarray
-    z: np.ndarray
-
-
 @dataclass(frozen=True)
 class SyncRecord:
     t: int
@@ -231,44 +221,33 @@ def local_approx_eta(dataset: ShardedDataset) -> float:
     """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards.
 
     Purely diagnostic: large values mean shards are poor surrogates of the
-    global second-moment matrix.
+    global second-moment matrix. Computed once per dataset and cached.
     """
-    m_global = dataset.global_gram()
-    denom = float(np.linalg.norm(m_global, 2))
-    if denom == 0.0:
-        raise DegenerateData("global second-moment matrix is zero")
-    worst = max(
-        float(np.linalg.norm(linalg.gram(shard) - m_global, 2)) for shard in dataset.shards
-    )
-    return worst / denom
+    return dataset.eta
 
 
-def _alignment_matrix(mode: str, z: np.ndarray, z_base: np.ndarray):
+def _alignment_matrix(mode: str, zs: np.ndarray, z_base: np.ndarray):
     # Returns None for the identity so callers can skip the multiply.
     if mode == ALIGN_NONE:
         return None
     if mode == ALIGN_OPT:
-        return linalg.procrustes(z, z_base)
+        return linalg.procrustes(zs, z_base)
     if mode == ALIGN_SIGN:
-        return linalg.sign_fix(z, z_base)
+        return linalg.sign_fix(zs, z_base)
     raise ValueError(f"unknown alignment {mode!r}")
 
 
-def residual_rho(workers, alignment: str = ALIGN_NONE, baseline: int = 0) -> float:
+def residual_rho(zs, alignment: str = ALIGN_NONE, baseline: int = 0) -> float:
     """Worst-case aligned deviation from the baseline worker's basis,
-    ``max_i ||z_i @ D_i - z_base||_2``. Accepts :class:`WorkerState` items
-    or bare basis arrays."""
-    zs = [getattr(w, "z", w) for w in workers]
-    if not zs:
-        raise ValueError("need at least one worker")
-    z_base = linalg.as_matrix(zs[baseline])
-    worst = 0.0
-    for z in zs:
-        z = linalg.as_matrix(z)
-        d = _alignment_matrix(alignment, z, z_base)
-        dev = (z if d is None else z @ d) - z_base
-        worst = max(worst, float(np.linalg.norm(dev, 2)))
-    return worst
+    ``max_i ||z_i @ D_i - z_base||_2``, over a (m, d, r) stack (or a list)
+    of worker bases."""
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 3 or zs.shape[0] == 0:
+        raise ValueError("need a non-empty stack of d x r worker bases")
+    z_base = zs[baseline]
+    d = _alignment_matrix(alignment, zs, z_base)
+    dev = (zs if d is None else zs @ d) - z_base
+    return float(np.linalg.norm(dev, 2, axis=(-2, -1)).max())
 
 
 def draw_participants(scheme: int, count: int, weights, rng: np.random.Generator) -> np.ndarray:
@@ -323,50 +302,43 @@ def _resolve_scales(dataset, cfg, n_rounds):
     return scales, scales.sigma_local, scales.sigma_server_full
 
 
-def _output_basis(workers, weights, cfg, synced, last_participants, base_full, notes):
-    """Aggregate worker bases per the protocol's output rule, then
+FALLBACK_NOTE = (
+    "output-fallback: no synchronization occurred; aggregated all workers by data weight"
+)
+
+
+def _coefficients(part: Participation, weights, ids, counts) -> np.ndarray:
+    """Aggregation weight of each listed worker: the data weight under full
+    participation, count/K under scheme 1, m/K * p_i under scheme 2."""
+    if part.kind == "partial" and part.scheme == 1:
+        return counts / part.count
+    if part.kind == "partial":
+        return (weights.size / part.count) * weights[ids]
+    return weights[ids]
+
+
+def _aggregate(coefs, stack: np.ndarray) -> np.ndarray:
+    # Sums in worker-index order, which keeps runs bit-reproducible.
+    acc = np.zeros(stack.shape[1:])
+    for coef, item in zip(coefs, stack):
+        acc += coef * item
+    return acc
+
+
+def _output_basis(zs, alignment, synced, ids, coefs, base):
+    """Aggregate the listed worker bases per the protocol's output rule, then
     orthonormalize.
 
     At a synchronization step the bases are already aligned (they are all
     equal), so no transform is applied; otherwise each basis is aligned to
     the baseline worker first.
     """
-    part = cfg.participation
-    m = len(workers)
-    fallback = False
-    if part.kind == "partial":
-        if last_participants is None:
-            # No aggregation ever happened; fall back to weighting every
-            # worker by its data fraction.
-            ids = np.arange(m)
-            counts = np.ones(m, dtype=np.int64)
-            fallback = True
-            note = "output-fallback: no synchronization occurred; aggregated all workers by data weight"
-            if note not in notes:
-                notes.append(note)
-        else:
-            ids, counts = last_participants
-    else:
-        ids = np.arange(m)
-        counts = np.ones(m, dtype=np.int64)
-    base = base_full if part.kind == "full" else int(ids[0])
-    z_base = workers[base].z
-    acc = np.zeros_like(workers[0].z)
-    for i, c in zip(ids, counts):
-        z = workers[int(i)].z
-        if not synced:
-            d = _alignment_matrix(cfg.alignment, z, z_base)
-            if d is not None:
-                z = z @ d
-        if part.kind == "partial" and not fallback:
-            if part.scheme == 1:
-                coef = float(c) / part.count
-            else:
-                coef = m / part.count * float(weights[int(i)])
-        else:
-            coef = float(weights[int(i)])
-        acc += coef * z
-    return linalg.orth(acc, require_full_rank=False)
+    selected = zs[ids]
+    if not synced:
+        d = _alignment_matrix(alignment, selected, zs[base])
+        if d is not None:
+            selected = selected @ d
+    return linalg.orth(_aggregate(coefs, selected), require_full_rank=False)
 
 
 def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
@@ -380,30 +352,31 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
     weights = dataset.weights
     sync_steps = frozenset(cfg.schedule.steps)
     scales, sigma_local, sigma_server = _resolve_scales(dataset, cfg, len(cfg.schedule.steps))
-    noiseless = cfg.privacy.noiseless
 
     eta = local_approx_eta(dataset)
     if reference is None:
         reference = reference_basis(dataset, cfg.k)
     reference = linalg.as_matrix(reference)[:, : cfg.k]
 
-    z0 = initial_basis(d, cfg.r, cfg.seed)
-    workers = [
-        WorkerState(i, linalg.gram(shard), z0.copy()) for i, shard in enumerate(dataset.shards)
-    ]
+    grams = dataset.shard_grams
+    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], m, axis=0)
     base_full = baseline_index(weights)
+    everyone = np.arange(m)
+    # The output basis weights the last round's participants. Before any
+    # round, partial participation falls back to every worker by data weight.
+    out_ids, out_coefs, out_base = everyone, weights, (base_full if part.kind == "full" else 0)
 
     records: list[SyncRecord] = []
     history: list[tuple[int, np.ndarray]] | None = [] if cfg.keep_basis_history else None
-    notes: list[str] = []
-    last_participants = None
+    notes: tuple[str, ...] = ()
     comm = 0
     z_bar = None
     started = time.perf_counter()
 
     for t in range(1, cfg.horizon + 1):
-        ys = [w.shard_gram @ w.z for w in workers]
-        if t in sync_steps:
+        ys = grams @ zs
+        synced = t in sync_steps
+        if synced:
             round_idx = comm
             if part.kind == "partial":
                 rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, round_idx, 0))
@@ -411,58 +384,41 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
                 ids, counts = np.unique(drawn, return_counts=True)
                 base = int(ids[0])
             else:
-                ids = np.arange(m)
-                counts = np.ones(m, dtype=np.int64)
-                base = base_full
-            z_base = workers[base].z
-            uploads = {}
-            server_norm = 0.0
-            for i in ids:
-                i = int(i)
-                w = workers[i]
-                d_i = _alignment_matrix(cfg.alignment, w.z, z_base)
-                y_i = ys[i] if d_i is None else ys[i] @ d_i
-                zd = w.z if d_i is None else w.z @ d_i
-                server_norm = max(server_norm, float(np.abs(zd).max()))
-                if sigma_local > 0.0:
-                    std = float(np.abs(w.z).max()) * sigma_local
-                    y_i = y_i + privacy.sample_noise(
-                        d, cfg.r, std, cfg.seed, (privacy.STREAM_LOCAL, round_idx, i)
+                ids, counts, base = everyone, None, base_full
+            uploads = ys[ids]
+            aligned = zs[ids]
+            d_ids = _alignment_matrix(cfg.alignment, aligned, zs[base])
+            if d_ids is not None:
+                uploads = uploads @ d_ids
+                aligned = aligned @ d_ids
+            server_norm = float(np.abs(aligned).max())
+            if sigma_local > 0.0:
+                for j, i in enumerate(ids):
+                    std = float(np.abs(zs[i]).max()) * sigma_local
+                    uploads[j] += privacy.sample_noise(
+                        d, cfg.r, std, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i))
                     )
-                uploads[i] = y_i
-            agg = np.zeros((d, cfg.r))
-            if part.kind == "partial" and part.scheme == 1:
-                for i, c in zip(ids, counts):
-                    agg += (float(c) / part.count) * uploads[int(i)]
-            elif part.kind == "partial":
-                for i in ids:
-                    agg += (m / part.count) * float(weights[int(i)]) * uploads[int(i)]
-            else:
-                for i in ids:
-                    agg += float(weights[int(i)]) * uploads[int(i)]
+            coefs = _coefficients(part, weights, ids, counts)
+            agg = _aggregate(coefs, uploads)
             if sigma_server > 0.0:
                 agg = agg + privacy.sample_noise(
                     d, cfg.r, server_norm * sigma_server, cfg.seed,
                     (privacy.STREAM_SERVER, round_idx, 0),
                 )
-            z_next = linalg.orth(agg, require_full_rank=False)
-            for w in workers:
-                w.z = z_next.copy()
+            zs[:] = linalg.orth(agg, require_full_rank=False)
             comm += 1
-            last_participants = (ids, counts)
+            out_ids, out_coefs, out_base = ids, coefs, base
         else:
-            for i, w in enumerate(workers):
-                w.z = linalg.orth(ys[i], require_full_rank=False)
+            zs = linalg.orth(ys, require_full_rank=False)
 
-        if t in sync_steps or t == cfg.horizon or cfg.record_every_step:
-            z_bar = _output_basis(
-                workers, weights, cfg, t in sync_steps, last_participants, base_full, notes
-            )
+        if synced or t == cfg.horizon or cfg.record_every_step:
+            if part.kind == "partial" and comm == 0:
+                notes = (FALLBACK_NOTE,)
+            z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
             sin_val = linalg.sin_theta_k(z_bar, reference)
-            rho_val = residual_rho(workers, cfg.alignment, base_full)
-            eps_spent, delta_spent = (
-                (0.0, 0.0) if noiseless else privacy.account(cfg.privacy, comm)
-            )
+            # After a sync every worker holds the broadcast basis: rho is 0.
+            rho_val = 0.0 if synced else residual_rho(zs, cfg.alignment, base_full)
+            eps_spent, delta_spent = privacy.account(cfg.privacy, comm)
             wall = (time.perf_counter() - started) * 1000.0
             records.append(
                 SyncRecord(t, comm, sin_val, rho_val, eta, eps_spent, delta_spent, wall)
@@ -475,6 +431,6 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
         final_basis=z_bar,
         eta=eta,
         scales=scales,
-        notes=tuple(dict.fromkeys(notes)),
+        notes=notes,
         basis_history=history,
     )

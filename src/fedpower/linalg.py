@@ -13,13 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, RankDeficient
+from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, RankDeficient
 
 __all__ = [
     "ORTHO_TOL",
     "RANK_TOL",
     "SvdResult",
     "as_matrix",
+    "as_stack",
     "gram",
     "is_orthonormal",
     "orth",
@@ -59,6 +60,21 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce ``a`` to one float64 matrix (2-D) or a stack of them (3-D)."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
+    return m
+
+
+def _require_finite(a: np.ndarray, action: str) -> None:
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    if bad.any():
+        where = f" (slices {np.flatnonzero(bad).tolist()})" if a.ndim == 3 else ""
+        raise NonFinite(f"cannot {action} an array with NaN or infinite entries{where}")
+
+
 def is_orthonormal(q, tol: float = ORTHO_TOL) -> bool:
     q = as_matrix(q)
     gramian = q.T @ q
@@ -68,27 +84,35 @@ def is_orthonormal(q, tol: float = ORTHO_TOL) -> bool:
 def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.ndarray:
     """Orthonormalize the columns of ``y`` via QR factorization.
 
+    ``y`` is one d x r matrix or a stack of shape (k, d, r); a stack is
+    factorized slice by slice in one call, with the same result per slice.
     The factorization is deterministic: column signs of Q are flipped so the
     diagonal of R is nonnegative. With ``require_full_rank`` (the default) a
     diagonal entry of R below ``rank_tol * ||y||_2`` raises
     :class:`RankDeficient`. Passing ``require_full_rank=False`` returns the
     (still orthonormal) Q unconditionally, which the iteration engine needs
-    when a shard has fewer rows than the iteration rank.
+    when a shard has fewer rows than the iteration rank. NaN or infinite
+    input raises :class:`NonFinite` instead of yielding a NaN basis.
     """
-    y = as_matrix(y)
-    if y.shape[0] < y.shape[1]:
+    y = as_stack(y)
+    if y.shape[-2] < y.shape[-1]:
         raise DimensionMismatch(f"cannot orthonormalize {y.shape}: more columns than rows")
+    _require_finite(y, "orthonormalize")
     q, r = np.linalg.qr(y)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     if require_full_rank:
-        scale = float(np.linalg.norm(y, 2))
-        if scale == 0.0 or float(np.abs(diag).min()) < rank_tol * scale:
+        scale = np.linalg.norm(y, 2, axis=(-2, -1))
+        pivot = np.abs(diag).min(axis=-1)
+        bad = (scale == 0.0) | (pivot < rank_tol * scale)
+        if bad.any():
+            i = int(np.argmax(bad))
+            p, limit = float(pivot.flat[i]), rank_tol * float(scale.flat[i])
             raise RankDeficient(
-                f"pivot {float(np.abs(diag).min()):.3e} under threshold "
-                f"{rank_tol:.1e} * ||y||_2 = {rank_tol * scale:.3e}"
+                f"pivot {p:.3e} under threshold {rank_tol:.1e} * ||y||_2 = {limit:.3e}"
+                + (f" in slice {i}" if y.ndim == 3 else "")
             )
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def gram(shard) -> np.ndarray:
@@ -100,19 +124,20 @@ def gram(shard) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD of a dense matrix via LAPACK, deterministic for fixed input.
+    """Thin SVD of a dense matrix, or of each slice of a (k, m, n) stack,
+    via LAPACK; deterministic for fixed input.
 
-    Raises :class:`ConvergenceFailure` if the underlying iteration does not
+    Raises :class:`NonFinite` on NaN or infinite entries and
+    :class:`ConvergenceFailure` if the underlying iteration does not
     converge (never silently returns garbage).
     """
-    a = as_matrix(a)
-    if not np.isfinite(a).all():
-        raise ValueError("svd requires finite entries")
+    a = as_stack(a)
+    _require_finite(a, "factorize")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u, s, vt.T)
+    return SvdResult(u, s, np.swapaxes(vt, -1, -2))
 
 
 def spectral_norm(a) -> float:
@@ -162,6 +187,14 @@ def sin_theta_k(z, v, k: int | None = None) -> float:
     return min(_complement_norm(z, v), 1.0)
 
 
+def _alignment_operands(z_i, z_base):
+    z_i = as_stack(z_i)
+    z_base = as_matrix(z_base)
+    if z_i.shape[-2:] != z_base.shape:
+        raise DimensionMismatch(f"alignment operands differ in shape: {z_i.shape} vs {z_base.shape}")
+    return z_i, z_base
+
+
 def procrustes(z_i, z_base) -> np.ndarray:
     """Orthogonal r x r matrix minimizing ``||z_i @ D - z_base||_F``.
 
@@ -169,17 +202,16 @@ def procrustes(z_i, z_base) -> np.ndarray:
     ``D = W1 @ W2.T``. A rank-deficient cross-Gram is fine: the SVD supplies
     an orthogonal completion of the zero directions (any completion is
     optimal); the result is then re-orthonormalized to clear rounding drift.
+    A stack ``z_i`` of shape (k, d, r) is aligned to the one ``z_base`` with
+    one stacked SVD and gives a (k, r, r) stack.
     """
-    z_i = as_matrix(z_i)
-    z_base = as_matrix(z_base)
-    if z_i.shape != z_base.shape:
-        raise DimensionMismatch(f"alignment operands differ in shape: {z_i.shape} vs {z_base.shape}")
-    cross = z_i.T @ z_base
-    res = svd(cross)
-    d = res.u @ res.v.T
+    z_i, z_base = _alignment_operands(z_i, z_base)
+    res = svd(np.swapaxes(z_i, -1, -2) @ z_base)
+    d = res.u @ np.swapaxes(res.v, -1, -2)
     s = res.singular_values
-    if s.size and s[-1] <= 1e-12 * max(float(s[0]), 1.0):
-        d = orth(d, require_full_rank=False)
+    deficient = s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1.0)
+    if deficient.any():
+        d[deficient] = orth(d[deficient], require_full_rank=False)
     return d
 
 
@@ -188,11 +220,12 @@ def sign_fix(z_i, z_base) -> np.ndarray:
     flips: ``D[j, j] = sgn(<z_i[:, j], z_base[:, j]>)``.
 
     A zero inner product resolves to +1 so the result is stable and
-    idempotent. Runs in O(d r) time.
+    idempotent. Runs in O(d r) time. A stack ``z_i`` of shape (k, d, r)
+    gives a (k, r, r) stack of diagonal matrices.
     """
-    z_i = as_matrix(z_i)
-    z_base = as_matrix(z_base)
-    if z_i.shape != z_base.shape:
-        raise DimensionMismatch(f"alignment operands differ in shape: {z_i.shape} vs {z_base.shape}")
-    ips = np.einsum("ij,ij->j", z_i, z_base)
-    return np.diag(np.where(ips < 0.0, -1.0, 1.0))
+    z_i, z_base = _alignment_operands(z_i, z_base)
+    ips = np.einsum("...ij,...ij->...j", z_i, z_base)
+    r = ips.shape[-1]
+    d = np.zeros(ips.shape + (r,))
+    d[..., np.arange(r), np.arange(r)] = np.where(ips < 0.0, -1.0, 1.0)
+    return d

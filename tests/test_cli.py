@@ -351,6 +351,17 @@ def test_main_reports_errors_as_json(tmp_path, capsys):
     assert payload["error"] == "InvalidBudget"
 
 
+def test_main_reports_non_finite_iterate_as_json(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(privacy={"epsilon": 1e-320, "delta": 1e-3})))
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = cli.main(["run", "--config", str(cfg_path)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "NonFinite"
+    assert "NaN or infinite" in payload["message"]
+
+
 def test_main_missing_config_is_an_error(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1

@@ -14,7 +14,7 @@ from fedpower.engine import (
     RunConfig,
     SyncSchedule,
 )
-from fedpower.errors import DegenerateData, InvalidBudget
+from fedpower.errors import DegenerateData, InvalidBudget, NonFinite
 
 
 def noiseless(schedule):
@@ -368,3 +368,78 @@ def test_run_full_rejects_partial_config():
         engine.run_full(ds, cfg)
     with pytest.raises(ValueError):
         engine.run_partial(ds, make_config(2, 2, schedule))
+
+
+# ---------------------------------------------------------------- stacked engine
+
+
+@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
+@pytest.mark.parametrize("participation", [
+    engine.FULL_PARTICIPATION, Participation("partial", 3, 1), Participation("partial", 3, 2),
+])
+def test_rho_is_exactly_zero_at_every_sync_step(alignment, participation):
+    ds = small_dataset(seed=20, n=120, m=6)
+    schedule = SyncSchedule.fixed(3, 15)
+    cfg = RunConfig(
+        k=2, r=3, schedule=schedule, seed=4, alignment=alignment,
+        privacy=privacy.PrivacyConfig.for_schedule(50.0, 1e-3, schedule),
+        participation=participation, record_every_step=True,
+    )
+    trace = engine.run_partial(ds, cfg) if participation.kind == "partial" else engine.run_full(ds, cfg)
+    sync = set(schedule.steps)
+    assert [rec.rho_t for rec in trace.records if rec.t in sync] == [0.0] * len(sync)
+    assert all(rec.rho_t > 0.0 for rec in trace.records if rec.t not in sync)
+
+
+@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
+def test_permuting_workers_keeps_noiseless_errors(alignment):
+    # Equal shard sizes: the baseline worker is shard 0, which stays put.
+    ds = small_dataset(seed=21, n=120, m=6)
+    order = [0, 4, 2, 5, 1, 3]
+    permuted = ShardedDataset(tuple(ds.shards[i] for i in order))
+    schedule = SyncSchedule.fixed(3, 20)
+    cfg = make_config(2, 3, schedule, alignment=alignment, seed=5, record_every_step=True)
+    reference = engine.reference_basis(ds, 2)
+    a = engine.run_full(ds, cfg, reference=reference)
+    b = engine.run_full(permuted, cfg, reference=reference)
+    for ra, rb in zip(a.records, b.records):
+        assert abs(ra.sin_theta_k - rb.sin_theta_k) <= 1e-12
+
+
+def test_cached_eta_matches_a_fresh_dataset():
+    ds = small_dataset(seed=22)
+    schedule = SyncSchedule.fixed(2, 6)
+    first = engine.run_full(ds, make_config(2, 2, schedule, seed=1))
+    again = engine.run_full(ds, make_config(2, 2, schedule, seed=2, alignment=ALIGN_OPT))
+    fresh = ShardedDataset(tuple(s.copy() for s in ds.shards))
+    assert first.eta == again.eta == engine.local_approx_eta(fresh)
+    assert ds.shard_grams is ds.shard_grams
+    for g, shard in zip(fresh.shard_grams, ds.shards):
+        np.testing.assert_array_equal(g, linalg.gram(shard))
+
+
+def test_partition_builds_no_grams():
+    ds = small_dataset(seed=23)
+    assert "shard_grams" not in vars(ds) and "eta" not in vars(ds)
+
+
+def test_non_finite_aggregate_raises_named_error():
+    ds = small_dataset(seed=24)
+    schedule = SyncSchedule.fixed(2, 6)
+    # A subnormal budget makes the noise scale, and so the aggregate, infinite.
+    cfg = RunConfig(
+        k=2, r=2, schedule=schedule, seed=3,
+        privacy=privacy.PrivacyConfig.for_schedule(1e-320, 1e-5, schedule),
+    )
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
+        engine.run_full(ds, cfg)
+
+
+def test_non_finite_local_iterate_raises_named_error():
+    ds = small_dataset(seed=25)
+    reference = engine.reference_basis(ds, 2)
+    engine.local_approx_eta(ds)  # cached before the corruption below
+    ds.shard_grams[1, 0, 0] = np.nan  # corrupt one cached shard Gram
+    cfg = make_config(2, 2, SyncSchedule.fixed(50, 4), seed=3)  # local steps only
+    with pytest.raises(NonFinite, match=r"slices \[1\]"):
+        engine.run_full(ds, cfg, reference=reference)

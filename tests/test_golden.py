@@ -126,6 +126,21 @@ def _sync_steps(text: str) -> set[int]:
     return set(doc.schedule().steps)
 
 
+def test_rho_is_exactly_zero_at_sync_rows():
+    checked = 0
+    for path in sorted(GOLDEN.glob("*.csv")):
+        text = path.read_text(encoding="utf-8")
+        columns, rows = _data_rows(text)
+        if columns != cli.TRACE_COLUMNS.split(","):
+            continue
+        sync = _sync_steps(text)
+        for row in rows:
+            if int(row[0]) in sync:
+                assert row[columns.index("rho_t")] == "0.0", f"{path.name} t={row[0]}"
+                checked += 1
+    assert checked > 0
+
+
 def moved_cells(old: str, new: str) -> list[str]:
     """Every difference between two renderings of one golden file, as
     readable strings. Comment lines must match exactly; data cells are

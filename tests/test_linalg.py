@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedpower import linalg
-from fedpower.errors import ConvergenceFailure, DimensionMismatch, RankDeficient
+from fedpower.errors import ConvergenceFailure, DimensionMismatch, FedPowerError, NonFinite, RankDeficient
 
 
 def gram_schmidt(y):
@@ -318,3 +318,65 @@ def test_spectral_norm_consistent_with_svd():
     rng = np.random.default_rng(20)
     a = rng.standard_normal((8, 5))
     assert linalg.spectral_norm(a) == linalg.svd(a).singular_values[0]
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _stack_with_deficient_slice(rng, k=5, d=8, r=3):
+    y = rng.standard_normal((k, d, r))
+    y[2, :, 2] = y[2, :, 0] + y[2, :, 1]  # rank 2 < r
+    return y
+
+
+def test_orth_stack_matches_slices_bit_for_bit():
+    rng = np.random.default_rng(80)
+    y = _stack_with_deficient_slice(rng)
+    q = linalg.orth(y, require_full_rank=False)
+    assert q.shape == y.shape
+    for i in range(y.shape[0]):
+        np.testing.assert_array_equal(q[i], linalg.orth(y[i], require_full_rank=False))
+
+
+def test_orth_stack_rank_check_names_the_slice():
+    rng = np.random.default_rng(81)
+    with pytest.raises(RankDeficient, match="slice 2"):
+        linalg.orth(_stack_with_deficient_slice(rng))
+
+
+def test_procrustes_stack_matches_slices_bit_for_bit():
+    rng = np.random.default_rng(82)
+    d, r = 8, 3
+    z_b = np.eye(d)[:, :r]
+    zs = np.stack([random_basis(rng, d, r) for _ in range(4)])
+    zs[1] = np.eye(d)[:, r:2 * r]  # orthogonal to z_b: zero cross-Gram
+    zs[3] = np.hstack([z_b[:, :1], np.eye(d)[:, r:r + 2]])  # cross-Gram of rank 1
+    aligned = linalg.procrustes(zs, z_b)
+    assert aligned.shape == (4, r, r)
+    for i in range(zs.shape[0]):
+        np.testing.assert_array_equal(aligned[i], linalg.procrustes(zs[i], z_b))
+        assert linalg.is_orthonormal(aligned[i])
+
+
+def test_sign_fix_stack_matches_slices_bit_for_bit():
+    rng = np.random.default_rng(83)
+    z_b = random_basis(rng, 6, 3)
+    zs = np.stack([z_b @ np.diag(s) for s in ([1, -1, 1], [-1, -1, 1])])
+    zs = np.concatenate([zs, random_basis(rng, 6, 3)[None]])
+    zs[2, :, 1] = 0.0  # zero inner product resolves to +1
+    signs = linalg.sign_fix(zs, z_b)
+    assert signs[2, 1, 1] == 1.0
+    for i in range(zs.shape[0]):
+        np.testing.assert_array_equal(signs[i], linalg.sign_fix(zs[i], z_b))
+
+
+def test_orth_and_svd_reject_non_finite_with_named_error():
+    y = np.ones((3, 4, 2))
+    y[1, 0, 0] = np.inf
+    with pytest.raises(NonFinite, match=r"slices \[1\]"):
+        linalg.orth(y, require_full_rank=False)
+    with pytest.raises(NonFinite):
+        linalg.orth(np.full((4, 2), np.nan), require_full_rank=False)
+    with pytest.raises(NonFinite):
+        linalg.svd(y)
+    assert issubclass(NonFinite, FedPowerError)
