@@ -20,7 +20,6 @@ __all__ = [
     "RANK_TOL",
     "SvdResult",
     "as_matrix",
-    "as_stack",
     "gram",
     "is_orthonormal",
     "orth",
@@ -60,7 +59,7 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_stack(a) -> np.ndarray:
+def _as_stack(a) -> np.ndarray:
     """Coerce ``a`` to one float64 matrix (2-D) or a stack of them (3-D)."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim not in (2, 3):
@@ -94,7 +93,7 @@ def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.nd
     when a shard has fewer rows than the iteration rank. NaN or infinite
     input raises :class:`NonFinite` instead of yielding a NaN basis.
     """
-    y = as_stack(y)
+    y = _as_stack(y)
     if y.shape[-2] < y.shape[-1]:
         raise DimensionMismatch(f"cannot orthonormalize {y.shape}: more columns than rows")
     _require_finite(y, "orthonormalize")
@@ -131,7 +130,7 @@ def svd(a) -> SvdResult:
     :class:`ConvergenceFailure` if the underlying iteration does not
     converge (never silently returns garbage).
     """
-    a = as_stack(a)
+    a = _as_stack(a)
     _require_finite(a, "factorize")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -188,7 +187,7 @@ def sin_theta_k(z, v, k: int | None = None) -> float:
 
 
 def _alignment_operands(z_i, z_base):
-    z_i = as_stack(z_i)
+    z_i = _as_stack(z_i)
     z_base = as_matrix(z_base)
     if z_i.shape[-2:] != z_base.shape:
         raise DimensionMismatch(f"alignment operands differ in shape: {z_i.shape} vs {z_base.shape}")
