@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -174,8 +175,6 @@ def moved_cells(old: str, new: str) -> list[str]:
 
 
 def _write_goldens() -> None:
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
