@@ -84,7 +84,35 @@ CASES = {
     ), []),
     "compare": ("compare", _variant(T=40, repeats=2), []),
     "sweep": ("privacy-sweep", _variant(T=40, repeats=2), ["--eps-list", "inf,10,1"]),
+    "full_noise_opt": ("run", _variant(
+        schedule={"kind": "fixed", "p": 3},
+        alignment="opt",
+        privacy={"epsilon": 5.0, "delta": 1e-5},
+        repeats=2,
+    ), []),
+    "eps_split_run": ("run", _variant(
+        privacy={"epsilon": "inf", "delta": 1e-5, "eps_split": [2.0, 4.0]},
+        repeats=2,
+    ), []),
+    "contiguous_partial": ("run", _variant(
+        partition="contiguous",
+        participation={"kind": "partial", "K": 5, "scheme": 1},
+        repeats=2,
+    ), []),
+    "compare_partial": ("compare", _variant(
+        T=40,
+        privacy={"epsilon": 20.0, "delta": 1e-5},
+        participation={"kind": "partial", "K": 5, "scheme": 2},
+        repeats=2,
+    ), []),
 }
+
+
+def case_files(directory: Path, name: str) -> list[Path]:
+    """The CSVs one case wrote into ``directory``: ``name.csv`` plus, for a
+    sweep, ``name.eps<i>.csv`` (not the files of a case whose name merely
+    starts with ``name``)."""
+    return sorted(p for p in directory.glob(f"{name}*.csv") if p.name.split(".")[0] == name)
 
 
 def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
@@ -98,11 +126,11 @@ def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
     code = cli.main([command, "--config", str(config_path), "--out", str(out), *extra])
     if code != 0:
         raise RuntimeError(f"case {name} exited with {code}")
-    return {p.name: p.read_bytes() for p in sorted(out_dir.glob(f"{name}*.csv"))}
+    return {p.name: p.read_bytes() for p in case_files(out_dir, name)}
 
 
 def golden_files(name: str) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(GOLDEN.glob(f"{name}*.csv"))}
+    return {p.name: p.read_bytes() for p in case_files(GOLDEN, name)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -188,10 +216,11 @@ def _report_moved(rev: str) -> int:
     other = 0
     for path in sorted(GOLDEN.glob("*.csv")):
         rel = path.relative_to(root).as_posix()
-        old = subprocess.run(
-            ["git", "show", f"{rev}:{rel}"], cwd=root, capture_output=True, text=True, check=True
-        ).stdout
-        moved = moved_cells(old, path.read_text(encoding="utf-8"))
+        shown = subprocess.run(["git", "show", f"{rev}:{rel}"], cwd=root, capture_output=True, text=True)
+        if shown.returncode != 0:
+            print(f"{path.name}: new since {rev}")
+            continue
+        moved = moved_cells(shown.stdout, path.read_text(encoding="utf-8"))
         at_sync = sum(1 for m in moved if " rho_t@sync:" in m)
         rest = [m for m in moved if " rho_t@sync:" not in m]
         other += len(rest)
