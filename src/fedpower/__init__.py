@@ -13,6 +13,7 @@ from .engine import (
     RunTrace,
     SyncSchedule,
     build_schedule,
+    run,
     run_full,
     run_partial,
 )

@@ -60,13 +60,6 @@ def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed
     return z
 
 
-def _top_eigenpairs(sym: np.ndarray, k: int) -> SvdResult:
-    # Input is symmetric PSD, so singular vectors are eigenvectors.
-    res = linalg.svd(sym)
-    basis = np.ascontiguousarray(res.u[:, :k])
-    return SvdResult(basis, res.singular_values[:k].copy(), basis)
-
-
 def uda(dataset: ShardedDataset, k: int) -> SvdResult:
     """One-shot unweighted averaging of local rank-k eigenspaces.
 
@@ -80,7 +73,7 @@ def uda(dataset: ShardedDataset, k: int) -> SvdResult:
     acc = np.zeros((dataset.d, dataset.d))
     for v_hat in vecs:
         acc += v_hat @ v_hat.T
-    return _top_eigenpairs(acc / dataset.m, k)
+    return linalg.top_eigenpairs(acc / dataset.m, k)
 
 
 def wda(dataset: ShardedDataset, k: int) -> SvdResult:
@@ -92,7 +85,7 @@ def wda(dataset: ShardedDataset, k: int) -> SvdResult:
     acc = np.zeros((dataset.d, dataset.d))
     for v_hat, s_hat in zip(vecs, vals):
         acc += (v_hat * s_hat) @ v_hat.T
-    return _top_eigenpairs(acc / dataset.m, k)
+    return linalg.top_eigenpairs(acc / dataset.m, k)
 
 
 def dr_svd(dataset: ShardedDataset, k: int, seed: int) -> SvdResult:

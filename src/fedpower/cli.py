@@ -343,17 +343,16 @@ def load_matrix(cfg: ExperimentConfig) -> np.ndarray:
     return scale_features(matrix) if cfg.scale else matrix
 
 
-def _dataset_for_repeat(matrix: np.ndarray, cfg: ExperimentConfig, repeat_seed: int) -> ShardedDataset:
-    if cfg.partition_mode == "shuffled":
-        return partition(matrix, cfg.m, mode="shuffled", seed=repeat_seed)
-    return partition(matrix, cfg.m, mode="contiguous")
+def _repeat_setup(matrix: np.ndarray, cfg: ExperimentConfig, idx: int) -> tuple[int, ShardedDataset]:
+    """Root seed and partition of repeat ``idx`` (a contiguous partition
+    ignores the seed)."""
+    seed = privacy.derive_seed(cfg.seed, idx)
+    return seed, partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed)
 
 
-def _run_config(cfg: ExperimentConfig, run_seed: int, epsilon=None, eps_split="unset") -> engine.RunConfig:
+def _run_config(cfg: ExperimentConfig, run_seed: int) -> engine.RunConfig:
     schedule = cfg.schedule()
-    eps = cfg.epsilon if epsilon is None else epsilon
-    split = cfg.eps_split if eps_split == "unset" else eps_split
-    priv = privacy.PrivacyConfig.for_schedule(eps, cfg.delta, schedule, eps_split=split)
+    priv = privacy.PrivacyConfig.for_schedule(cfg.epsilon, cfg.delta, schedule, eps_split=cfg.eps_split)
     return engine.RunConfig(
         k=cfg.k,
         r=cfg.r,
@@ -364,11 +363,6 @@ def _run_config(cfg: ExperimentConfig, run_seed: int, epsilon=None, eps_split="u
         seed=run_seed,
         record_every_step=cfg.record_every_step,
     )
-
-
-def _execute(dataset: ShardedDataset, run_cfg: engine.RunConfig, reference) -> engine.RunTrace:
-    run = engine.run_partial if run_cfg.participation.kind == "partial" else engine.run_full
-    return run(dataset, run_cfg, reference=reference)
 
 
 def _thread_count(requested: int | None) -> int:
@@ -387,27 +381,19 @@ def _map_repeats(one, repeats: int, threads: int | None) -> list:
         return list(pool.map(one, range(repeats)))
 
 
-def _repeat_results(matrix, cfg, reference, threads=None, epsilon=None) -> list[RepeatResult]:
+def _repeat_results(matrix, cfg, reference, threads=None) -> list[RepeatResult]:
     def one(idx: int) -> RepeatResult:
-        rep_seed = privacy.derive_seed(cfg.seed, idx)
-        dataset = _dataset_for_repeat(matrix, cfg, rep_seed)
-        trace = _execute(dataset, _run_config(cfg, rep_seed, epsilon=epsilon), reference)
+        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
+        trace = engine.run(dataset, _run_config(cfg, rep_seed), reference)
         return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
 
     return _map_repeats(one, cfg.repeats, threads)
 
 
-def _reference_for(matrix: np.ndarray, k: int) -> np.ndarray:
-    # Top-k right singular vectors of the full matrix, computed once per
-    # dataset and shared across repeats.
-    res = linalg.svd(linalg.gram(matrix))
-    return np.ascontiguousarray(res.u[:, :k])
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
     matrix = load_matrix(cfg)
-    reference = _reference_for(matrix, cfg.k)
+    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
     repeats = _repeat_results(matrix, cfg, reference, threads=threads)
     trace = CsvTrace(
         kind="trace",
@@ -446,15 +432,15 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
     matrix.
     """
     matrix = load_matrix(cfg)
-    reference = _reference_for(matrix, cfg.k)
+    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
 
     def one(idx: int) -> dict[str, float]:
-        rep_seed = privacy.derive_seed(cfg.seed, idx)
-        dataset = _dataset_for_repeat(matrix, cfg, rep_seed)
+        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
+        run_cfg = _run_config(cfg, rep_seed)
         errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
-            run_cfg = replace(_run_config(cfg, rep_seed), alignment=align)
-            errors[name] = _execute(dataset, run_cfg, reference).records[-1].sin_theta_k
+            trace = engine.run(dataset, replace(run_cfg, alignment=align), reference)
+            errors[name] = trace.records[-1].sin_theta_k
         errors["UDA"] = linalg.projection_distance(baselines.uda(dataset, cfg.k).u, reference)
         errors["WDA"] = linalg.projection_distance(baselines.wda(dataset, cfg.k).u, reference)
         errors["DR-SVD"] = linalg.projection_distance(
@@ -486,7 +472,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     instead of aborting the sweep.
     """
     matrix = load_matrix(cfg)
-    reference = _reference_for(matrix, cfg.k)
+    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
     rows = []
     sub_traces = {}
     for eps in eps_list:
@@ -500,7 +486,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             "status": "ok",
         }
         try:
-            repeats = _repeat_results(matrix, cfg, reference, threads=threads, epsilon=eps)
+            repeats = _repeat_results(matrix, replace(cfg, epsilon=eps, eps_split=None), reference, threads)
         except InvalidBudget as exc:
             row["status"] = f"invalid-budget: {exc}"
             rows.append(row)
@@ -536,8 +522,7 @@ def inspect_dataset(cfg: ExperimentConfig) -> dict:
     """Summarize a dataset: dimensions, leading spectrum, shard weights, and
     the local-approximation diagnostic for the configured partition."""
     matrix = load_matrix(cfg)
-    rep_seed = privacy.derive_seed(cfg.seed, 0)
-    dataset = _dataset_for_repeat(matrix, cfg, rep_seed)
+    _, dataset = _repeat_setup(matrix, cfg, 0)
     spectrum = linalg.svd(matrix).singular_values
     return {
         "n": int(matrix.shape[0]),

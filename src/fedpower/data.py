@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     TooManyShards,
 )
-from .linalg import as_matrix, gram, orth, svd
+from .linalg import as_matrix, gram, orth, top_eigenpairs
 
 __all__ = [
     "DENSE_ENTRY_LIMIT",
@@ -89,8 +89,7 @@ class ShardedDataset:
 
     def global_gram(self) -> np.ndarray:
         """Second-moment matrix of the full dataset, ``A.T @ A / n``."""
-        a = self.stacked()
-        return (a.T @ a) / a.shape[0]
+        return gram(self.stacked())
 
     @cached_property
     def shard_grams(self) -> np.ndarray:
@@ -118,9 +117,7 @@ class ShardedDataset:
             vecs = np.empty((self.m, self.d, k))
             vals = np.empty((self.m, k))
             for i, g in enumerate(self.shard_grams):
-                res = svd(g)
-                vecs[i] = res.u[:, :k]
-                vals[i] = res.singular_values[:k]
+                vecs[i], vals[i], _ = top_eigenpairs(g, k)
             self._eigenpairs[k] = (vecs, vals)
         return self._eigenpairs[k]
 

@@ -43,6 +43,7 @@ __all__ = [
     "local_approx_eta",
     "reference_basis",
     "residual_rho",
+    "run",
     "run_full",
     "run_partial",
 ]
@@ -199,8 +200,7 @@ def initial_basis(d: int, r: int, seed: int) -> np.ndarray:
 
 def reference_basis(dataset: ShardedDataset, k: int) -> np.ndarray:
     """Top-k eigenbasis of the dataset's global second-moment matrix."""
-    res = linalg.svd(dataset.global_gram())
-    return np.ascontiguousarray(res.u[:, :k])
+    return linalg.top_eigenpairs(dataset.global_gram(), k).u
 
 
 def baseline_index(weights, active=None) -> int:
@@ -268,17 +268,17 @@ def draw_participants(scheme: int, count: int, weights, rng: np.random.Generator
 
 
 def run_full(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
-    """Run the full-participation protocol."""
+    """:func:`run`, checking that the config asks for full participation."""
     if cfg.participation.kind != "full":
         raise ValueError("run_full requires full participation config")
-    return _run(dataset, cfg, reference)
+    return run(dataset, cfg, reference)
 
 
 def run_partial(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
-    """Run the partial-participation protocol (sampled devices per round)."""
+    """:func:`run`, checking that the config asks for partial participation."""
     if cfg.participation.kind != "partial":
         raise ValueError("run_partial requires partial participation config")
-    return _run(dataset, cfg, reference)
+    return run(dataset, cfg, reference)
 
 
 def _resolve_scales(dataset, cfg, n_rounds):
@@ -307,14 +307,19 @@ FALLBACK_NOTE = (
 )
 
 
-def _coefficients(part: Participation, weights, ids, counts) -> np.ndarray:
-    """Aggregation weight of each listed worker: the data weight under full
-    participation, count/K under scheme 1, m/K * p_i under scheme 2."""
-    if part.kind == "partial" and part.scheme == 1:
-        return counts / part.count
-    if part.kind == "partial":
-        return (weights.size / part.count) * weights[ids]
-    return weights[ids]
+def _round_members(part: Participation, weights, seed: int, round_idx: int):
+    """(ids, coefficients, baseline) of one aggregation round.
+
+    Full participation: every worker, weighted by its data weight, aligned to
+    the heaviest one. Partial: the distinct sampled workers, weighted count/K
+    under scheme 1 and m/K * p_i under scheme 2, aligned to the lowest id.
+    """
+    if part.kind == "full":
+        return np.arange(weights.size), weights, baseline_index(weights)
+    rng = privacy.stream(seed, (privacy.STREAM_SAMPLER, round_idx, 0))
+    ids, counts = np.unique(draw_participants(part.scheme, part.count, weights, rng), return_counts=True)
+    coefs = counts / part.count if part.scheme == 1 else (weights.size / part.count) * weights[ids]
+    return ids, coefs, int(ids[0])
 
 
 def _aggregate(coefs, stack: np.ndarray) -> np.ndarray:
@@ -341,7 +346,12 @@ def _output_basis(zs, alignment, synced, ids, coefs, base):
     return linalg.orth(_aggregate(coefs, selected), require_full_rank=False)
 
 
-def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
+def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
+    """Run the protocol with the config's participation, full or partial.
+
+    ``reference`` is the d x k (or wider) basis that ``sin_theta_k`` is
+    measured against; by default the dataset's :func:`reference_basis`.
+    """
     d = dataset.d
     m = dataset.m
     if cfg.r > d:
@@ -361,10 +371,9 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
     grams = dataset.shard_grams
     zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], m, axis=0)
     base_full = baseline_index(weights)
-    everyone = np.arange(m)
     # The output basis weights the last round's participants. Before any
     # round, partial participation falls back to every worker by data weight.
-    out_ids, out_coefs, out_base = everyone, weights, (base_full if part.kind == "full" else 0)
+    out_ids, out_coefs, out_base = np.arange(m), weights, (base_full if part.kind == "full" else 0)
 
     records: list[SyncRecord] = []
     history: list[tuple[int, np.ndarray]] | None = [] if cfg.keep_basis_history else None
@@ -378,13 +387,7 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
         synced = t in sync_steps
         if synced:
             round_idx = comm
-            if part.kind == "partial":
-                rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, round_idx, 0))
-                drawn = draw_participants(part.scheme, part.count, weights, rng)
-                ids, counts = np.unique(drawn, return_counts=True)
-                base = int(ids[0])
-            else:
-                ids, counts, base = everyone, None, base_full
+            ids, coefs, base = _round_members(part, weights, cfg.seed, round_idx)
             uploads = ys[ids]
             aligned = zs[ids]
             d_ids = _alignment_matrix(cfg.alignment, aligned, zs[base])
@@ -398,7 +401,6 @@ def _run(dataset: ShardedDataset, cfg: RunConfig, reference) -> RunTrace:
                     uploads[j] += privacy.sample_noise(
                         d, cfg.r, std, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i))
                     )
-            coefs = _coefficients(part, weights, ids, counts)
             agg = _aggregate(coefs, uploads)
             if sigma_server > 0.0:
                 agg = agg + privacy.sample_noise(

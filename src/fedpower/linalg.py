@@ -29,6 +29,7 @@ __all__ = [
     "sin_theta_k",
     "spectral_norm",
     "svd",
+    "top_eigenpairs",
 ]
 
 # Maximum entrywise deviation of Q.T @ Q from the identity for a basis to
@@ -137,6 +138,15 @@ def svd(a) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     return SvdResult(u, s, np.swapaxes(vt, -1, -2))
+
+
+def top_eigenpairs(sym, k: int) -> SvdResult:
+    """Top-k eigenpairs of a symmetric PSD matrix as an :class:`SvdResult`
+    whose ``u`` and ``v`` are the same contiguous d x k eigenbasis (for such
+    a matrix the singular vectors are eigenvectors)."""
+    res = svd(sym)
+    basis = np.ascontiguousarray(res.u[:, :k])
+    return SvdResult(basis, res.singular_values[:k].copy(), basis)
 
 
 def spectral_norm(a) -> float:
