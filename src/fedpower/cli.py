@@ -140,7 +140,8 @@ class ExperimentConfig:
         if "synthetic" in ds:
             s = ds["synthetic"]
             synthetic = SyntheticSpec(
-                int(s["n"]), int(s["d"]), tuple(s["singular_values"]), int(s.get("seed", 0))
+                _int(s["n"], "dataset.synthetic.n"), _int(s["d"], "dataset.synthetic.d"),
+                tuple(s["singular_values"]), _int(s.get("seed", 0), "dataset.synthetic.seed"),
             )
         if "libsvm" in ds:
             libsvm_path = ds["libsvm"]
@@ -151,26 +152,26 @@ class ExperimentConfig:
         return cls(
             libsvm_path=libsvm_path,
             synthetic=synthetic,
-            scale=bool(ds.get("scale", True)),
-            m=int(doc.get("m", 1)),
+            scale=_bool(ds.get("scale", True), "dataset.scale"),
+            m=_int(doc.get("m", 1), "m"),
             partition_mode=doc.get("partition", "shuffled"),
-            k=int(doc["k"]),
-            r=int(doc.get("r", doc["k"])),
-            horizon=int(doc["T"]),
+            k=_int(doc["k"], "k"),
+            r=_int(doc.get("r", doc["k"]), "r"),
+            horizon=_int(doc["T"], "T"),
             schedule_kind=sched.get("kind", "fixed"),
-            p=int(sched.get("p", 1)),
-            explicit_steps=tuple(int(t) for t in sched.get("steps", ())),
+            p=_int(sched.get("p", 1), "schedule.p"),
+            explicit_steps=tuple(_int(t, "schedule.steps") for t in sched.get("steps", ())),
             alignment=doc.get("alignment", engine.ALIGN_SIGN),
             epsilon=float(priv.get("epsilon", "inf")),
             delta=float(priv.get("delta", 1e-5)),
             eps_split=tuple(float(e) for e in split) if split else None,
             participation_kind=part.get("kind", "full"),
-            participation_count=None if part.get("K") is None else int(part["K"]),
-            participation_scheme=None if part.get("scheme") is None else int(part["scheme"]),
-            repeats=int(doc.get("repeats", 1)),
-            seed=int(doc.get("seed", 0)),
-            record_every_step=bool(doc.get("record_every_step", False)),
-            measure_wall_time=bool(doc.get("measure_wall_time", False)),
+            participation_count=_int(part.get("K"), "participation.K", optional=True),
+            participation_scheme=_int(part.get("scheme"), "participation.scheme", optional=True),
+            repeats=_int(doc.get("repeats", 1), "repeats"),
+            seed=_int(doc.get("seed", 0), "seed"),
+            record_every_step=_bool(doc.get("record_every_step", False), "record_every_step"),
+            measure_wall_time=_bool(doc.get("measure_wall_time", False), "measure_wall_time"),
             out=doc.get("out"),
         )
 
@@ -192,6 +193,23 @@ def _check_keys(doc: dict, prefix: str = "") -> None:
             raise ConfigError(f"unknown config key {path!r}")
         if isinstance(value, dict):
             _check_keys(value, path + ".")
+
+
+# int(2.7), int("2") and bool("false") would run a config other than the one
+# written, so integer and boolean keys must hold JSON numbers and booleans.
+def _int(value, path: str, optional: bool = False) -> int | None:
+    if value is None and optional:
+        return None
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {path!r} must be true or false, got {value!r}")
+    return value
 
 
 def _json_float(value: float):
@@ -366,9 +384,10 @@ def _run_config(cfg: ExperimentConfig, run_seed: int) -> engine.RunConfig:
 
 
 def _thread_count(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
+    value = os.environ.get(THREADS_ENV, "1") if requested is None else requested
+    if not str(value).isdecimal() or int(value) < 1:
+        raise ConfigError(f"--threads / {THREADS_ENV} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def _map_repeats(one, repeats: int, threads: int | None) -> list:
@@ -407,20 +426,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrac
     return trace
 
 
-COMPARE_ALGORITHMS = (
-    "FedPower-OPT",
-    "FedPower-SignFix",
-    "FedPower-vanilla",
-    "UDA",
-    "WDA",
-    "DR-SVD",
-)
-
 _ALIGN_FOR_ROW = {
     "FedPower-OPT": engine.ALIGN_OPT,
     "FedPower-SignFix": engine.ALIGN_SIGN,
     "FedPower-vanilla": engine.ALIGN_NONE,
 }
+COMPARE_ALGORITHMS = (*_ALIGN_FOR_ROW, "UDA", "WDA", "DR-SVD")
 
 
 def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:

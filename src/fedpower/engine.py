@@ -319,7 +319,7 @@ def _round_members(part: Participation, weights, seed: int, round_idx: int):
     rng = privacy.stream(seed, (privacy.STREAM_SAMPLER, round_idx, 0))
     ids, counts = np.unique(draw_participants(part.scheme, part.count, weights, rng), return_counts=True)
     coefs = counts / part.count if part.scheme == 1 else (weights.size / part.count) * weights[ids]
-    return ids, coefs, int(ids[0])
+    return ids, coefs, baseline_index(weights, ids)
 
 
 def _aggregate(coefs, stack: np.ndarray) -> np.ndarray:

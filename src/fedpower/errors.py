@@ -51,7 +51,7 @@ class DegenerateData(FedPowerError):
 
 
 class ConfigError(FedPowerError, ValueError):
-    """An experiment config holds a key the runner does not read."""
+    """An unknown config key, a mistyped config value, or a bad thread count."""
 
 
 class NonFinite(FedPowerError, ValueError):

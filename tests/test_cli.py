@@ -6,6 +6,7 @@ import pytest
 
 from fedpower import cli
 from fedpower.cli import ExperimentConfig, parse_trace
+from fedpower.data import write_libsvm
 from fedpower.errors import ConfigError
 
 
@@ -57,6 +58,38 @@ def test_config_rejects_unknown_keys():
     doc["dataset"]["synthetic"]["sed"] = 3
     with pytest.raises(ConfigError, match="'dataset.synthetic.sed'"):
         ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"record_every_step": "false"}, "record_every_step"),
+    ({"dataset": {"scale": "false"}}, "dataset.scale"),
+    ({"m": 2.7}, "m"),
+    ({"m": True}, "m"),
+    ({"schedule": {"kind": "explicit", "steps": [2, "5"]}}, "schedule.steps"),
+])
+def test_config_rejects_values_it_would_coerce(overrides, path, tmp_path, capsys):
+    # bool("false") is True and int(2.7) is 2: each would run another config.
+    if "dataset" in overrides:
+        libsvm = tmp_path / "tiny.libsvm"
+        write_libsvm(libsvm, np.random.default_rng(71).standard_normal((40, 12)))
+        overrides = {"dataset": {"libsvm": str(libsvm), **overrides["dataset"]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(**overrides)))
+    code = cli.main(["run", "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert code == 1
+    assert payload["error"] == "ConfigError"
+    assert repr(path) in payload["message"]
+
+
+def test_unknown_partition_mode_is_an_error():
+    with pytest.raises(ValueError, match="partition mode 'random'"):
+        cli.run_experiment(ExperimentConfig.from_dict(config_doc(partition="random")))
+
+
+def test_config_accepts_integral_floats():
+    cfg = ExperimentConfig.from_dict(config_doc(m=4.0, T=30.0))
+    assert (cfg.m, cfg.horizon) == (4, 30) and isinstance(cfg.m, int)
 
 
 def test_config_accepts_every_key_it_writes():
@@ -141,6 +174,36 @@ def test_threads_do_not_change_results():
     solo = cli.run_experiment(cfg, threads=1)
     pooled = cli.run_experiment(cfg, threads=3)
     assert solo.render() == pooled.render()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_thread_count_below_one_is_an_error(value, via_env, tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(repeats=3)))
+    argv = ["run", "--config", str(cfg_path)]
+    if via_env:
+        monkeypatch.setenv(cli.THREADS_ENV, value)
+    else:
+        argv += ["--threads", value]
+    assert cli.main(argv) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "at least 1" in payload["message"]
+
+
+def test_non_integer_thread_env_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.THREADS_ENV, "two")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert cli.THREADS_ENV in payload["message"]
 
 
 # ---------------------------------------------------------------- compare
@@ -316,6 +379,36 @@ def test_privacy_sweep_error_monotone_in_budget():
             assert prev["min_sin_theta_mean"] - cur["min_sin_theta_mean"] <= pooled
             inversions += 1
     assert inversions <= 1
+
+
+SPLIT_PRIVACY = {"epsilon": "inf", "delta": 1e-3, "eps_split": [2.0, 4.0]}
+
+
+def test_privacy_sweep_budget_replaces_eps_split():
+    doc = config_doc(repeats=1, T=20, privacy=SPLIT_PRIVACY)
+    sweep = cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["inf", 100.0, 1.0])
+    by_eps = {row["epsilon"]: row for row in sweep.rows}
+    assert by_eps[math.inf]["eps_spent_total"] == 0.0
+    assert by_eps[1.0]["eps_spent_total"] == 2.0
+    assert len({row["min_sin_theta_mean"] for row in sweep.rows}) == 3
+
+
+def _without_config_line(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("# config=")]
+
+
+def test_privacy_sweep_sub_trace_headers_replay_their_runs(tmp_path):
+    out = tmp_path / "sweep.csv"
+    doc = config_doc(repeats=2, T=20, privacy=SPLIT_PRIVACY, out=str(out))
+    cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["inf", 100.0, 1.0])
+    for idx in range(3):
+        sub = (tmp_path / f"sweep.eps{idx}.csv").read_text()
+        header = next(line for line in sub.splitlines() if line.startswith("# config="))
+        cfg_path = tmp_path / f"replay{idx}.json"
+        cfg_path.write_text(header[len("# config="):])
+        replay = tmp_path / f"replay{idx}.csv"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(replay)]) == 0
+        assert _without_config_line(replay.read_text()) == _without_config_line(sub)
 
 
 def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):

@@ -105,6 +105,12 @@ CASES = {
         participation={"kind": "partial", "K": 5, "scheme": 2},
         repeats=2,
     ), []),
+    # Every swept budget replaces eps_split; each sub-trace header replays its run.
+    "sweep_eps_split": ("privacy-sweep", _variant(
+        T=40,
+        privacy={"epsilon": "inf", "delta": 1e-5, "eps_split": [2.0, 4.0]},
+        repeats=2,
+    ), ["--eps-list", "inf,100,1"]),
 }
 
 
