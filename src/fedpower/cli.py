@@ -400,10 +400,10 @@ def _map_repeats(one, repeats: int, threads: int | None) -> list:
         return list(pool.map(one, range(repeats)))
 
 
-def _repeat_results(matrix, cfg, reference, threads=None) -> list[RepeatResult]:
+def _repeat_results(matrix, cfg, threads=None) -> list[RepeatResult]:
     def one(idx: int) -> RepeatResult:
         rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
-        trace = engine.run(dataset, _run_config(cfg, rep_seed), reference)
+        trace = engine.run(dataset, _run_config(cfg, rep_seed))
         return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
 
     return _map_repeats(one, cfg.repeats, threads)
@@ -411,9 +411,7 @@ def _repeat_results(matrix, cfg, reference, threads=None) -> list[RepeatResult]:
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
-    matrix = load_matrix(cfg)
-    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
-    repeats = _repeat_results(matrix, cfg, reference, threads=threads)
+    repeats = _repeat_results(load_matrix(cfg), cfg, threads=threads)
     trace = CsvTrace(
         kind="trace",
         config=cfg.to_dict(),
@@ -443,11 +441,11 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
     matrix.
     """
     matrix = load_matrix(cfg)
-    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
 
     def one(idx: int) -> dict[str, float]:
         rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
         run_cfg = _run_config(cfg, rep_seed)
+        reference = engine.reference_basis(dataset, cfg.k)
         errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
             trace = engine.run(dataset, replace(run_cfg, alignment=align), reference)
@@ -483,7 +481,6 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     instead of aborting the sweep.
     """
     matrix = load_matrix(cfg)
-    reference = linalg.top_eigenpairs(linalg.gram(matrix), cfg.k).u
     rows = []
     sub_traces = {}
     for eps in eps_list:
@@ -496,8 +493,9 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             "delta_spent_total": math.nan,
             "status": "ok",
         }
+        run_cfg = replace(cfg, epsilon=eps, eps_split=None)
         try:
-            repeats = _repeat_results(matrix, replace(cfg, epsilon=eps, eps_split=None), reference, threads)
+            repeats = _repeat_results(matrix, run_cfg, threads)
         except InvalidBudget as exc:
             row["status"] = f"invalid-budget: {exc}"
             rows.append(row)
@@ -513,7 +511,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
         rows.append(row)
         sub_traces[eps] = CsvTrace(
             kind="trace",
-            config={**cfg.to_dict(), "privacy": {"epsilon": _json_float(eps), "delta": cfg.delta}},
+            config=run_cfg.to_dict(),
             seed=cfg.seed,
             repeats=repeats,
             measure_wall_time=cfg.measure_wall_time,

@@ -88,8 +88,8 @@ class ShardedDataset:
         return np.vstack(self.shards)
 
     def global_gram(self) -> np.ndarray:
-        """Second-moment matrix of the full dataset, ``A.T @ A / n``."""
-        return gram(self.stacked())
+        """Second-moment matrix of the full dataset, ``A.T @ A / n = sum_i p_i M_i``."""
+        return np.tensordot(self.weights, self.shard_grams, axes=1)
 
     @cached_property
     def shard_grams(self) -> np.ndarray:

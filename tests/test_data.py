@@ -151,6 +151,13 @@ def test_weights_and_gram_identity():
     assert np.abs(assembled - direct).max() <= 1e-12
 
 
+def test_global_gram_is_the_weighted_sum_of_shard_grams():
+    a = np.random.default_rng(35).standard_normal((61, 7)) * np.geomspace(10.0, 0.1, 7)
+    ds = data.partition(a, 5, mode="shuffled", seed=3)
+    direct = linalg.gram(ds.stacked())
+    assert np.abs(ds.global_gram() - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 # ---------------------------------------------------------------- synthetic
 
 

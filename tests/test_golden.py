@@ -5,7 +5,8 @@ Regenerate the files (only after a deliberate, logged change) with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every cell that moved against the goldens of a git revision with
+and list every cell that moved against the goldens of a git revision, with
+a per-column count and largest absolute change, with
 
     PYTHONPATH=src python tests/test_golden.py --moved-since REV
 """
@@ -13,14 +14,17 @@ and list every cell that moved against the goldens of a git revision with
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fedpower import cli
+from fedpower import cli, engine, privacy
+from fedpower.data import partition
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -149,6 +153,22 @@ def test_output_matches_golden_bytes(name, tmp_path):
         assert got[fname] == data, f"{fname} differs from its golden"
 
 
+def test_cli_repeats_equal_library_runs():
+    # The CLI measures against the library's default reference, so a repeat's
+    # records are the ones engine.run writes for the same partition and seed.
+    cfg = cli.ExperimentConfig.from_dict(README_DEMO)
+    matrix = cli.load_matrix(cfg)
+    trace = cli.run_experiment(cfg)
+    for idx, rep in enumerate(trace.repeats):
+        seed = privacy.derive_seed(cfg.seed, idx)
+        dataset = partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed)
+        library = engine.run(dataset, cli._run_config(cfg, seed))
+        assert rep.seed == seed and rep.eta == library.eta
+        assert [replace(r, wall_ms=0.0) for r in rep.records] == [
+            replace(r, wall_ms=0.0) for r in library.records
+        ]
+
+
 def _data_rows(text: str):
     """(column names, rows) of a CSV, skipping ``#`` comment lines."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
@@ -208,6 +228,60 @@ def moved_cells(old: str, new: str) -> list[str]:
     return moved
 
 
+def drift_by_column(old: str, new: str) -> dict[str, tuple[int, float]]:
+    """For each column with moved numeric cells between two renderings of one
+    golden file: how many moved and the largest absolute change. The fields
+    of ``# repeat`` and ``# summary`` lines count as columns ``repeat.eta``,
+    ``summary.final_sin_theta_mean`` and so on."""
+    drift: dict[str, tuple[int, float]] = {}
+    columns = None
+    for a, b in zip(old.splitlines(), new.splitlines()):
+        if a.startswith(("# repeat=", "# summary")):
+            tokens = list(zip(a.split()[1:], b.split()[1:]))
+            label = tokens[0][0].partition("=")[0]
+            cells = [(f"{label}.{x.partition('=')[0]}", x.partition("=")[2], y.partition("=")[2])
+                     for x, y in tokens if "=" in x]
+        elif a.startswith("#") or not a:
+            continue
+        elif columns is None:
+            columns = a.split(",")
+            continue
+        else:
+            cells = list(zip(columns, a.split(","), b.split(",")))
+        for col, x, y in cells:
+            if x == y:
+                continue
+            try:
+                change = abs(float(x) - float(y))
+            except ValueError:  # not a numeric cell
+                continue
+            count, worst = drift.get(col, (0, 0.0))
+            drift[col] = (count + 1, max(worst, math.inf if math.isnan(change) else change))
+    return drift
+
+
+def test_drift_by_column_counts_moved_cells_and_largest_change():
+    old = """# config={"k": 1}
+# repeat=0 seed=5 eta=0.5
+t,sin_theta_k,eta
+1,0.25,0.5
+2,0.125,0.5
+# summary repeats=1 final_sin_theta_mean=0.125
+"""
+    new = """# config={"k": 1, "eps_split": null}
+# repeat=0 seed=5 eta=0.5000001
+t,sin_theta_k,eta
+1,0.2500002,0.5000001
+2,0.1250003,0.5
+# summary repeats=1 final_sin_theta_mean=0.1250003
+"""
+    drift = drift_by_column(old, new)
+    assert sorted(drift) == ["eta", "repeat.eta", "sin_theta_k", "summary.final_sin_theta_mean"]
+    assert drift["sin_theta_k"][0] == 2 and drift["sin_theta_k"][1] == pytest.approx(3e-7)
+    assert drift["eta"][0] == 1 and drift["eta"][1] == pytest.approx(1e-7)
+    assert drift["repeat.eta"][0] == 1 and drift["summary.final_sin_theta_mean"][0] == 1
+
+
 def _write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -226,13 +300,16 @@ def _report_moved(rev: str) -> int:
         if shown.returncode != 0:
             print(f"{path.name}: new since {rev}")
             continue
-        moved = moved_cells(shown.stdout, path.read_text(encoding="utf-8"))
+        new = path.read_text(encoding="utf-8")
+        moved = moved_cells(shown.stdout, new)
         at_sync = sum(1 for m in moved if " rho_t@sync:" in m)
         rest = [m for m in moved if " rho_t@sync:" not in m]
         other += len(rest)
         print(f"{path.name}: {at_sync} rho_t cells at sync rows set to 0.0, {len(rest)} other cells moved")
         for m in rest:
             print(f"  {m}")
+        for col, (count, worst) in drift_by_column(shown.stdout, new).items():
+            print(f"  drift {col}: {count} numeric cells moved, largest |change| {worst:.3g}")
     return 1 if other else 0
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, engine, linalg
-from fedpower.data import SyntheticSpec, partition, synth
+from fedpower.data import ShardedDataset, SyntheticSpec, partition, synth
 from fedpower.privacy import PrivacyConfig
 
 MATRIX = synth(SyntheticSpec(n=300, d=12, singular_values=tuple(np.geomspace(8.0, 0.1, 12)), seed=9))
@@ -59,3 +59,11 @@ def test_rotating_features_keeps_the_converged_error():
     plain = engine.run(_dataset(MATRIX), cfg).records[-1].sin_theta_k
     rotated = engine.run(_dataset(MATRIX @ q), cfg).records[-1].sin_theta_k
     assert abs(rotated - plain) <= 1e-10
+
+
+def test_permuting_shards_leaves_the_global_gram_unchanged():
+    plain = _dataset(MATRIX)
+    order = np.random.default_rng(17).permutation(plain.m)
+    permuted = ShardedDataset(tuple(plain.shards[i] for i in order))
+    want = plain.global_gram()
+    assert np.abs(permuted.global_gram() - want).max() <= 1e-12 * np.abs(want).max()
