@@ -115,7 +115,7 @@ class ExperimentConfig:
             "privacy": {
                 "epsilon": _json_float(self.epsilon),
                 "delta": self.delta,
-                "eps_split": list(self.eps_split) if self.eps_split else None,
+                "eps_split": [_json_float(e) for e in self.eps_split] if self.eps_split else None,
             },
             "participation": {
                 "kind": self.participation_kind,
@@ -133,22 +133,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check_keys(doc)
-        ds = doc.get("dataset", {})
+        _check_keys(_typed(doc, "", (dict,), "a JSON object"))
+        ds = _section(doc, "dataset")
         synthetic = None
         libsvm_path = None
         if "synthetic" in ds:
-            s = ds["synthetic"]
+            s = _typed(ds["synthetic"], "dataset.synthetic", (dict,), "a JSON object")
+            values = _typed(s["singular_values"], "dataset.synthetic.singular_values", (list,), "a list")
             synthetic = SyntheticSpec(
                 _int(s["n"], "dataset.synthetic.n"), _int(s["d"], "dataset.synthetic.d"),
-                tuple(s["singular_values"]), _int(s.get("seed", 0), "dataset.synthetic.seed"),
+                tuple(_float(v, "dataset.synthetic.singular_values") for v in values),
+                _int(s.get("seed", 0), "dataset.synthetic.seed"),
             )
         if "libsvm" in ds:
-            libsvm_path = ds["libsvm"]
-        sched = doc.get("schedule", {})
-        priv = doc.get("privacy", {})
-        part = doc.get("participation", {})
-        split = priv.get("eps_split")
+            libsvm_path = _typed(ds["libsvm"], "dataset.libsvm", (str,), "a string")
+        sched = _section(doc, "schedule")
+        priv = _section(doc, "privacy")
+        part = _section(doc, "participation")
+        steps = _typed(sched.get("steps", []), "schedule.steps", (list,), "a list")
+        split = _typed(priv.get("eps_split"), "privacy.eps_split", (list, type(None)), "a list or null")
         return cls(
             libsvm_path=libsvm_path,
             synthetic=synthetic,
@@ -160,11 +163,11 @@ class ExperimentConfig:
             horizon=_int(doc["T"], "T"),
             schedule_kind=sched.get("kind", "fixed"),
             p=_int(sched.get("p", 1), "schedule.p"),
-            explicit_steps=tuple(_int(t, "schedule.steps") for t in sched.get("steps", ())),
+            explicit_steps=tuple(_int(t, "schedule.steps") for t in steps),
             alignment=doc.get("alignment", engine.ALIGN_SIGN),
-            epsilon=float(priv.get("epsilon", "inf")),
-            delta=float(priv.get("delta", 1e-5)),
-            eps_split=tuple(float(e) for e in split) if split else None,
+            epsilon=_float(priv.get("epsilon", "inf"), "privacy.epsilon", True),
+            delta=_float(priv.get("delta", 1e-5), "privacy.delta"),
+            eps_split=None if split is None else tuple(_float(e, "privacy.eps_split", True) for e in split),
             participation_kind=part.get("kind", "full"),
             participation_count=_int(part.get("K"), "participation.K", optional=True),
             participation_scheme=_int(part.get("scheme"), "participation.scheme", optional=True),
@@ -172,7 +175,7 @@ class ExperimentConfig:
             seed=_int(doc.get("seed", 0), "seed"),
             record_every_step=_bool(doc.get("record_every_step", False), "record_every_step"),
             measure_wall_time=_bool(doc.get("measure_wall_time", False), "measure_wall_time"),
-            out=doc.get("out"),
+            out=_typed(doc.get("out"), "out", (str, type(None)), "a string"),
         )
 
 
@@ -195,8 +198,27 @@ def _check_keys(doc: dict, prefix: str = "") -> None:
             _check_keys(value, path + ".")
 
 
-# int(2.7), int("2") and bool("false") would run a config other than the one
-# written, so integer and boolean keys must hold JSON numbers and booleans.
+# int(2.7), int("2"), bool("false"), float(True) and open(0) would run a config
+# other than the one written, so every key must hold its own JSON type.
+def _typed(value, path: str, types: tuple, what: str):
+    """``value`` if it is one of ``types`` (a boolean only if ``bool`` is one);
+    ``path`` "" names the document itself."""
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+        where = f"config key {path!r}" if path else "a config document"
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str) -> dict:
+    return _typed(doc.get(key, {}), key, (dict,), "a JSON object")
+
+
+def _float(value, path: str, inf_ok: bool = False) -> float:
+    if inf_ok and value == "inf":
+        return math.inf
+    return float(_typed(value, path, (int, float), 'a number or "inf"' if inf_ok else "a number"))
+
+
 def _int(value, path: str, optional: bool = False) -> int | None:
     if value is None and optional:
         return None
@@ -207,9 +229,7 @@ def _int(value, path: str, optional: bool = False) -> int | None:
 
 
 def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {path!r} must be true or false, got {value!r}")
-    return value
+    return _typed(value, path, (bool,), "true or false")
 
 
 def _json_float(value: float):
@@ -547,9 +567,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _typed(json.load(fh), "", (dict,), "a JSON object")
     if args.libsvm:
-        doc["dataset"] = {"libsvm": args.libsvm, "scale": doc.get("dataset", {}).get("scale", True)}
+        doc["dataset"] = {"libsvm": args.libsvm, "scale": _section(doc, "dataset").get("scale", True)}
     for key in ("seed", "repeats", "k", "T", "m"):
         if getattr(args, key) is not None:
             doc[key] = getattr(args, key)

@@ -82,6 +82,51 @@ def test_config_rejects_values_it_would_coerce(overrides, path, tmp_path, capsys
     assert repr(path) in payload["message"]
 
 
+def _with_synthetic(**changes):
+    doc = config_doc()
+    doc["dataset"]["synthetic"].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("run", [1, 2], "a config document"),
+    ("run", config_doc(dataset=[1]), "'dataset'"),
+    ("run", config_doc(dataset={"synthetic": [1]}), "'dataset.synthetic'"),
+    ("run", config_doc(schedule="fixed"), "'schedule'"),
+    ("run", config_doc(privacy={"eps_split": 3}), "'privacy.eps_split'"),
+    ("run", config_doc(schedule={"kind": "explicit", "steps": 5}), "'schedule.steps'"),
+    ("run", _with_synthetic(singular_values=3), "'dataset.synthetic.singular_values'"),
+    ("run", config_doc(privacy={"epsilon": True}), "'privacy.epsilon'"),
+    ("run", config_doc(privacy={"epsilon": "1.0"}), "'privacy.epsilon'"),
+    ("run", config_doc(privacy={"delta": True}), "'privacy.delta'"),
+    ("run", config_doc(privacy={"delta": "inf"}), "'privacy.delta'"),
+    ("run", config_doc(privacy={"eps_split": [True, 1.0]}), "'privacy.eps_split'"),
+    ("run", config_doc(privacy={"eps_split": ["2", 4.0]}), "'privacy.eps_split'"),
+    ("run", _with_synthetic(singular_values=[True, 1]), "'dataset.synthetic.singular_values'"),
+    ("run", config_doc(out=0), "'out'"),
+    ("inspect-dataset", config_doc(dataset={"libsvm": 0}), "'dataset.libsvm'"),
+])
+def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
+    # Before: tracebacks, epsilon 1.0 from `true`, or file descriptor 0 opened as a path.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert code == 1
+    assert payload["error"] == "ConfigError"
+    assert path in payload["message"]
+
+
+def test_config_writes_infinite_budgets_as_inf_strings():
+    cfg = ExperimentConfig.from_dict(config_doc(privacy={"epsilon": "inf", "eps_split": ["inf", 2.0]}))
+    assert cfg.eps_split == (math.inf, 2.0)
+    doc = cfg.to_dict()
+    assert doc["privacy"]["eps_split"] == ["inf", 2.0]
+    json.dumps(doc, allow_nan=False)  # standard JSON: no Infinity literal
+    assert ExperimentConfig.from_dict(doc) == cfg
+    assert ExperimentConfig.from_dict(config_doc(privacy={"eps_split": None})).eps_split is None
+
+
 def test_unknown_partition_mode_is_an_error():
     with pytest.raises(ValueError, match="partition mode 'random'"):
         cli.run_experiment(ExperimentConfig.from_dict(config_doc(partition="random")))
