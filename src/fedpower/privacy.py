@@ -61,14 +61,16 @@ class PrivacyConfig:
     eps_split: tuple[float, float] | None = None
 
     def __post_init__(self):
+        # Checked before the noiseless shortcut: an empty split is "all infinite".
+        if self.eps_split is not None and len(self.eps_split) != 2:
+            raise InvalidBudget(f"eps_split needs two budgets [eps_local, eps_server], got {self.eps_split}")
         if self.noiseless:
             return
         if self.eps_split is None:
             if not self.epsilon > 0.0:
                 raise InvalidBudget(f"epsilon must be positive, got {self.epsilon}")
-        else:
-            if len(self.eps_split) != 2 or any(not e > 0.0 for e in self.eps_split):
-                raise InvalidBudget(f"eps_split budgets must be positive, got {self.eps_split}")
+        elif any(not e > 0.0 for e in self.eps_split):
+            raise InvalidBudget(f"eps_split budgets must be positive, got {self.eps_split}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidBudget(f"delta must lie in (0, 1), got {self.delta}")
         if self.rounds < 1:

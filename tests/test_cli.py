@@ -107,7 +107,7 @@ def _with_synthetic(**changes):
     ("inspect-dataset", config_doc(dataset={"libsvm": 0}), "'dataset.libsvm'"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
-    # Before: tracebacks, epsilon 1.0 from `true`, or file descriptor 0 opened as a path.
+    # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0).
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code = cli.main([command, "--config", str(cfg_path)])

@@ -22,6 +22,13 @@ def test_config_validation():
     assert PrivacyConfig(epsilon=math.inf, delta=0.1, rounds=0).noiseless
 
 
+@pytest.mark.parametrize("split", [(), (math.inf,), (1.0, 2.0, 3.0)])
+def test_eps_split_needs_two_budgets(split):
+    # An empty split would otherwise count as all-infinite and drop a finite epsilon's noise.
+    with pytest.raises(InvalidBudget, match="two budgets"):
+        PrivacyConfig(epsilon=5.0, delta=1e-5, rounds=3, eps_split=split)
+
+
 # ---------------------------------------------------------------- full participation
 
 
