@@ -180,7 +180,7 @@ class SyncRecord:
 
 @dataclass
 class RunTrace:
-    """Per-round metrics plus the final orthonormalized output basis."""
+    """Per-round metrics, the final orthonormalized basis and the applied noise scales."""
 
     records: list[SyncRecord]
     final_basis: np.ndarray
@@ -281,10 +281,10 @@ def run_partial(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunT
     return run(dataset, cfg, reference)
 
 
-def _resolve_scales(dataset, cfg, n_rounds):
+def _resolve_scales(dataset, cfg, n_rounds) -> privacy.NoiseScales:
     priv = cfg.privacy
     if priv.noiseless:
-        return privacy.NoiseScales(), 0.0, 0.0
+        return privacy.NoiseScales()
     if n_rounds == 0:
         raise InvalidBudget("noise requested but the schedule has no communication rounds")
     if priv.rounds != n_rounds:
@@ -293,13 +293,8 @@ def _resolve_scales(dataset, cfg, n_rounds):
         )
     part = cfg.participation
     if part.kind == "partial":
-        scales = privacy.scales_partial(
-            priv, dataset.min_shard_size, dataset.weights, part.count, part.scheme
-        )
-        server = scales.sigma_server_s1 if part.scheme == 1 else scales.sigma_server_s2
-        return scales, scales.sigma_local_partial, server
-    scales = privacy.scales_full(priv, dataset.min_shard_size, float(dataset.weights.max()))
-    return scales, scales.sigma_local, scales.sigma_server_full
+        return privacy.scales_partial(priv, dataset.min_shard_size, dataset.weights, part.count, part.scheme)
+    return privacy.scales_full(priv, dataset.min_shard_size, float(dataset.weights.max()))
 
 
 FALLBACK_NOTE = (
@@ -361,7 +356,7 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
         raise ValueError(f"cannot sample {part.count} of {m} workers")
     weights = dataset.weights
     sync_steps = frozenset(cfg.schedule.steps)
-    scales, sigma_local, sigma_server = _resolve_scales(dataset, cfg, len(cfg.schedule.steps))
+    scales = _resolve_scales(dataset, cfg, len(cfg.schedule.steps))
 
     eta = local_approx_eta(dataset)
     if reference is None:
@@ -395,16 +390,16 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
                 uploads = uploads @ d_ids
                 aligned = aligned @ d_ids
             server_norm = float(np.abs(aligned).max())
-            if sigma_local > 0.0:
+            if scales.sigma_local > 0.0:
                 for j, i in enumerate(ids):
-                    std = float(np.abs(zs[i]).max()) * sigma_local
+                    std = float(np.abs(zs[i]).max()) * scales.sigma_local
                     uploads[j] += privacy.sample_noise(
                         d, cfg.r, std, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i))
                     )
             agg = _aggregate(coefs, uploads)
-            if sigma_server > 0.0:
+            if scales.sigma_server > 0.0:
                 agg = agg + privacy.sample_noise(
-                    d, cfg.r, server_norm * sigma_server, cfg.seed,
+                    d, cfg.r, server_norm * scales.sigma_server, cfg.seed,
                     (privacy.STREAM_SERVER, round_idx, 0),
                 )
             zs[:] = linalg.orth(agg, require_full_rank=False)

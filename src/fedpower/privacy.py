@@ -24,7 +24,6 @@ __all__ = [
     "sample_noise",
     "scales_full",
     "scales_partial",
-    "scales_per_round",
     "standard_gaussian",
     "stream",
 ]
@@ -52,7 +51,7 @@ class PrivacyConfig:
     the total budget with per-round budgets (eps_local, eps_server) for the
     worker-side and server-side perturbations; the per-round scale formulas
     for that mode are derived directly from the Gaussian mechanism (see
-    :func:`scales_per_round`) and ``delta`` is then interpreted per round.
+    :func:`scales_full`) and ``delta`` is then interpreted per round.
     """
 
     epsilon: float
@@ -89,20 +88,14 @@ class PrivacyConfig:
 
 @dataclass(frozen=True)
 class NoiseScales:
-    """Per-round Gaussian scale factors.
-
-    ``sigma_local``/``sigma_server_full`` calibrate the full-participation
-    protocol; the ``*_partial``/``*_s1``/``*_s2`` fields calibrate the
-    partial-participation protocol for its two sampling schemes. Fields not
-    produced by a given calibration stay 0. At run time each scale is further
+    """The two per-round Gaussian scale factors a run applies: ``sigma_local``
+    to each uploading worker's update and ``sigma_server`` to the aggregate.
+    Both are 0 in noiseless mode. At run time each scale is further
     multiplied by the max-abs entry of the basis being protected.
     """
 
     sigma_local: float = 0.0
-    sigma_server_full: float = 0.0
-    sigma_local_partial: float = 0.0
-    sigma_server_s1: float = 0.0
-    sigma_server_s2: float = 0.0
+    sigma_server: float = 0.0
 
 
 def _check_shard_args(min_shard: int) -> None:
@@ -111,12 +104,20 @@ def _check_shard_args(min_shard: int) -> None:
 
 
 def scales_full(cfg: PrivacyConfig, min_shard: int, max_weight: float) -> NoiseScales:
-    """Noise scales for full participation.
+    """Noise scales for full participation, with R = cfg.rounds:
 
     sigma_local  = R / (eps * min_i s_i) * sqrt(2 ln(1.25 R / delta))
     sigma_server = sigma_local * max_i p_i
 
-    with R = cfg.rounds. Returns all-zero scales in noiseless mode.
+    With ``cfg.eps_split`` each round spends (eps_local, delta) worker-side
+    and (eps_server, delta) server-side; the Gaussian mechanism with the same
+    sensitivities (1/min_i s_i locally, max_i p_i / min_i s_i at the server)
+    gives
+
+    sigma_local  = 1 / (eps_local * min_i s_i) * sqrt(2 ln(1.25 / delta))
+    sigma_server = max_i p_i / (eps_server * min_i s_i) * sqrt(2 ln(1.25 / delta))
+
+    and an infinite budget zeroes its side. Noiseless mode gives zero scales.
     """
     _check_shard_args(min_shard)
     if not 0.0 < max_weight <= 1.0:
@@ -124,22 +125,27 @@ def scales_full(cfg: PrivacyConfig, min_shard: int, max_weight: float) -> NoiseS
     if cfg.noiseless:
         return NoiseScales()
     if cfg.eps_split is not None:
-        return scales_per_round(cfg.eps_split[0], cfg.eps_split[1], cfg.delta, min_shard, max_weight)
+        eps_local, eps_server = cfg.eps_split
+        root = math.sqrt(2.0 * math.log(1.25 / cfg.delta))
+        sigma_l = 0.0 if math.isinf(eps_local) else root / (eps_local * min_shard)
+        sigma_s = 0.0 if math.isinf(eps_server) else max_weight * root / (eps_server * min_shard)
+        return NoiseScales(sigma_local=sigma_l, sigma_server=sigma_s)
     rounds = float(cfg.rounds)
     sigma = rounds / (cfg.epsilon * min_shard) * math.sqrt(2.0 * math.log(1.25 * rounds / cfg.delta))
-    return NoiseScales(sigma_local=sigma, sigma_server_full=sigma * max_weight)
+    return NoiseScales(sigma_local=sigma, sigma_server=sigma * max_weight)
 
 
 def scales_partial(cfg: PrivacyConfig, min_shard: int, weights, count: int, scheme: int) -> NoiseScales:
-    """Noise scales for partial participation with ``count`` sampled devices.
+    """Noise scales for partial participation with ``count`` sampled devices
+    under sampling ``scheme``.
 
     Scheme 1 samples device i with probability q_i = p_i (with replacement);
     scheme 2 samples uniformly without replacement, q_i = 1/m. The local
     scale uses max_i q_i inside the logarithm:
 
-    sigma_local      = R / (eps * min_i s_i) * sqrt(2 ln(1.25 R max_i q_i / delta))
-    sigma_server_s1  = R / (K eps min_i s_i) * sqrt(2 ln(1.25 R / delta))
-    sigma_server_s2  = R m max_i p_i / (K eps min_i s_i) * sqrt(2 ln(1.25 R / delta))
+    sigma_local  = R / (eps * min_i s_i) * sqrt(2 ln(1.25 R max_i q_i / delta))
+    sigma_server = R / (K eps min_i s_i) * sqrt(2 ln(1.25 R / delta))              (scheme 1)
+    sigma_server = R m max_i p_i / (K eps min_i s_i) * sqrt(2 ln(1.25 R / delta))  (scheme 2)
 
     Raises :class:`InvalidBudget` when the local logarithm argument is <= 1
     (small q_i can push it there; there is no meaningful calibration then).
@@ -167,36 +173,8 @@ def scales_partial(cfg: PrivacyConfig, min_shard: int, weights, count: int, sche
         )
     base = rounds / (cfg.epsilon * min_shard)
     root_shared = math.sqrt(2.0 * math.log(1.25 * rounds / cfg.delta))
-    return NoiseScales(
-        sigma_local_partial=base * math.sqrt(2.0 * math.log(log_arg)),
-        sigma_server_s1=base / count * root_shared,
-        sigma_server_s2=base * m * float(weights.max()) / count * root_shared,
-    )
-
-
-def scales_per_round(eps_local: float, eps_server: float, delta: float, min_shard: int, max_weight: float) -> NoiseScales:
-    """Per-round scales when each communication spends fixed budgets
-    (eps_local, delta) worker-side and (eps_server, delta) server-side.
-
-    Derived from the Gaussian mechanism with the same per-column sensitivities
-    as the total-budget calibration (1/min_i s_i locally, max_i p_i / min_i
-    s_i at the server):
-
-    sigma_local  = 1 / (eps_local * min_i s_i) * sqrt(2 ln(1.25 / delta))
-    sigma_server = max_i p_i / (eps_server * min_i s_i) * sqrt(2 ln(1.25 / delta))
-
-    An infinite budget zeroes the corresponding side.
-    """
-    _check_shard_args(min_shard)
-    if not 0.0 < delta < 1.0:
-        raise InvalidBudget(f"delta must lie in (0, 1), got {delta}")
-    for eps in (eps_local, eps_server):
-        if not eps > 0.0:
-            raise InvalidBudget(f"per-round epsilon must be positive, got {eps}")
-    root = math.sqrt(2.0 * math.log(1.25 / delta))
-    sigma_l = 0.0 if math.isinf(eps_local) else root / (eps_local * min_shard)
-    sigma_s = 0.0 if math.isinf(eps_server) else max_weight * root / (eps_server * min_shard)
-    return NoiseScales(sigma_local=sigma_l, sigma_server_full=sigma_s)
+    server = base / count if scheme == 1 else base * m * float(weights.max()) / count
+    return NoiseScales(base * math.sqrt(2.0 * math.log(log_arg)), server * root_shared)
 
 
 def stream(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:

@@ -198,15 +198,16 @@ def test_c09_noise_calibration_and_accounting():
     cfg = PrivacyConfig(epsilon=1.0, delta=1.25 / math.e, rounds=1)
     scales = privacy.scales_full(cfg, min_shard=1, max_weight=0.5)
     assert abs(scales.sigma_local - math.sqrt(2.0)) <= 1e-12
-    assert abs(scales.sigma_server_full - 0.5 * math.sqrt(2.0)) <= 1e-12
+    assert abs(scales.sigma_server - 0.5 * math.sqrt(2.0)) <= 1e-12
     # partial-participation scales, hand evaluated (log argument 25)
     weights = np.concatenate([[0.1], np.full(11, 0.9 / 11)])
     cfg_p = PrivacyConfig(epsilon=1.0, delta=0.01, rounds=2)
     sc = privacy.scales_partial(cfg_p, min_shard=10, weights=weights, count=3, scheme=1)
-    assert abs(sc.sigma_local_partial - 0.2 * math.sqrt(2.0 * math.log(25.0))) <= 1e-12
+    assert abs(sc.sigma_local - 0.2 * math.sqrt(2.0 * math.log(25.0))) <= 1e-12
     root = math.sqrt(2.0 * math.log(1.25 * 2 / 0.01))
-    assert abs(sc.sigma_server_s1 - 2.0 / 30.0 * root) <= 1e-12
-    assert abs(sc.sigma_server_s2 - 2.0 * 12 * 0.1 / 30.0 * root) <= 1e-12
+    assert abs(sc.sigma_server - 2.0 / 30.0 * root) <= 1e-12
+    sc2 = privacy.scales_partial(cfg_p, min_shard=10, weights=weights, count=3, scheme=2)
+    assert abs(sc2.sigma_server - 2.0 * 12 * 0.1 / 30.0 * root) <= 1e-12
     # sampled noise standard deviation over 1e6 draws
     draws = privacy.sample_noise(1000, 1000, 1.0, seed=2024, key=(1, 0, 0))
     std = float(draws.std())

@@ -331,6 +331,28 @@ def test_partial_runs_with_noise_both_schemes():
         assert trace.records[-1].eps_spent == 10.0
 
 
+def test_trace_scales_are_the_applied_calibration():
+    ds = small_dataset(seed=12, n=90, m=6)
+    schedule = SyncSchedule.fixed(2, 8)  # 4 rounds
+    partial = RunConfig(
+        k=2, r=2, schedule=schedule, seed=6,
+        privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-3, schedule),
+        participation=Participation("partial", 3, 2),
+    )
+    scales = engine.run_partial(ds, partial).scales
+    assert scales == privacy.scales_partial(partial.privacy, ds.min_shard_size, ds.weights, 3, scheme=2)
+    base = 4.0 / (5.0 * ds.min_shard_size)
+    root = math.sqrt(2.0 * math.log(1.25 * 4.0 / 1e-3))
+    assert math.isclose(scales.sigma_local, base * math.sqrt(2.0 * math.log(1.25 * 4.0 / 6 / 1e-3)), rel_tol=1e-12)
+    assert math.isclose(scales.sigma_server, base * 6 * ds.weights.max() / 3 * root, rel_tol=1e-12)
+    # Per-round budgets: an infinite one zeroes its side.
+    split = privacy.PrivacyConfig.for_schedule(1.0, 1e-3, schedule, eps_split=(math.inf, 2.0))
+    scales = engine.run_full(ds, make_config(2, 2, schedule, seed=6, privacy=split)).scales
+    root = math.sqrt(2.0 * math.log(1.25 / 1e-3))
+    assert scales.sigma_local == 0.0
+    assert math.isclose(scales.sigma_server, ds.weights.max() * root / (2.0 * ds.min_shard_size), rel_tol=1e-12)
+
+
 def test_empty_schedule_runs_pure_local():
     ds = small_dataset(seed=13)
     schedule = SyncSchedule.fixed(50, 6)  # p > horizon: no communication at all

@@ -37,7 +37,7 @@ def test_scales_full_hand_evaluated():
     cfg = PrivacyConfig(epsilon=1.0, delta=1.25 / math.e, rounds=1)
     scales = privacy.scales_full(cfg, min_shard=1, max_weight=0.25)
     assert abs(scales.sigma_local - math.sqrt(2.0)) <= 1e-12
-    assert abs(scales.sigma_server_full - 0.25 * math.sqrt(2.0)) <= 1e-12
+    assert abs(scales.sigma_server - 0.25 * math.sqrt(2.0)) <= 1e-12
 
 
 def test_scales_full_linear_in_inverse_epsilon():
@@ -46,7 +46,7 @@ def test_scales_full_linear_in_inverse_epsilon():
     s_lo = privacy.scales_full(lo, 10, 0.5)
     s_hi = privacy.scales_full(hi, 10, 0.5)
     assert abs(s_lo.sigma_local - 2.0 * s_hi.sigma_local) <= 1e-12
-    assert abs(s_lo.sigma_server_full - 2.0 * s_hi.sigma_server_full) <= 1e-12
+    assert abs(s_lo.sigma_server - 2.0 * s_hi.sigma_server) <= 1e-12
 
 
 def test_scales_full_noiseless():
@@ -68,7 +68,7 @@ def test_scales_monotone_in_rounds_and_budget():
     tighter = privacy.scales_full(PrivacyConfig(0.5, 1e-3, 4), 10, 0.5)
     assert more_rounds.sigma_local >= base.sigma_local
     assert tighter.sigma_local >= base.sigma_local
-    assert base.sigma_local >= 0.0 and base.sigma_server_full >= 0.0
+    assert base.sigma_local >= 0.0 and base.sigma_server >= 0.0
 
 
 # ---------------------------------------------------------------- partial participation
@@ -81,11 +81,12 @@ def test_scales_partial_hand_evaluated():
     cfg = PrivacyConfig(epsilon=1.0, delta=0.01, rounds=2)
     scales = privacy.scales_partial(cfg, min_shard=10, weights=weights, count=3, scheme=1)
     expected = (2.0 / 10.0) * math.sqrt(2.0 * math.log(25.0))
-    assert abs(scales.sigma_local_partial - expected) <= 1e-12
+    assert abs(scales.sigma_local - expected) <= 1e-12
     # shared-root server scales
     root = math.sqrt(2.0 * math.log(1.25 * 2 / 0.01))
-    assert abs(scales.sigma_server_s1 - (2.0 / (3 * 10)) * root) <= 1e-12
-    assert abs(scales.sigma_server_s2 - (2.0 * weights.size * 0.1 / (3 * 10)) * root) <= 1e-12
+    assert abs(scales.sigma_server - (2.0 / (3 * 10)) * root) <= 1e-12
+    scheme2 = privacy.scales_partial(cfg, min_shard=10, weights=weights, count=3, scheme=2)
+    assert abs(scheme2.sigma_server - (2.0 * weights.size * 0.1 / (3 * 10)) * root) <= 1e-12
 
 
 def test_scales_partial_full_cohort_matches_full_server_scale():
@@ -95,7 +96,7 @@ def test_scales_partial_full_cohort_matches_full_server_scale():
     cfg = PrivacyConfig(epsilon=0.5, delta=1e-3, rounds=5)
     part = privacy.scales_partial(cfg, min_shard=20, weights=weights, count=m, scheme=2)
     full = privacy.scales_full(cfg, min_shard=20, max_weight=1.0 / m)
-    assert abs(part.sigma_server_s2 - full.sigma_server_full) <= 1e-12
+    assert abs(part.sigma_server - full.sigma_server) <= 1e-12
 
 
 def test_scales_partial_noiseless_and_invalid():
@@ -121,12 +122,13 @@ def test_scales_partial_argument_validation():
 
 
 def test_scales_per_round_derivation():
-    scales = privacy.scales_per_round(2.0, 0.1, 1e-3, min_shard=10, max_weight=0.2)
+    split = PrivacyConfig(epsilon=1.0, delta=1e-3, rounds=3, eps_split=(2.0, 0.1))
+    scales = privacy.scales_full(split, min_shard=10, max_weight=0.2)
     root = math.sqrt(2.0 * math.log(1.25 / 1e-3))
     assert abs(scales.sigma_local - root / 20.0) <= 1e-12
-    assert abs(scales.sigma_server_full - 0.2 * root / 1.0) <= 1e-12
-    half = privacy.scales_per_round(math.inf, 0.1, 1e-3, 10, 0.2)
-    assert half.sigma_local == 0.0 and half.sigma_server_full > 0.0
+    assert abs(scales.sigma_server - 0.2 * root / 1.0) <= 1e-12
+    half = privacy.scales_full(PrivacyConfig(1.0, 1e-3, 3, eps_split=(math.inf, 0.1)), 10, 0.2)
+    assert half.sigma_local == 0.0 and half.sigma_server > 0.0
 
 
 # ---------------------------------------------------------------- noise sampling
