@@ -420,18 +420,18 @@ def _map_repeats(one, repeats: int, threads: int | None) -> list:
         return list(pool.map(one, range(repeats)))
 
 
-def _repeat_results(matrix, cfg, threads=None) -> list[RepeatResult]:
-    def one(idx: int) -> RepeatResult:
-        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
-        trace = engine.run(dataset, _run_config(cfg, rep_seed))
-        return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
-
-    return _map_repeats(one, cfg.repeats, threads)
+def _repeat_run(cfg: ExperimentConfig, rep_seed: int, dataset: ShardedDataset) -> RepeatResult:
+    """One protocol run of ``cfg`` on a repeat's seed and partition."""
+    trace = engine.run(dataset, _run_config(cfg, rep_seed))
+    return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
-    repeats = _repeat_results(load_matrix(cfg), cfg, threads=threads)
+    matrix = load_matrix(cfg)
+    repeats = _map_repeats(
+        lambda idx: _repeat_run(cfg, *_repeat_setup(matrix, cfg, idx)), cfg.repeats, threads
+    )
     trace = CsvTrace(
         kind="trace",
         config=cfg.to_dict(),
@@ -501,23 +501,33 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     instead of aborting the sweep.
     """
     matrix = load_matrix(cfg)
+    budgets = [replace(cfg, epsilon=float(eps), eps_split=None) for eps in eps_list]
+
+    def one(idx: int) -> list:
+        # Every budget runs on the repeat's one partition, so its Grams are built once.
+        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
+        results = []
+        for run_cfg in budgets:
+            try:
+                results.append(_repeat_run(run_cfg, rep_seed, dataset))
+            except InvalidBudget as exc:
+                results.append(exc)
+        return results
+
     rows = []
     sub_traces = {}
-    for eps in eps_list:
-        eps = float(eps)
+    for run_cfg, repeats in zip(budgets, zip(*_map_repeats(one, cfg.repeats, threads))):
         row = {
-            "epsilon": eps,
+            "epsilon": run_cfg.epsilon,
             "min_sin_theta_mean": math.nan,
             "min_sin_theta_std": math.nan,
             "eps_spent_total": math.nan,
             "delta_spent_total": math.nan,
             "status": "ok",
         }
-        run_cfg = replace(cfg, epsilon=eps, eps_split=None)
-        try:
-            repeats = _repeat_results(matrix, run_cfg, threads)
-        except InvalidBudget as exc:
-            row["status"] = f"invalid-budget: {exc}"
+        failure = next((rep for rep in repeats if isinstance(rep, InvalidBudget)), None)
+        if failure is not None:
+            row["status"] = f"invalid-budget: {failure}"
             rows.append(row)
             continue
         minima = [rep.min_sin_within(SWEEP_WINDOW) for rep in repeats]
@@ -529,11 +539,11 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             delta_spent_total=last.delta_spent,
         )
         rows.append(row)
-        sub_traces[eps] = CsvTrace(
+        sub_traces[run_cfg.epsilon] = CsvTrace(
             kind="trace",
             config=run_cfg.to_dict(),
             seed=cfg.seed,
-            repeats=repeats,
+            repeats=list(repeats),
             measure_wall_time=cfg.measure_wall_time,
         )
     trace = CsvTrace(

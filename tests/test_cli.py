@@ -438,6 +438,22 @@ def test_privacy_sweep_budget_replaces_eps_split():
     assert len({row["min_sin_theta_mean"] for row in sweep.rows}) == 3
 
 
+def test_privacy_sweep_partitions_each_repeat_once(monkeypatch):
+    # Budgets share a repeat's partition and its Grams; threads change no byte.
+    calls = []
+    real = cli.partition
+    monkeypatch.setattr(cli, "partition", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = ExperimentConfig.from_dict(config_doc(repeats=3, T=20, privacy={"epsilon": 1.0, "delta": 1e-3}))
+    renders = []
+    for threads in (1, 2):
+        calls.clear()
+        sweep = cli.privacy_sweep(cfg, ["inf", 10.0, 1.0], threads=threads)
+        assert len(calls) == cfg.repeats
+        assert [row["status"] for row in sweep.rows] == ["ok"] * 3
+        renders.append([sweep.render()] + [sub.render() for sub in sweep.sub_traces.values()])
+    assert renders[0] == renders[1]
+
+
 def _without_config_line(text: str) -> list[str]:
     return [line for line in text.splitlines() if not line.startswith("# config=")]
 
