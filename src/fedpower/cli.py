@@ -134,11 +134,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         _check_keys(_typed(doc, "", (dict,), "a JSON object"))
+        _require(doc, "", "k", "T")
         ds = _section(doc, "dataset")
+        if ("libsvm" in ds) == ("synthetic" in ds):
+            raise ConfigError("config key 'dataset' needs exactly one of 'libsvm' or 'synthetic'")
         synthetic = None
         libsvm_path = None
         if "synthetic" in ds:
             s = _typed(ds["synthetic"], "dataset.synthetic", (dict,), "a JSON object")
+            _require(s, "dataset.synthetic.", "n", "d", "singular_values")
             values = _typed(s["singular_values"], "dataset.synthetic.singular_values", (list,), "a list")
             synthetic = SyntheticSpec(
                 _int(s["n"], "dataset.synthetic.n"), _int(s["d"], "dataset.synthetic.d"),
@@ -207,6 +211,12 @@ def _typed(value, path: str, types: tuple, what: str):
         where = f"config key {path!r}" if path else "a config document"
         raise ConfigError(f"{where} must be {what}, got {value!r}")
     return value
+
+
+def _require(section: dict, prefix: str, *keys: str) -> None:
+    for key in keys:
+        if key not in section:
+            raise ConfigError(f"config key {prefix + key!r} is required")
 
 
 def _section(doc: dict, key: str) -> dict:

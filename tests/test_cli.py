@@ -88,6 +88,16 @@ def _with_synthetic(**changes):
     return doc
 
 
+def _without(path):
+    doc = config_doc()
+    *parents, key = path.split(".")
+    section = doc
+    for part in parents:
+        section = section[part]
+    del section[key]
+    return doc
+
+
 @pytest.mark.parametrize("command, doc, path", [
     ("run", [1, 2], "a config document"),
     ("run", config_doc(dataset=[1]), "'dataset'"),
@@ -105,9 +115,17 @@ def _with_synthetic(**changes):
     ("run", _with_synthetic(singular_values=[True, 1]), "'dataset.synthetic.singular_values'"),
     ("run", config_doc(out=0), "'out'"),
     ("inspect-dataset", config_doc(dataset={"libsvm": 0}), "'dataset.libsvm'"),
+    ("run", _without("k"), "'k'"),
+    ("run", _without("T"), "'T'"),
+    ("run", _without("dataset.synthetic.n"), "'dataset.synthetic.n'"),
+    ("run", _without("dataset.synthetic.d"), "'dataset.synthetic.d'"),
+    ("run", _without("dataset.synthetic.singular_values"), "'dataset.synthetic.singular_values'"),
+    ("run", config_doc(dataset={}), "'dataset'"),
+    ("inspect-dataset", config_doc(dataset={**config_doc()["dataset"], "libsvm": "a.libsvm"}), "'dataset'"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
-    # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0).
+    # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
+    # a missing key or an ambiguous dataset is named too, not a bare KeyError or ValueError.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code = cli.main([command, "--config", str(cfg_path)])
