@@ -27,6 +27,7 @@ from fedpower import cli, engine, privacy
 from fedpower.data import partition
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 README_DEMO = {
     "dataset": {
@@ -167,6 +168,23 @@ def test_cli_repeats_equal_library_runs():
         assert [replace(r, wall_ms=0.0) for r in rep.records] == [
             replace(r, wall_ms=0.0) for r in library.records
         ]
+
+
+def _readme_block(after: str, lang: str) -> str:
+    """The first ``lang`` code block of README.md that follows the line ``after``."""
+    text = README.read_text(encoding="utf-8")
+    tail = text[text.index(after + "\n"):]
+    return tail.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs_and_its_config_is_the_demo_golden():
+    # The README's examples are hand copies: its library block must run, and
+    # its JSON config must be the one the readme_demo golden freezes.
+    namespace: dict = {}
+    exec(_readme_block("## Library quick start", "python"), namespace)
+    records = namespace["trace"].records
+    assert records[-1].sin_theta_k < records[0].sin_theta_k
+    assert json.loads(_readme_block("Example config:", "json")) == README_DEMO
 
 
 def _data_rows(text: str):
