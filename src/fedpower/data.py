@@ -40,13 +40,15 @@ DENSE_ENTRY_LIMIT = 10**8
 class ShardedDataset:
     """A global n x d matrix split into m row shards with weights s_i / n.
 
-    The shard Grams, ``eta`` and the local eigenpairs are built on first use
-    and cached, so every run and baseline on one dataset shares them. The
+    The shard Grams, ``eta``, the local eigenpairs and the reference bases
+    are built on first use and cached, so every run and baseline on one
+    dataset shares them. The
     Gram stack keeps m * d * d floats alive for the dataset's lifetime.
     """
 
     shards: tuple[np.ndarray, ...]
     _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _references: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.shards:
@@ -108,6 +110,12 @@ class ShardedDataset:
             raise DegenerateData("global second-moment matrix is zero")
         worst = max(float(np.linalg.norm(g - m_global, 2)) for g in self.shard_grams)
         return worst / denom
+
+    def reference_basis(self, k: int) -> np.ndarray:
+        """Top-k eigenbasis of :meth:`global_gram`, cached per k."""
+        if k not in self._references:
+            self._references[k] = top_eigenpairs(self.global_gram(), k).u
+        return self._references[k]
 
     def local_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard

@@ -200,7 +200,7 @@ def initial_basis(d: int, r: int, seed: int) -> np.ndarray:
 
 def reference_basis(dataset: ShardedDataset, k: int) -> np.ndarray:
     """Top-k eigenbasis of the dataset's global second-moment matrix."""
-    return linalg.top_eigenpairs(dataset.global_gram(), k).u
+    return dataset.reference_basis(k)
 
 
 def baseline_index(weights, active=None) -> int:
