@@ -287,7 +287,7 @@ class CsvTrace:
     repeats: list[RepeatResult] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     measure_wall_time: bool = False
-    sub_traces: dict = field(default_factory=dict)
+    sub_traces: dict = field(default_factory=dict)  # sweep row index -> that budget's trace
 
     def summary(self) -> dict:
         finals = [r.final_sin for r in self.repeats]
@@ -478,7 +478,7 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
         reference = engine.reference_basis(dataset, cfg.k)
         errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
-            trace = engine.run(dataset, replace(run_cfg, alignment=align), reference)
+            trace = engine.run(dataset, replace(run_cfg, alignment=align))
             errors[name] = trace.records[-1].sin_theta_k
         errors["UDA"] = linalg.projection_distance(baselines.uda(dataset, cfg.k).u, reference)
         errors["WDA"] = linalg.projection_distance(baselines.wda(dataset, cfg.k).u, reference)
@@ -526,7 +526,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
 
     rows = []
     sub_traces = {}
-    for run_cfg, repeats in zip(budgets, zip(*_map_repeats(one, cfg.repeats, threads))):
+    for row_idx, (run_cfg, repeats) in enumerate(zip(budgets, zip(*_map_repeats(one, cfg.repeats, threads)))):
         row = {
             "epsilon": run_cfg.epsilon,
             "min_sin_theta_mean": math.nan,
@@ -549,7 +549,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             delta_spent_total=last.delta_spent,
         )
         rows.append(row)
-        sub_traces[run_cfg.epsilon] = CsvTrace(
+        sub_traces[row_idx] = CsvTrace(
             kind="trace",
             config=run_cfg.to_dict(),
             seed=cfg.seed,
@@ -562,8 +562,8 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     if cfg.out:
         trace.write(cfg.out)
         stem, ext = os.path.splitext(cfg.out)
-        for idx, (eps, sub) in enumerate(sub_traces.items()):
-            sub.write(f"{stem}.eps{idx}{ext or '.csv'}")
+        for row_idx, sub in sub_traces.items():
+            sub.write(f"{stem}.eps{row_idx}{ext or '.csv'}")
     return trace
 
 

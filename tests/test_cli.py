@@ -490,6 +490,33 @@ def test_privacy_sweep_sub_trace_headers_replay_their_runs(tmp_path):
         assert _without_config_line(replay.read_text()) == _without_config_line(sub)
 
 
+def _sweep_epsilons(directory, stem: str, rows: int) -> dict:
+    """Row index -> epsilon in the header of each ``stem.eps<i>.csv`` written."""
+    found = {}
+    for idx in range(rows):
+        path = directory / f"{stem}.eps{idx}.csv"
+        if path.exists():
+            found[idx] = parse_trace(path.read_text())["config"]["privacy"]["epsilon"]
+    return found
+
+
+def test_privacy_sweep_numbers_sub_traces_by_row(tmp_path):
+    doc = config_doc(repeats=1, T=20, privacy={"epsilon": 2.0, "delta": 1e-3}, out=str(tmp_path / "rep.csv"))
+    cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["1", "2", "1"])
+    assert _sweep_epsilons(tmp_path, "rep", 3) == {0: 1.0, 1: 2.0, 2: 1.0}
+    # A budget that cannot be calibrated writes no trace, and the rows after it keep their numbers.
+    doc = config_doc(
+        m=50, k=2, r=2, T=4, repeats=1, out=str(tmp_path / "bad.csv"),
+        dataset={"synthetic": {"n": 400, "d": 10, "singular_values": [6.0, 5.0, 4.0, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2]}},
+        schedule={"kind": "fixed", "p": 4},
+        participation={"kind": "partial", "K": 5, "scheme": 2},
+        privacy={"epsilon": 1.0, "delta": 0.5},
+    )
+    sweep = cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["1", "inf"])
+    assert sweep.rows[0]["status"].startswith("invalid-budget")
+    assert _sweep_epsilons(tmp_path, "bad", 2) == {1: "inf"}
+
+
 def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):
     out = tmp_path / "sweep.csv"
     doc = config_doc(repeats=1, T=20, privacy={"epsilon": 2.0, "delta": 1e-3}, out=str(out))
