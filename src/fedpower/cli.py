@@ -16,7 +16,8 @@ import os
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from functools import reduce
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,207 +45,154 @@ SWEEP_WINDOW = 40  # iterations over which the sweep takes the minimum error
 THREADS_ENV = "FEDPOWER_THREADS"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: dataset source, run parameters, repeat count."""
+BUDGET = "budget"  # JSON type of a privacy budget: a number or the string "inf"
 
-    # dataset: either a path to a LIBSVM file or a synthetic recipe
-    libsvm_path: str | None = None
-    synthetic: SyntheticSpec | None = None
-    scale: bool = True  # max-abs feature scaling (LIBSVM sources only)
-    m: int = 1
-    partition_mode: str = "shuffled"
-    k: int = 1
-    r: int = 1
-    horizon: int = 1
-    schedule_kind: str = "fixed"
-    p: int = 1
-    explicit_steps: tuple[int, ...] = ()
-    alignment: str = engine.ALIGN_SIGN
-    epsilon: float = math.inf
-    delta: float = 1e-5
-    eps_split: tuple[float, float] | None = None
-    participation_kind: str = "full"
-    participation_count: int | None = None
-    participation_scheme: int | None = None
-    repeats: int = 1
-    seed: int = 0
-    record_every_step: bool = False
-    measure_wall_time: bool = False
-    out: str | None = None
+
+def _key(path: str, json_type, default=MISSING, under=(), flag=False, written="applies"):
+    """Declare the config key a field is read from: its dotted ``path``, JSON
+    type (a tuple lists the allowed strings, a list gives its entries' type,
+    a dict the keys of a nested recipe), default (none: required) and the
+    kinds of its section it applies under (none: all), a section's kind being
+    its ``kind`` key or the dataset's source. ``flag`` adds a command-line
+    override; ``to_dict`` writes the key where it "applies", "always" (null
+    outside its kind) or "never"."""
+    return field(default=default, metadata=dict(path=path, type=json_type, under=under, flag=flag, written=written))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """One experiment: dataset source, run parameters, repeat count. Each
+    field declares its config key, so the fields are the config schema."""
+
+    libsvm_path: str | None = _key("dataset.libsvm", str, None, ("libsvm",), flag=True)
+    synthetic: SyntheticSpec | None = _key("dataset.synthetic", {  # each key sets the SyntheticSpec field it names
+        "dataset.synthetic.n": int, "dataset.synthetic.d": int,
+        "dataset.synthetic.singular_values": [float], "dataset.synthetic.seed": int}, None, ("synthetic",))
+    scale: bool = _key("dataset.scale", bool, True, ("libsvm",))  # max-abs feature scaling
+    m: int = _key("m", int, 1, flag=True)
+    partition_mode: str = _key("partition", ("contiguous", "shuffled"), "shuffled")
+    k: int = _key("k", int, flag=True)
+    r: int | None = _key("r", int, None)  # None: r = k
+    horizon: int = _key("T", int, flag=True)
+    schedule_kind: str = _key("schedule.kind", ("fixed", "decaying", "explicit"), "fixed")
+    p: int = _key("schedule.p", int, 1, ("fixed", "decaying"))
+    explicit_steps: tuple[int, ...] = _key("schedule.steps", [int], (), ("explicit",))
+    alignment: str = _key("alignment", engine.ALIGNMENTS, engine.ALIGN_SIGN)
+    epsilon: float = _key("privacy.epsilon", BUDGET, math.inf)
+    delta: float = _key("privacy.delta", float, 1e-5)
+    eps_split: tuple[float, float] | None = _key("privacy.eps_split", [BUDGET], None)
+    participation_kind: str = _key("participation.kind", ("full", "partial"), "full")
+    participation_count: int | None = _key("participation.K", int, None, ("partial",), written="always")
+    participation_scheme: int | None = _key("participation.scheme", int, None, ("partial",), written="always")
+    repeats: int = _key("repeats", int, 1, flag=True)
+    seed: int = _key("seed", int, 0, flag=True)
+    record_every_step: bool = _key("record_every_step", bool, False)
+    measure_wall_time: bool = _key("measure_wall_time", bool, False)
+    out: str | None = _key("out", str, None, flag=True, written="never")  # where the CSV goes
 
     def __post_init__(self):
         if (self.libsvm_path is None) == (self.synthetic is None):
-            raise ValueError("config needs exactly one of libsvm_path or synthetic")
+            raise ConfigError("config key 'dataset' needs exactly one of 'libsvm' or 'synthetic'")
         if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.eps_split is not None and math.isfinite(self.epsilon):
+            raise ConfigError(f'epsilon must be "inf" when eps_split sets the budgets, got {self.epsilon!r}')
+        if self.r is None:
+            object.__setattr__(self, "r", self.k)
 
     def schedule(self) -> engine.SyncSchedule:
         return engine.build_schedule(
             self.schedule_kind, self.horizon, p=self.p, steps=self.explicit_steps
         )
 
-    def participation(self) -> engine.Participation:
-        if self.participation_kind == "full":
-            return engine.FULL_PARTICIPATION
-        return engine.Participation(
-            "partial", self.participation_count, self.participation_scheme
-        )
+    def _kinds(self) -> dict:
+        return {"dataset": "synthetic" if self.synthetic else "libsvm",
+                "schedule": self.schedule_kind, "participation": self.participation_kind}
 
     def to_dict(self) -> dict:
-        doc = {
-            "dataset": (
-                {"libsvm": self.libsvm_path, "scale": self.scale}
-                if self.libsvm_path is not None
-                else {
-                    "synthetic": {
-                        "n": self.synthetic.n,
-                        "d": self.synthetic.d,
-                        "singular_values": list(self.synthetic.singular_values),
-                        "seed": self.synthetic.seed,
-                    }
-                }
-            ),
-            "m": self.m,
-            "partition": self.partition_mode,
-            "k": self.k,
-            "r": self.r,
-            "T": self.horizon,
-            "schedule": {"kind": self.schedule_kind, "p": self.p},
-            "alignment": self.alignment,
-            "privacy": {
-                "epsilon": _json_float(self.epsilon),
-                "delta": self.delta,
-                "eps_split": [_json_float(e) for e in self.eps_split] if self.eps_split else None,
-            },
-            "participation": {
-                "kind": self.participation_kind,
-                "K": self.participation_count,
-                "scheme": self.participation_scheme,
-            },
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "record_every_step": self.record_every_step,
-            "measure_wall_time": self.measure_wall_time,
-        }
-        if self.schedule_kind == "explicit":
-            doc["schedule"] = {"kind": "explicit", "steps": list(self.explicit_steps)}
+        doc: dict = {}
+        for f in fields(self):
+            written = f.metadata["written"]
+            if written == "always" or written == "applies" and not _outside(f, self._kinds()):
+                *sections, key = f.metadata["path"].split(".")
+                reduce(lambda sec, name: sec.setdefault(name, {}), sections, doc)[key] = _to_json(getattr(self, f.name))
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check_keys(_typed(doc, "", (dict,), "a JSON object"))
-        _require(doc, "", "k", "T")
-        ds = _section(doc, "dataset")
-        if ("libsvm" in ds) == ("synthetic" in ds):
-            raise ConfigError("config key 'dataset' needs exactly one of 'libsvm' or 'synthetic'")
-        synthetic = None
-        libsvm_path = None
-        if "synthetic" in ds:
-            s = _typed(ds["synthetic"], "dataset.synthetic", (dict,), "a JSON object")
-            _require(s, "dataset.synthetic.", "n", "d", "singular_values")
-            values = _typed(s["singular_values"], "dataset.synthetic.singular_values", (list,), "a list")
-            synthetic = SyntheticSpec(
-                _int(s["n"], "dataset.synthetic.n"), _int(s["d"], "dataset.synthetic.d"),
-                tuple(_float(v, "dataset.synthetic.singular_values") for v in values),
-                _int(s.get("seed", 0), "dataset.synthetic.seed"),
-            )
-        if "libsvm" in ds:
-            libsvm_path = _typed(ds["libsvm"], "dataset.libsvm", (str,), "a string")
-        sched = _section(doc, "schedule")
-        priv = _section(doc, "privacy")
-        part = _section(doc, "participation")
-        steps = _typed(sched.get("steps", []), "schedule.steps", (list,), "a list")
-        split = _typed(priv.get("eps_split"), "privacy.eps_split", (list, type(None)), "a list or null")
-        return cls(
-            libsvm_path=libsvm_path,
-            synthetic=synthetic,
-            scale=_bool(ds.get("scale", True), "dataset.scale"),
-            m=_int(doc.get("m", 1), "m"),
-            partition_mode=doc.get("partition", "shuffled"),
-            k=_int(doc["k"], "k"),
-            r=_int(doc.get("r", doc["k"]), "r"),
-            horizon=_int(doc["T"], "T"),
-            schedule_kind=sched.get("kind", "fixed"),
-            p=_int(sched.get("p", 1), "schedule.p"),
-            explicit_steps=tuple(_int(t, "schedule.steps") for t in steps),
-            alignment=doc.get("alignment", engine.ALIGN_SIGN),
-            epsilon=_float(priv.get("epsilon", "inf"), "privacy.epsilon", True),
-            delta=_float(priv.get("delta", 1e-5), "privacy.delta"),
-            eps_split=None if split is None else tuple(_float(e, "privacy.eps_split", True) for e in split),
-            participation_kind=part.get("kind", "full"),
-            participation_count=_int(part.get("K"), "participation.K", optional=True),
-            participation_scheme=_int(part.get("scheme"), "participation.scheme", optional=True),
-            repeats=_int(doc.get("repeats", 1), "repeats"),
-            seed=_int(doc.get("seed", 0), "seed"),
-            record_every_step=_bool(doc.get("record_every_step", False), "record_every_step"),
-            measure_wall_time=_bool(doc.get("measure_wall_time", False), "measure_wall_time"),
-            out=_typed(doc.get("out"), "out", (str, type(None)), "a string"),
-        )
+    def from_dict(cls, doc: dict, overrides: dict | None = None) -> "ExperimentConfig":
+        """Read a config document; ``overrides`` (dotted path: value) replace its keys."""
+        flat = _flatten(doc)
+        for path, value in (overrides or {}).items():
+            # An override that selects a kind (a dataset source) drops the document's keys of other kinds.
+            kinds = {path.split(".")[0]: kind for kind in _FIELDS[path].metadata["under"]}
+            flat = {p: v for p, v in flat.items() if not (p in _FIELDS and _outside(_FIELDS[p], kinds))}
+            flat[path] = value
+        cfg = cls(**{f.name: _read(flat, f.metadata["path"], f.metadata["type"], f.default) for f in fields(cls)})
+        for path, f in _FIELDS.items():
+            if path in flat and (kind := _outside(f, cfg._kinds())):
+                raise ConfigError(f"config key {path!r} does not apply under {path.split('.')[0]} kind {kind!r}")
+        return cfg
 
 
-# Every key a config may hold, as a dotted path from the document root.
-CONFIG_KEYS = frozenset("""
-    dataset dataset.libsvm dataset.scale dataset.synthetic dataset.synthetic.n
-    dataset.synthetic.d dataset.synthetic.singular_values dataset.synthetic.seed m partition
-    k r T schedule schedule.kind schedule.p schedule.steps alignment privacy privacy.epsilon
-    privacy.delta privacy.eps_split participation participation.kind participation.K
-    participation.scheme repeats seed record_every_step measure_wall_time out
-""".split())
+_FIELDS = {f.metadata["path"]: f for f in fields(ExperimentConfig)}
+_TYPES = {path: f.metadata["type"] for path, f in _FIELDS.items()}
+_TYPES.update(*[t for t in _TYPES.values() if isinstance(t, dict)])  # the synthetic recipe's keys
+_SECTIONS = {path.rsplit(".", 1)[0] for path in _TYPES if "." in path}
+_WHAT = {int: "a non-negative integer", float: "a number", BUDGET: 'a number or "inf"',
+         bool: "true or false", str: "a string", list: "a list", dict: "a JSON object"}
 
 
-def _check_keys(doc: dict, prefix: str = "") -> None:
-    for key, value in doc.items():
-        path = prefix + key
-        if path not in CONFIG_KEYS:
+def _flatten(doc, prefix: str = "") -> dict:
+    """``{dotted path: value}`` of the keys in ``doc`` and its sections; a null is absent."""
+    flat = {}
+    for key, value in _read({prefix: doc}, prefix, dict).items():
+        path = f"{prefix}.{key}" if prefix else key
+        if path not in _TYPES and path not in _SECTIONS:
             raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(value, dict):
-            _check_keys(value, path + ".")
+        if value is not None:
+            flat[path] = value
+            flat.update(_flatten(value, path) if path in _SECTIONS else {})
+    return flat
 
 
-# int(2.7), int("2"), bool("false"), float(True) and open(0) would run a config
-# other than the one written, so every key must hold its own JSON type.
-def _typed(value, path: str, types: tuple, what: str):
-    """``value`` if it is one of ``types`` (a boolean only if ``bool`` is one);
-    ``path`` "" names the document itself."""
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+def _read(flat: dict, path: str, json_type, default=MISSING):
+    """``flat[path]`` as ``json_type`` holds it, or ``default``. A value is
+    never coerced: int(2.7), bool("false") or open(0) would run another config."""
+    if path not in flat:
+        if default is MISSING:
+            raise ConfigError(f"config key {path!r} is required")
+        return default
+    value = flat[path]
+    if isinstance(json_type, dict):  # an unset recipe key keeps SyntheticSpec's default
+        defaults = {f.name: f.default for f in fields(SyntheticSpec)}
+        return SyntheticSpec(**{name: _read(flat, p, t, defaults[name])
+                                for p, t in json_type.items() for name in [p.rsplit(".", 1)[1]]})
+    if isinstance(json_type, list):
+        return tuple(_read({path: v}, path, json_type[0]) for v in _read(flat, path, list))
+    if isinstance(json_type, tuple) and value not in json_type:
+        noun = _FIELDS[path].name.replace("_", " ")
+        raise ConfigError(f"config key {path!r}: unknown {noun} {value!r}, expected one of {json_type}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {int: number and value >= 0 and value % 1 == 0, float: number, BUDGET: number or value == "inf"}
+    if not isinstance(json_type, tuple) and not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
         where = f"config key {path!r}" if path else "a config document"
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    return value
+        raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")
+    return int(value) if json_type is int else float(value) if json_type in (float, BUDGET) else value
 
 
-def _require(section: dict, prefix: str, *keys: str) -> None:
-    for key in keys:
-        if key not in section:
-            raise ConfigError(f"config key {prefix + key!r} is required")
+def _outside(f, kinds: dict) -> str | None:
+    """The kind ``kinds`` gives ``f``'s section, if ``f`` does not apply under it."""
+    kind = kinds.get(f.metadata["path"].split(".")[0])
+    return kind if f.metadata["under"] and kind not in f.metadata["under"] else None
 
 
-def _section(doc: dict, key: str) -> dict:
-    return _typed(doc.get(key, {}), key, (dict,), "a JSON object")
-
-
-def _float(value, path: str, inf_ok: bool = False) -> float:
-    if inf_ok and value == "inf":
-        return math.inf
-    return float(_typed(value, path, (int, float), 'a number or "inf"' if inf_ok else "a number"))
-
-
-def _int(value, path: str, optional: bool = False) -> int | None:
-    if value is None and optional:
-        return None
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"config key {path!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _bool(value, path: str) -> bool:
-    return _typed(value, path, (bool,), "true or false")
-
-
-def _json_float(value: float):
-    # JSON has no infinity literal; serialize as string.
-    return "inf" if math.isinf(value) else value
+def _to_json(value):
+    """``value`` as a config document holds it (JSON has no infinity literal)."""
+    if isinstance(value, SyntheticSpec):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
 def _fmt(value) -> str:
@@ -407,7 +355,7 @@ def _run_config(cfg: ExperimentConfig, run_seed: int) -> engine.RunConfig:
         schedule=schedule,
         privacy=priv,
         alignment=cfg.alignment,
-        participation=cfg.participation(),
+        participation=engine.Participation(cfg.participation_kind, cfg.participation_count, cfg.participation_scheme),
         seed=run_seed,
         record_every_step=cfg.record_every_step,
     )
@@ -587,16 +535,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = _typed(json.load(fh), "", (dict,), "a JSON object")
-    if args.libsvm:
-        doc["dataset"] = {"libsvm": args.libsvm, "scale": _section(doc, "dataset").get("scale", True)}
-    for key in ("seed", "repeats", "k", "T", "m"):
-        if getattr(args, key) is not None:
-            doc[key] = getattr(args, key)
-    cfg = ExperimentConfig.from_dict(doc)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    return cfg
+            doc = json.load(fh)
+    flags = {path: getattr(args, path.split(".")[-1]) for path, f in _FIELDS.items() if f.metadata["flag"]}
+    return ExperimentConfig.from_dict(doc, {path: v for path, v in flags.items() if v is not None})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -613,15 +554,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--libsvm", help="LIBSVM dataset path (overrides config)")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", default=None, help="output CSV path")
         cmd.add_argument("--threads", type=int, default=None,
                          help=f"parallel repeats (default ${THREADS_ENV} or 1)")
-        cmd.add_argument("--repeats", type=int, default=None)
-        cmd.add_argument("--k", type=int, default=None)
-        cmd.add_argument("--T", type=int, default=None)
-        cmd.add_argument("--m", type=int, default=None)
+        for path, f in _FIELDS.items():
+            if f.metadata["flag"]:
+                cmd.add_argument("--" + path.split(".")[-1], type=int if f.metadata["type"] is int else str,
+                                 help=f"overrides config key {path!r}")
         if name == "privacy-sweep":
             cmd.add_argument(
                 "--eps-list",

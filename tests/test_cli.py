@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,21 @@ def _without(path):
     ("run", _without("dataset.synthetic.singular_values"), "'dataset.synthetic.singular_values'"),
     ("run", config_doc(dataset={}), "'dataset'"),
     ("inspect-dataset", config_doc(dataset={**config_doc()["dataset"], "libsvm": "a.libsvm"}), "'dataset'"),
+    # Each ran as another config: the key outside its kind was dropped, or "partal" ran partial.
+    ("run", config_doc(participation={"kind": "full", "K": 3, "scheme": 2}),
+     "'participation.K' does not apply under participation kind 'full'"),
+    ("run", config_doc(schedule={"kind": "fixed", "p": 3, "steps": [1, 2]}),
+     "'schedule.steps' does not apply under schedule kind 'fixed'"),
+    ("run", config_doc(schedule={"kind": "explicit", "steps": [3, 6], "p": 7}),
+     "'schedule.p' does not apply under schedule kind 'explicit'"),
+    ("run", config_doc(dataset={**config_doc()["dataset"], "scale": False}),
+     "'dataset.scale' does not apply under dataset kind 'synthetic'"),
+    ("run", config_doc(participation={"kind": "partal", "K": 2, "scheme": 1}), "participation kind 'partal'"),
+    ("run", config_doc(privacy={"epsilon": 1.0, "eps_split": [2, 4]}), "eps_split"),
+    # numpy's "expected non-negative integer" or a bare ValueError named no key.
+    ("run", config_doc(seed=-1), "'seed'"),
+    ("run", _with_synthetic(seed=-3), "'dataset.synthetic.seed'"),
+    ("run", config_doc(repeats=0), "repeats"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
@@ -133,6 +150,38 @@ def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys)
     assert code == 1
     assert payload["error"] == "ConfigError"
     assert path in payload["message"]
+
+
+def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, capsys, monkeypatch):
+    libsvm = tmp_path / "tiny.libsvm"
+    write_libsvm(libsvm, np.random.default_rng(72).standard_normal((40, 12)))
+    parsed = []
+    real = cli.parse_libsvm
+    monkeypatch.setattr(cli, "parse_libsvm", lambda *a, **kw: parsed.append(a) or real(*a, **kw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, partition="shufled")))
+    code = cli.main(["run", "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "ConfigError")
+    assert "partition mode 'shufled'" in payload["message"]
+    assert parsed == []
+
+
+def test_libsvm_flag_replaces_the_config_source(tmp_path):
+    # A synthetic source is replaced; a LIBSVM source keeps its scale setting.
+    libsvm = tmp_path / "tiny.libsvm"
+    write_libsvm(libsvm, np.random.default_rng(73).standard_normal((40, 12)))
+    for dataset, scale in (config_doc()["dataset"], True), ({"libsvm": "elsewhere", "scale": False}, False):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(dataset=dataset)))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", "--config", str(cfg_path), "--libsvm", str(libsvm), "--out", str(out)]) == 0
+        assert parse_trace(out.read_text())["config"]["dataset"] == {"libsvm": str(libsvm), "scale": scale}
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert sorted(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M)) == sorted(cli._TYPES)
 
 
 def test_config_writes_infinite_budgets_as_inf_strings():
