@@ -16,8 +16,8 @@ import os
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -169,12 +169,14 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
                                 for p, t in json_type.items() for name in [p.rsplit(".", 1)[1]]})
     if isinstance(json_type, list):
         return tuple(_read({path: v}, path, json_type[0]) for v in _read(flat, path, list))
-    if isinstance(json_type, tuple) and value not in json_type:
+    if isinstance(json_type, tuple):
+        if value in json_type:
+            return value
         noun = _FIELDS[path].name.replace("_", " ")
         raise ConfigError(f"config key {path!r}: unknown {noun} {value!r}, expected one of {json_type}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     ok = {int: number and value >= 0 and value % 1 == 0, float: number, BUDGET: number or value == "inf"}
-    if not isinstance(json_type, tuple) and not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
+    if not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
         where = f"config key {path!r}" if path else "a config document"
         raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")
     return int(value) if json_type is int else float(value) if json_type in (float, BUDGET) else value
