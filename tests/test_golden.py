@@ -13,18 +13,21 @@ a per-column count and largest absolute change, with
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedpower import cli, engine, privacy
-from fedpower.data import partition
+from fedpower.data import partition, write_libsvm
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,6 +56,16 @@ README_DEMO = {
 
 def _variant(**overrides):
     return {**README_DEMO, **overrides}
+
+
+def _write_libsvm_rows(directory: Path) -> None:
+    """The rows the LIBSVM cases read, as ``rows.libsvm`` and a gzipped copy.
+    Columns span two decades of scale, so ``scale: true`` matters."""
+    rng = np.random.default_rng(7)
+    matrix = rng.standard_normal((240, 12)) * np.geomspace(50.0, 0.5, 12)
+    matrix[rng.random(matrix.shape) < 0.3] = 0.0
+    write_libsvm(directory / "rows.libsvm", matrix, rng.integers(0, 2, 240) * 2.0 - 1.0)
+    (directory / "rows.libsvm.gz").write_bytes(gzip.compress((directory / "rows.libsvm").read_bytes(), mtime=0))
 
 
 # name -> (subcommand, config, extra CLI arguments)
@@ -116,6 +129,22 @@ CASES = {
         privacy={"epsilon": "inf", "delta": 1e-5, "eps_split": [2.0, 4.0]},
         repeats=2,
     ), ["--eps-list", "inf,100,1"]),
+    # The trace headers record the dataset path, so the LIBSVM cases name
+    # their file relative to the case directory, where it is written.
+    "libsvm_sweep": ("privacy-sweep", _variant(
+        dataset={"libsvm": "rows.libsvm", "scale": True},
+        m=6, k=3, r=4, T=30,
+        schedule={"kind": "fixed", "p": 2},
+        participation={"kind": "partial", "K": 3, "scheme": 2},
+        repeats=2,
+    ), ["--eps-list", "inf,10,1"]),
+    "libsvm_gz_run": ("run", _variant(
+        dataset={"libsvm": "rows.libsvm.gz", "scale": True},
+        k=3, T=30,
+        alignment="opt",
+        privacy={"epsilon": 5.0, "delta": 1e-5},
+        repeats=2,
+    ), []),
 }
 
 
@@ -134,7 +163,14 @@ def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
     config_path = out_dir / f"{name}.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out = out_dir / f"{name}.csv"
-    code = cli.main([command, "--config", str(config_path), "--out", str(out), *extra])
+    if "libsvm" in config["dataset"]:
+        _write_libsvm_rows(out_dir)
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        code = cli.main([command, "--config", str(config_path), "--out", str(out), *extra])
+    finally:
+        os.chdir(cwd)
     if code != 0:
         raise RuntimeError(f"case {name} exited with {code}")
     return {p.name: p.read_bytes() for p in case_files(out_dir, name)}
