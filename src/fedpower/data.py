@@ -222,7 +222,73 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     inferred as the largest index seen. Files ending in ``.gz`` are
     decompressed transparently. Labels are returned but nothing downstream
     uses them.
+
+    The file is read in chunks of whole lines, each parsed with a few array
+    operations. A chunk that is not in the strict form ``write_libsvm``
+    writes (single spaces, ``\\n`` line ends, all-digit indices) sends the
+    whole file to the line-by-line parser, which accepts the same syntax and
+    raises the error, with its line number and byte offset.
     """
+    parts = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0))]  # a file may hold no line
+    with _open_maybe_gzip(path) as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            part = _parse_chunk(chunk + fh.readline(), d)
+            if part is None:
+                return _parse_lines(path, d)
+            parts.append(part)
+    labels, counts, indices, values = (np.concatenate(column) for column in zip(*parts))
+    matrix = _dense_matrix(len(labels), d if d is not None else int(indices.max(initial=0)))
+    matrix[np.repeat(np.arange(len(labels)), counts), indices - 1] = values
+    return matrix, labels
+
+
+_CHUNK_BYTES = 1 << 20  # bytes per bulk-parsed chunk, before it is extended to the next newline
+
+_DIGIT, _NUMERIC, _SPACE, _COLON, _NEWLINE, _OTHER = range(6)
+_BYTE_KIND = np.full(256, _OTHER, np.uint8)
+_BYTE_KIND[list(b"0123456789")] = _DIGIT
+_BYTE_KIND[list(b".+-eE")] = _NUMERIC
+_BYTE_KIND[list(b" :\n")] = _SPACE, _COLON, _NEWLINE
+
+
+def _parse_chunk(chunk: bytes, d: int | None):
+    """(labels, entries per line, indices, values) of ``chunk``, whole lines of
+    LIBSVM text, or None unless every line is ``label( idx:val)*\\n`` with
+    all-digit indices in [1, d] that increase and finite values."""
+    kinds = _BYTE_KIND[np.frombuffer(chunk, np.uint8)]
+    if kinds[-1] != _NEWLINE or kinds.max() == _OTHER:
+        return None
+    try:
+        numbers = np.fromstring(chunk.replace(b":", b" "), sep=" ")
+    except ValueError:  # a token that is no number
+        return None
+    seps = np.flatnonzero(kinds >= _SPACE)  # token j ends at separator j
+    if numbers.size != seps.size:
+        return None  # an empty token: a blank line, an empty value, or a leading, trailing or doubled space
+    sep_kinds = kinds[seps]
+    colon = sep_kinds == _COLON
+    if colon[0] or not np.array_equal(colon[1:], sep_kinds[:-1] == _SPACE):
+        return None  # a line that is not a label then " idx:val" pairs
+    if colon[np.searchsorted(seps, np.flatnonzero(kinds == _NUMERIC))].any():
+        return None  # a sign, point or exponent in an index (int() takes "+1" but not "1.0")
+    newlines = np.flatnonzero(sep_kinds == _NEWLINE)
+    labels = numbers[np.r_[0, newlines[:-1] + 1]]
+    counts = np.diff(np.cumsum(colon)[newlines], prepend=0)
+    indices = numbers[colon]
+    values = numbers[1:][colon[:-1]]
+    row_start = np.zeros(indices.size, bool)
+    row_start[(np.cumsum(counts) - counts)[counts > 0]] = True
+    # An index above the entry limit fails the dense check anyway; the bound keeps the int32 cast exact.
+    top = DENSE_ENTRY_LIMIT if d is None else min(d, DENSE_ENTRY_LIMIT)
+    if (indices.min(initial=1) < 1 or indices.max(initial=0) > top
+            or not (row_start[1:] | (np.diff(indices) > 0)).all() or not np.isfinite(values).all()):
+        return None
+    return labels, counts, indices.astype(np.int32), values
+
+
+def _parse_lines(path, d: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_libsvm`, one line at a time: the reference parser, and
+    the one that reports a bad line."""
     rows: list[list[tuple[int, float]]] = []
     labels: list[float] = []
     max_index = 0
@@ -271,16 +337,17 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
             max_index = max(max_index, prev)
             labels.append(label)
             rows.append(entries)
-    width = d if d is not None else max_index
-    if len(rows) * width > DENSE_ENTRY_LIMIT:
-        raise ParseError(
-            f"dense matrix of {len(rows)} x {width} exceeds the {DENSE_ENTRY_LIMIT:.0e}-entry limit"
-        )
-    matrix = np.zeros((len(rows), width))
+    matrix = _dense_matrix(len(rows), d if d is not None else max_index)
     for r, entries in enumerate(rows):
         for idx, val in entries:
             matrix[r, idx - 1] = val
     return matrix, np.asarray(labels)
+
+
+def _dense_matrix(n: int, width: int) -> np.ndarray:
+    if n * width > DENSE_ENTRY_LIMIT:
+        raise ParseError(f"dense matrix of {n} x {width} exceeds the {DENSE_ENTRY_LIMIT:.0e}-entry limit")
+    return np.zeros((n, width))
 
 
 def write_libsvm(path, matrix, labels=None) -> None:

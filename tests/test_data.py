@@ -81,6 +81,147 @@ def test_parse_index_out_of_range(tmp_path):
         data.parse_libsvm(path, d=3)
 
 
+GOOD_LINE = b"1 1:0.5 3:-2\n"  # 13 bytes: the bad line after it starts at byte offset 13
+
+
+def _bad(message):
+    return ParseError, f"{message} (line 2, byte offset 13)", 2, 13
+
+
+# Each file is GOOD_LINE plus a tail; the errors are the ones the line-by-line
+# parser raised before the bulk path existed.
+MALFORMED = {
+    "bad label": (b"x 1:1\n", None, *_bad("bad label 'x'")),
+    "label 1:2": (b"1:2 1:1\n", None, *_bad("bad label '1:2'")),
+    "missing colon": (b"1 3\n", None, *_bad("expected idx:val, got '3'")),
+    "empty value": (b"1 1:\n", None, *_bad("bad feature token '1:'")),
+    "index 1.0": (b"1 1.0:2\n", None, *_bad("bad feature token '1.0:2'")),
+    "index 1e0": (b"1 1e0:2\n", None, *_bad("bad feature token '1e0:2'")),
+    "zero index": (b"1 0:2\n", None, *_bad("indices must be 1-based and strictly increasing, got 0 after 0")),
+    "repeated index": (b"1 2:1 2:2\n", None, *_bad("indices must be 1-based and strictly increasing, got 2 after 2")),
+    "decreasing index": (b"1 3:1 2:2\n", None, *_bad("indices must be 1-based and strictly increasing, got 2 after 3")),
+    "nan value": (b"1 1:nan\n", None, *_bad("non-finite value in token '1:nan'")),
+    "inf value": (b"1 2:inf\n", None, *_bad("non-finite value in token '2:inf'")),
+    "1e400 value": (b"1 2:1e400\n", None, *_bad("non-finite value in token '2:1e400'")),
+    "index above d": (b"1 4:1\n", 3, IndexOutOfRange, "feature index 4 exceeds declared d=3 (line 2)", None, None),
+    "undecodable bytes": (b"1 1:\xff\n", None, *_bad(
+        "undecodable bytes: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte")),
+}
+
+
+@pytest.mark.parametrize("tail, d, error, message, line, offset", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_file_raises_the_line_parsers_error(tail, d, error, message, line, offset, tmp_path):
+    path = tmp_path / "bad.libsvm"
+    path.write_bytes(GOOD_LINE + tail)
+    with pytest.raises(error) as err:
+        data.parse_libsvm(path, d)
+    assert str(err.value) == message
+    assert (getattr(err.value, "line", None), getattr(err.value, "offset", None)) == (line, offset)
+
+
+# Spellings outside the form write_libsvm writes that the line-by-line parser
+# accepts, with the matrix and labels it returned for GOOD_LINE plus the tail.
+ACCEPTED = {
+    "index +1": (b"1 +1:2\n", [[0.5, 0, -2], [2, 0, 0]], [1, 1]),
+    "index 01": (b"1 01:2\n", [[0.5, 0, -2], [2, 0, 0]], [1, 1]),
+    "index 1_0": (b"1 1_0:2\n", [[0.5, 0, -2, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]], [1, 1]),
+    "label 1e400": (b"1e400 2:1\n", [[0.5, 0, -2], [0, 1, 0]], [1, np.inf]),
+    "crlf": (b"2 2:1\r\n-1 1:3\r\n", [[0.5, 0, -2], [0, 1, 0], [3, 0, 0]], [1, 2, -1]),
+    "tabs": (b"2\t2:1 \t3:4\n", [[0.5, 0, -2], [0, 1, 4]], [1, 2]),
+    "leading spaces": (b"  2 2:1\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "blank and whitespace-only lines": (b"\n \t\n2 2:1\n\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "no final newline": (b"2 2:1", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "blank line, then no final newline": (b"\n2 2:5", [[0.5, 0, -2], [0, 5, 0]], [1, 2]),
+    "doubled space": (b"2  2:1\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("tail, matrix, labels", ACCEPTED.values(), ids=list(ACCEPTED))
+def test_loose_spellings_parse_as_before(tail, matrix, labels, tmp_path):
+    path = tmp_path / "loose.libsvm"
+    path.write_bytes(GOOD_LINE + tail)
+    got_matrix, got_labels = data.parse_libsvm(path)
+    np.testing.assert_array_equal(got_matrix, matrix)
+    np.testing.assert_array_equal(got_labels, labels)
+
+
+def test_parse_empty_file(tmp_path):
+    path = tmp_path / "empty.libsvm"
+    path.write_bytes(b"")
+    matrix, labels = data.parse_libsvm(path)
+    assert matrix.shape == (0, 0) and labels.shape == (0,) and labels.dtype == np.float64
+    assert data.parse_libsvm(path, d=4)[0].shape == (0, 4)
+
+
+def test_gzip_error_offset_counts_decompressed_bytes(tmp_path):
+    path = tmp_path / "bad.libsvm.gz"
+    path.write_bytes(gzip.compress(GOOD_LINE * 3 + b"1 2:1 1:1\n"))
+    with pytest.raises(ParseError) as err:
+        data.parse_libsvm(path)
+    assert str(err.value) == (
+        "indices must be 1-based and strictly increasing, got 1 after 2 (line 4, byte offset 39)"
+    )
+    assert (err.value.line, err.value.offset) == (4, 39)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"1 2:1 2:1\n", "indices must be 1-based and strictly increasing, got 2 after 2"),
+    (b"1:2 3:4\n", "bad label '1:2'"),
+])
+def test_bad_line_after_many_chunks_reports_its_offset_in_the_file(bad, message, tmp_path, monkeypatch):
+    # 32-byte reads end mid-line and are extended over three lines, so line 40 starts chunk 14.
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 32)
+    path = tmp_path / "late.libsvm"
+    path.write_bytes(GOOD_LINE * 39 + bad + GOOD_LINE)
+    with pytest.raises(ParseError) as err:
+        data.parse_libsvm(path)
+    assert str(err.value) == f"{message} (line 40, byte offset 507)"
+    assert (err.value.line, err.value.offset) == (40, 507)
+
+
+def _random_libsvm(rng, n: int, d: int) -> bytes:
+    """LIBSVM text in many spellings of the strict form: 17-digit and
+    exponent reprs, -0.0, subnormals, ``1e5``/``.5``/``5.``/``+3`` and
+    label-only rows."""
+    spellings = [
+        lambda: repr(float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9))),
+        lambda: f"{rng.standard_normal():.17e}",
+        lambda: f"{rng.standard_normal() * 1e-3:.16g}",
+        lambda: "-0.0",
+        lambda: repr(float(rng.integers(1, 2**20)) * 5e-324),
+        lambda: repr(float(rng.random()) * 2.2250738585072014e-308),
+        lambda: rng.choice(["1e5", ".5", "5.", "+3", "-2E-3", "0", "7"]),
+    ]
+    lines = []
+    for _ in range(n):
+        cols = np.sort(rng.choice(d, size=rng.integers(0, d + 1), replace=False)) + 1
+        fields = [spellings[rng.integers(len(spellings))]()]
+        fields += [f"{c}:{spellings[rng.integers(len(spellings))]()}" for c in cols]
+        lines.append(" ".join(fields) + "\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 97])
+@pytest.mark.parametrize("declared", [True, False])
+def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tmp_path, monkeypatch):
+    rng = np.random.default_rng(36)
+    path = tmp_path / "random.libsvm"
+    path.write_bytes(_random_libsvm(rng, 300, 25))
+    d = 30 if declared else None
+    want_matrix, want_labels = data._parse_lines(path, d)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    chunks = []
+    real_chunk = data._parse_chunk
+    monkeypatch.setattr(data, "_parse_chunk", lambda chunk, d: chunks.append(len(chunk)) or real_chunk(chunk, d))
+    monkeypatch.setattr(data, "_parse_lines", None)  # the bulk path must take every chunk
+    matrix, labels = data.parse_libsvm(path, d)
+    assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+    if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
+        assert len(chunks) > 50 and max(chunks) > chunk_bytes
+
+
 # ---------------------------------------------------------------- scaling
 
 
