@@ -46,6 +46,7 @@ THREADS_ENV = "FEDPOWER_THREADS"
 
 
 BUDGET = "budget"  # JSON type of a privacy budget: a number or the string "inf"
+COUNT = "count"  # JSON type of a count: a positive integer
 
 
 def _key(path: str, json_type, default=MISSING, under=(), flag=False, written="applies"):
@@ -69,21 +70,22 @@ class ExperimentConfig:
         "dataset.synthetic.n": int, "dataset.synthetic.d": int,
         "dataset.synthetic.singular_values": [float], "dataset.synthetic.seed": int}, None, ("synthetic",))
     scale: bool = _key("dataset.scale", bool, True, ("libsvm",))  # max-abs feature scaling
-    m: int = _key("m", int, 1, flag=True)
+    m: int = _key("m", COUNT, 1, flag=True)
     partition_mode: str = _key("partition", ("contiguous", "shuffled"), "shuffled")
-    k: int = _key("k", int, flag=True)
-    r: int | None = _key("r", int, None)  # None: r = k
-    horizon: int = _key("T", int, flag=True)
+    k: int = _key("k", COUNT, flag=True)
+    r: int | None = _key("r", COUNT, None)  # None: r = k
+    horizon: int = _key("T", COUNT, flag=True)
     schedule_kind: str = _key("schedule.kind", ("fixed", "decaying", "explicit"), "fixed")
-    p: int = _key("schedule.p", int, 1, ("fixed", "decaying"))
+    p: int = _key("schedule.p", COUNT, 1, ("fixed", "decaying"))
     explicit_steps: tuple[int, ...] = _key("schedule.steps", [int], (), ("explicit",))
     alignment: str = _key("alignment", engine.ALIGNMENTS, engine.ALIGN_SIGN)
     epsilon: float = _key("privacy.epsilon", BUDGET, math.inf)
     delta: float = _key("privacy.delta", float, 1e-5)
     eps_split: tuple[float, float] | None = _key("privacy.eps_split", [BUDGET], None)
     participation_kind: str = _key("participation.kind", ("full", "partial"), "full")
-    participation_count: int | None = _key("participation.K", int, None, ("partial",), written="always")
-    participation_scheme: int | None = _key("participation.scheme", int, None, ("partial",), written="always")
+    # Both are required under "partial" (checked in __post_init__).
+    participation_count: int | None = _key("participation.K", COUNT, None, ("partial",), written="always")
+    participation_scheme: int | None = _key("participation.scheme", COUNT, None, ("partial",), written="always")
     repeats: int = _key("repeats", int, 1, flag=True)
     seed: int = _key("seed", int, 0, flag=True)
     record_every_step: bool = _key("record_every_step", bool, False)
@@ -99,6 +101,13 @@ class ExperimentConfig:
             raise ConfigError(f'epsilon must be "inf" when eps_split sets the budgets, got {self.epsilon!r}')
         if self.r is None:
             object.__setattr__(self, "r", self.k)
+        if self.r < self.k:
+            raise ConfigError(f"config key 'r' must be at least k={self.k}, got {self.r}")
+        if self.participation_kind == "partial" and None in (self.participation_count, self.participation_scheme):
+            missing = "participation.K" if self.participation_count is None else "participation.scheme"
+            raise ConfigError(f"config key {missing!r} is required under participation kind 'partial'")
+        if self.participation_scheme not in (None, 1, 2):
+            raise ConfigError(f"config key 'participation.scheme' must be 1 or 2, got {self.participation_scheme!r}")
 
     def schedule(self) -> engine.SyncSchedule:
         return engine.build_schedule(
@@ -138,7 +147,7 @@ _FIELDS = {f.metadata["path"]: f for f in fields(ExperimentConfig)}
 _TYPES = {path: f.metadata["type"] for path, f in _FIELDS.items()}
 _TYPES.update(*[t for t in _TYPES.values() if isinstance(t, dict)])  # the synthetic recipe's keys
 _SECTIONS = {path.rsplit(".", 1)[0] for path in _TYPES if "." in path}
-_WHAT = {int: "a non-negative integer", float: "a number", BUDGET: 'a number or "inf"',
+_WHAT = {int: "a non-negative integer", COUNT: "a positive integer", float: "a number", BUDGET: 'a number or "inf"',
          bool: "true or false", str: "a string", list: "a list", dict: "a JSON object"}
 
 
@@ -175,11 +184,12 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
         noun = _FIELDS[path].name.replace("_", " ")
         raise ConfigError(f"config key {path!r}: unknown {noun} {value!r}, expected one of {json_type}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = {int: number and value >= 0 and value % 1 == 0, float: number, BUDGET: number or value == "inf"}
+    integral = number and value % 1 == 0
+    ok = {int: integral and value >= 0, COUNT: integral and value >= 1, float: number, BUDGET: number or value == "inf"}
     if not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
         where = f"config key {path!r}" if path else "a config document"
         raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")
-    return int(value) if json_type is int else float(value) if json_type in (float, BUDGET) else value
+    return int(value) if json_type in (int, COUNT) else float(value) if json_type in (float, BUDGET) else value
 
 
 def _outside(f, kinds: dict) -> str | None:
@@ -560,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"parallel repeats (default ${THREADS_ENV} or 1)")
         for path, f in _FIELDS.items():
             if f.metadata["flag"]:
-                cmd.add_argument("--" + path.split(".")[-1], type=int if f.metadata["type"] is int else str,
+                cmd.add_argument("--" + path.split(".")[-1], type=int if f.metadata["type"] in (int, COUNT) else str,
                                  help=f"overrides config key {path!r}")
         if name == "privacy-sweep":
             cmd.add_argument(

@@ -167,6 +167,40 @@ def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, cap
     assert parsed == []
 
 
+@pytest.mark.parametrize("overrides, flags, message", [
+    ({"m": 0}, [], "config key 'm' must be a positive integer, got 0"),
+    ({"k": 0}, [], "config key 'k' must be a positive integer, got 0"),
+    ({"r": 0}, [], "config key 'r' must be a positive integer, got 0"),
+    ({"T": 0}, [], "config key 'T' must be a positive integer, got 0"),
+    ({}, ["--T", "0"], "config key 'T' must be a positive integer, got 0"),
+    ({"schedule": {"kind": "fixed", "p": 0}}, [], "config key 'schedule.p' must be a positive integer, got 0"),
+    ({"participation": {"kind": "partial", "K": 0, "scheme": 1}}, [],
+     "config key 'participation.K' must be a positive integer, got 0"),
+    ({"participation": {"kind": "partial", "K": 2, "scheme": 0}}, [],
+     "config key 'participation.scheme' must be a positive integer, got 0"),
+    ({"participation": {"kind": "partial", "K": 2, "scheme": 3}}, [],
+     "config key 'participation.scheme' must be 1 or 2, got 3"),
+    ({"participation": {"kind": "partial"}}, [],
+     "config key 'participation.K' is required under participation kind 'partial'"),
+    ({"participation": {"kind": "partial", "K": 2}}, [],
+     "config key 'participation.scheme' is required under participation kind 'partial'"),
+    ({"k": 3, "r": 2}, [], "config key 'r' must be at least k=3, got 2"),
+])
+def test_out_of_range_count_fails_before_the_dataset_is_parsed(overrides, flags, message, tmp_path, capsys,
+                                                               monkeypatch):
+    # Each failed in the engine as a bare ValueError naming no key, after the file was parsed.
+    libsvm = tmp_path / "tiny.libsvm"
+    write_libsvm(libsvm, np.random.default_rng(74).standard_normal((40, 12)))
+    parsed = []
+    monkeypatch.setattr(cli, "parse_libsvm", lambda *a, **kw: parsed.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, **overrides)))
+    code = cli.main(["run", "--config", str(cfg_path), *flags])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"], payload["message"]) == (1, "ConfigError", message)
+    assert parsed == []
+
+
 def test_libsvm_flag_replaces_the_config_source(tmp_path):
     # A synthetic source is replaced; a LIBSVM source keeps its scale setting.
     libsvm = tmp_path / "tiny.libsvm"
