@@ -179,6 +179,17 @@ def test_bad_line_after_many_chunks_reports_its_offset_in_the_file(bad, message,
     assert (err.value.line, err.value.offset) == (40, 507)
 
 
+@pytest.mark.parametrize("tail", [b"", b"2\t2:1\n"])  # the bulk path, and a tab that sends the file to the line loop
+def test_dense_entry_limit_is_checked_before_the_matrix_is_allocated(tail, tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "DENSE_ENTRY_LIMIT", 5)
+    path = tmp_path / "big.libsvm"
+    path.write_bytes(GOOD_LINE * 2 + tail)
+    rows = 2 + bool(tail)
+    with pytest.raises(ParseError, match=rf"^dense matrix of {rows} x 3 exceeds the 5e\+00-entry limit$") as err:
+        data.parse_libsvm(path)
+    assert err.value.line is None
+
+
 def _random_libsvm(rng, n: int, d: int) -> bytes:
     """LIBSVM text in many spellings of the strict form: 17-digit and
     exponent reprs, -0.0, subnormals, ``1e5``/``.5``/``5.``/``+3`` and
