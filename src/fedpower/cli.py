@@ -86,7 +86,7 @@ class ExperimentConfig:
     # Both are required under "partial" (checked in __post_init__).
     participation_count: int | None = _key("participation.K", COUNT, None, ("partial",), written="always")
     participation_scheme: int | None = _key("participation.scheme", COUNT, None, ("partial",), written="always")
-    repeats: int = _key("repeats", int, 1, flag=True)
+    repeats: int = _key("repeats", COUNT, 1, flag=True)
     seed: int = _key("seed", int, 0, flag=True)
     record_every_step: bool = _key("record_every_step", bool, False)
     measure_wall_time: bool = _key("measure_wall_time", bool, False)
@@ -95,8 +95,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.libsvm_path is None) == (self.synthetic is None):
             raise ConfigError("config key 'dataset' needs exactly one of 'libsvm' or 'synthetic'")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.eps_split is not None and math.isfinite(self.epsilon):
             raise ConfigError(f'epsilon must be "inf" when eps_split sets the budgets, got {self.epsilon!r}')
         if self.r is None:
@@ -108,6 +106,10 @@ class ExperimentConfig:
             raise ConfigError(f"config key {missing!r} is required under participation kind 'partial'")
         if self.participation_scheme not in (None, 1, 2):
             raise ConfigError(f"config key 'participation.scheme' must be 1 or 2, got {self.participation_scheme!r}")
+        if (count := self.participation_count or 0) > self.m:
+            raise ConfigError(f"config key 'participation.K' must be at most m={self.m}, got {count}")
+        if bad := [t for t in self.explicit_steps if not 1 <= t <= self.horizon]:
+            raise ConfigError(f"config key 'schedule.steps' must lie within [1, T={self.horizon}], got step {bad[0]}")
 
     def schedule(self) -> engine.SyncSchedule:
         return engine.build_schedule(
@@ -212,26 +214,6 @@ def _fmt(value) -> str:
 
 
 @dataclass
-class RepeatResult:
-    seed: int
-    records: list[engine.SyncRecord]
-    eta: float
-    notes: tuple[str, ...]
-
-    @property
-    def final_sin(self) -> float:
-        return self.records[-1].sin_theta_k
-
-    @property
-    def min_sin(self) -> float:
-        return min(r.sin_theta_k for r in self.records)
-
-    def min_sin_within(self, horizon: int) -> float:
-        vals = [r.sin_theta_k for r in self.records if r.t <= horizon]
-        return min(vals) if vals else self.records[-1].sin_theta_k
-
-
-@dataclass
 class CsvTrace:
     """Structured result of one CLI operation, renderable as CSV text.
 
@@ -244,14 +226,14 @@ class CsvTrace:
     kind: str
     config: dict
     seed: int
-    repeats: list[RepeatResult] = field(default_factory=list)
+    repeats: list[engine.RunTrace] = field(default_factory=list)  # repeat i ran on derive_seed(seed, i)
     rows: list[dict] = field(default_factory=list)
     measure_wall_time: bool = False
     sub_traces: dict = field(default_factory=dict)  # sweep row index -> that budget's trace
 
     def summary(self) -> dict:
-        finals = [r.final_sin for r in self.repeats]
-        minima = [r.min_sin for r in self.repeats]
+        finals = [r.records[-1].sin_theta_k for r in self.repeats]
+        minima = [min(rec.sin_theta_k for rec in r.records) for r in self.repeats]
         return {
             "repeats": len(self.repeats),
             "final_sin_theta_mean": _mean(finals),
@@ -278,7 +260,8 @@ class CsvTrace:
         for idx, rep in enumerate(self.repeats):
             note = ";".join(rep.notes)
             lines.append(
-                f"# repeat={idx} seed={rep.seed} eta={rep.eta!r}" + (f" notes={note}" if note else "")
+                f"# repeat={idx} seed={privacy.derive_seed(self.seed, idx)} eta={rep.eta!r}"
+                + (f" notes={note}" if note else "")
             )
             for rec in rep.records:
                 cells = [getattr(rec, key) for key in keys]
@@ -290,8 +273,12 @@ class CsvTrace:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
+        """Write the CSV to ``path``, and each sweep sub-trace next to it."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.render())
+        stem, ext = os.path.splitext(path)
+        for row_idx, sub in self.sub_traces.items():
+            sub.write(f"{stem}.eps{row_idx}{ext or '.csv'}")
 
 
 def parse_trace(text: str) -> dict:
@@ -351,13 +338,6 @@ def load_matrix(cfg: ExperimentConfig) -> np.ndarray:
     return scale_features(matrix) if cfg.scale else matrix
 
 
-def _repeat_setup(matrix: np.ndarray, cfg: ExperimentConfig, idx: int) -> tuple[int, ShardedDataset]:
-    """Root seed and partition of repeat ``idx`` (a contiguous partition
-    ignores the seed)."""
-    seed = privacy.derive_seed(cfg.seed, idx)
-    return seed, partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed)
-
-
 def _run_config(cfg: ExperimentConfig, run_seed: int) -> engine.RunConfig:
     schedule = cfg.schedule()
     priv = privacy.PrivacyConfig.for_schedule(cfg.epsilon, cfg.delta, schedule, eps_split=cfg.eps_split)
@@ -373,45 +353,43 @@ def _run_config(cfg: ExperimentConfig, run_seed: int) -> engine.RunConfig:
     )
 
 
-def _thread_count(requested: int | None) -> int:
-    value = os.environ.get(THREADS_ENV, "1") if requested is None else requested
-    if not str(value).isdecimal() or int(value) < 1:
-        raise ConfigError(f"--threads / {THREADS_ENV} must be an integer of at least 1, got {value!r}")
-    return int(value)
+def _per_repeat(cfg: ExperimentConfig, one, threads: int | None) -> list:
+    """``one(seed, dataset)`` for each of ``cfg.repeats`` repeats, in repeat
+    order. Repeat i's root seed is ``derive_seed(cfg.seed, i)`` and its dataset
+    that seed's partition of the loaded matrix (a contiguous partition ignores
+    the seed). Repeats fan out over a thread pool when more than one thread is
+    requested; the thread count is checked before the matrix is loaded."""
+    workers = os.environ.get(THREADS_ENV, "1") if threads is None else threads
+    if not str(workers).isdecimal() or int(workers) < 1:
+        raise ConfigError(f"--threads / {THREADS_ENV} must be an integer of at least 1, got {workers!r}")
+    matrix = load_matrix(cfg)
+
+    def repeat(idx: int):
+        seed = privacy.derive_seed(cfg.seed, idx)
+        return one(seed, partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed))
+
+    if int(workers) == 1 or cfg.repeats == 1:
+        return [repeat(i) for i in range(cfg.repeats)]
+    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        return list(pool.map(repeat, range(cfg.repeats)))
 
 
-def _map_repeats(one, repeats: int, threads: int | None) -> list:
-    """``[one(i) for i in range(repeats)]``, fanned out over a thread pool
-    when more than one thread is requested. Results keep repeat order."""
-    workers = _thread_count(threads)
-    if workers == 1 or repeats == 1:
-        return [one(i) for i in range(repeats)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(repeats)))
-
-
-def _repeat_run(cfg: ExperimentConfig, rep_seed: int, dataset: ShardedDataset) -> RepeatResult:
-    """One protocol run of ``cfg`` on a repeat's seed and partition."""
-    trace = engine.run(dataset, _run_config(cfg, rep_seed))
-    return RepeatResult(rep_seed, trace.records, trace.eta, trace.notes)
+def _written(cfg: ExperimentConfig, trace: CsvTrace) -> CsvTrace:
+    if cfg.out:
+        trace.write(cfg.out)
+    return trace
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
-    matrix = load_matrix(cfg)
-    repeats = _map_repeats(
-        lambda idx: _repeat_run(cfg, *_repeat_setup(matrix, cfg, idx)), cfg.repeats, threads
-    )
-    trace = CsvTrace(
+    repeats = _per_repeat(cfg, lambda seed, dataset: engine.run(dataset, _run_config(cfg, seed)), threads)
+    return _written(cfg, CsvTrace(
         kind="trace",
         config=cfg.to_dict(),
         seed=cfg.seed,
         repeats=repeats,
         measure_wall_time=cfg.measure_wall_time,
-    )
-    if cfg.out:
-        trace.write(cfg.out)
-    return trace
+    ))
 
 
 _ALIGN_FOR_ROW = {
@@ -430,12 +408,10 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
     recovered rank-k basis and the top-k right singular vectors of the full
     matrix.
     """
-    matrix = load_matrix(cfg)
 
-    def one(idx: int) -> dict[str, float]:
-        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
+    def one(rep_seed: int, dataset: ShardedDataset) -> dict[str, float]:
         run_cfg = _run_config(cfg, rep_seed)
-        reference = engine.reference_basis(dataset, cfg.k)
+        reference = dataset.reference_basis(cfg.k)
         errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
             trace = engine.run(dataset, replace(run_cfg, alignment=align))
@@ -447,7 +423,7 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
         )
         return errors
 
-    per_repeat = _map_repeats(one, cfg.repeats, threads)
+    per_repeat = _per_repeat(cfg, one, threads)
     rows = []
     for name in COMPARE_ALGORITHMS:
         errors = [rep[name] for rep in per_repeat]
@@ -457,10 +433,7 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
             "final_error_std": _std(errors),
             "repeats": cfg.repeats,
         })
-    trace = CsvTrace(kind="compare", config=cfg.to_dict(), seed=cfg.seed, rows=rows)
-    if cfg.out:
-        trace.write(cfg.out)
-    return trace
+    return _written(cfg, CsvTrace(kind="compare", config=cfg.to_dict(), seed=cfg.seed, rows=rows))
 
 
 def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -> CsvTrace:
@@ -470,23 +443,21 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     A budget that cannot be calibrated is reported in its status column
     instead of aborting the sweep.
     """
-    matrix = load_matrix(cfg)
     budgets = [replace(cfg, epsilon=float(eps), eps_split=None) for eps in eps_list]
 
-    def one(idx: int) -> list:
+    def one(rep_seed: int, dataset: ShardedDataset) -> list:
         # Every budget runs on the repeat's one partition, so its Grams are built once.
-        rep_seed, dataset = _repeat_setup(matrix, cfg, idx)
         results = []
         for run_cfg in budgets:
             try:
-                results.append(_repeat_run(run_cfg, rep_seed, dataset))
+                results.append(engine.run(dataset, _run_config(run_cfg, rep_seed)))
             except InvalidBudget as exc:
                 results.append(exc)
         return results
 
     rows = []
     sub_traces = {}
-    for row_idx, (run_cfg, repeats) in enumerate(zip(budgets, zip(*_map_repeats(one, cfg.repeats, threads)))):
+    for row_idx, (run_cfg, repeats) in enumerate(zip(budgets, zip(*_per_repeat(cfg, one, threads)))):
         row = {
             "epsilon": run_cfg.epsilon,
             "min_sin_theta_mean": math.nan,
@@ -500,7 +471,8 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             row["status"] = f"invalid-budget: {failure}"
             rows.append(row)
             continue
-        minima = [rep.min_sin_within(SWEEP_WINDOW) for rep in repeats]
+        minima = [min((r.sin_theta_k for r in rep.records if r.t <= SWEEP_WINDOW), default=rep.records[-1].sin_theta_k)
+                  for rep in repeats]
         last = repeats[0].records[-1]
         row.update(
             min_sin_theta_mean=_mean(minima),
@@ -516,29 +488,21 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             repeats=list(repeats),
             measure_wall_time=cfg.measure_wall_time,
         )
-    trace = CsvTrace(
-        kind="sweep", config=cfg.to_dict(), seed=cfg.seed, rows=rows, sub_traces=sub_traces
-    )
-    if cfg.out:
-        trace.write(cfg.out)
-        stem, ext = os.path.splitext(cfg.out)
-        for row_idx, sub in sub_traces.items():
-            sub.write(f"{stem}.eps{row_idx}{ext or '.csv'}")
-    return trace
+    return _written(cfg, CsvTrace(kind="sweep", config=cfg.to_dict(), seed=cfg.seed, rows=rows, sub_traces=sub_traces))
 
 
 def inspect_dataset(cfg: ExperimentConfig) -> dict:
     """Summarize a dataset: dimensions, leading spectrum, shard weights, and
     the local-approximation diagnostic for the configured partition."""
-    matrix = load_matrix(cfg)
-    _, dataset = _repeat_setup(matrix, cfg, 0)
-    spectrum = linalg.svd(matrix).singular_values
+    [dataset] = _per_repeat(replace(cfg, repeats=1), lambda _seed, dataset: dataset, None)
+    # sigma_j(A) = sqrt(n * lambda_j(A.T @ A / n)): no SVD of the n x d matrix.
+    eigenvalues = linalg.top_eigenpairs(dataset.global_gram(), min(10, dataset.n)).singular_values
     return {
-        "n": int(matrix.shape[0]),
-        "d": int(matrix.shape[1]),
+        "n": dataset.n,
+        "d": dataset.d,
         "m": dataset.m,
         "shard_sizes": list(dataset.sizes),
-        "top_singular_values": [float(s) for s in spectrum[:10]],
+        "top_singular_values": [math.sqrt(dataset.n * lam) for lam in eigenvalues],
         "eta": engine.local_approx_eta(dataset),
     }
 

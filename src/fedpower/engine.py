@@ -41,7 +41,6 @@ __all__ = [
     "draw_participants",
     "initial_basis",
     "local_approx_eta",
-    "reference_basis",
     "residual_rho",
     "run",
     "run_full",
@@ -198,11 +197,6 @@ def initial_basis(d: int, r: int, seed: int) -> np.ndarray:
     return linalg.orth(raw)
 
 
-def reference_basis(dataset: ShardedDataset, k: int) -> np.ndarray:
-    """Top-k eigenbasis of the dataset's global second-moment matrix."""
-    return dataset.reference_basis(k)
-
-
 def baseline_index(weights, active=None) -> int:
     """Baseline worker used for alignment.
 
@@ -345,7 +339,7 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     """Run the protocol with the config's participation, full or partial.
 
     ``reference`` is the d x k (or wider) basis that ``sin_theta_k`` is
-    measured against; by default the dataset's :func:`reference_basis`.
+    measured against; by default ``dataset.reference_basis(cfg.k)``.
     """
     d = dataset.d
     m = dataset.m
@@ -360,7 +354,7 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
 
     eta = local_approx_eta(dataset)
     if reference is None:
-        reference = reference_basis(dataset, cfg.k)
+        reference = dataset.reference_basis(cfg.k)
     reference = linalg.as_matrix(reference)[:, : cfg.k]
 
     grams = dataset.shard_grams
@@ -372,7 +366,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
 
     records: list[SyncRecord] = []
     history: list[tuple[int, np.ndarray]] | None = [] if cfg.keep_basis_history else None
-    notes: tuple[str, ...] = ()
     comm = 0
     z_bar = None
     started = time.perf_counter()
@@ -409,8 +402,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             zs = linalg.orth(ys, require_full_rank=False)
 
         if synced or t == cfg.horizon or cfg.record_every_step:
-            if part.kind == "partial" and comm == 0:
-                notes = (FALLBACK_NOTE,)
             z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
             sin_val = linalg.sin_theta_k(z_bar, reference)
             # After a sync every worker holds the broadcast basis: rho is 0.
@@ -428,6 +419,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
         final_basis=z_bar,
         eta=eta,
         scales=scales,
-        notes=notes,
+        notes=(FALLBACK_NOTE,) if part.kind == "partial" and comm == 0 else (),
         basis_history=history,
     )

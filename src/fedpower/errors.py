@@ -37,7 +37,7 @@ class ParseError(FedPowerError):
         self.offset = offset
 
 
-class IndexOutOfRange(FedPowerError):
+class IndexOutOfRange(ParseError):
     """A feature index exceeds the declared column count."""
 
 

@@ -185,10 +185,23 @@ def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, cap
     ({"participation": {"kind": "partial", "K": 2}}, [],
      "config key 'participation.scheme' is required under participation kind 'partial'"),
     ({"k": 3, "r": 2}, [], "config key 'r' must be at least k=3, got 2"),
+    ({"repeats": 0}, [], "config key 'repeats' must be a positive integer, got 0"),
+    ({}, ["--repeats", "0"], "config key 'repeats' must be a positive integer, got 0"),
+    ({"participation": {"kind": "partial", "K": 5, "scheme": 1}}, [],
+     "config key 'participation.K' must be at most m=4, got 5"),
+    ({"participation": {"kind": "partial", "K": 3, "scheme": 2}}, ["--m", "2"],
+     "config key 'participation.K' must be at most m=2, got 3"),
+    ({"schedule": {"kind": "explicit", "steps": [5, 31]}}, [],
+     "config key 'schedule.steps' must lie within [1, T=30], got step 31"),
+    ({"schedule": {"kind": "explicit", "steps": [0, 5]}}, [],
+     "config key 'schedule.steps' must lie within [1, T=30], got step 0"),
+    ({"schedule": {"kind": "explicit", "steps": [5, 20]}}, ["--T", "10"],
+     "config key 'schedule.steps' must lie within [1, T=10], got step 20"),
+    ({}, ["--threads", "0"], "--threads / FEDPOWER_THREADS must be an integer of at least 1, got 0"),
 ])
 def test_out_of_range_count_fails_before_the_dataset_is_parsed(overrides, flags, message, tmp_path, capsys,
                                                                monkeypatch):
-    # Each failed in the engine as a bare ValueError naming no key, after the file was parsed.
+    # Each failed after the file was parsed, most in the engine as a bare ValueError naming no key.
     libsvm = tmp_path / "tiny.libsvm"
     write_libsvm(libsvm, np.random.default_rng(74).standard_normal((40, 12)))
     parsed = []
@@ -325,10 +338,11 @@ def test_threads_do_not_change_results():
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("via_env", [False, True])
 def test_thread_count_below_one_is_an_error(value, via_env, tmp_path, capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+    def never(*args, **kwargs):
+        raise AssertionError("a thread pool was started or the dataset loaded")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", never)
+    monkeypatch.setattr(cli, "load_matrix", never)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_doc(repeats=3)))
     argv = ["run", "--config", str(cfg_path)]
@@ -659,6 +673,16 @@ def test_main_inspect_dataset(tmp_path, capsys):
     assert info["n"] == 200 and info["d"] == 12 and info["m"] == 4
     assert len(info["top_singular_values"]) == 10
     assert info["eta"] >= 0.0
+
+
+def test_inspect_dataset_singular_values_match_an_svd_of_the_matrix(tmp_path, capsys):
+    # They come from the eigenvalues of the global Gram, not from an SVD of the n x d matrix.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()))
+    assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
+    got = json.loads(capsys.readouterr().out)["top_singular_values"]
+    want = np.linalg.svd(cli.load_matrix(ExperimentConfig.from_dict(config_doc())), compute_uv=False)[:10]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_main_run_libsvm_override(tmp_path, capsys):

@@ -103,7 +103,8 @@ MALFORMED = {
     "nan value": (b"1 1:nan\n", None, *_bad("non-finite value in token '1:nan'")),
     "inf value": (b"1 2:inf\n", None, *_bad("non-finite value in token '2:inf'")),
     "1e400 value": (b"1 2:1e400\n", None, *_bad("non-finite value in token '2:1e400'")),
-    "index above d": (b"1 4:1\n", 3, IndexOutOfRange, "feature index 4 exceeds declared d=3 (line 2)", None, None),
+    "index above d": (b"1 4:1\n", 3, IndexOutOfRange,
+                      "feature index 4 exceeds declared d=3 (line 2, byte offset 13)", 2, 13),
     "undecodable bytes": (b"1 1:\xff\n", None, *_bad(
         "undecodable bytes: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte")),
 }
@@ -216,21 +217,25 @@ def _random_libsvm(rng, n: int, d: int) -> bytes:
 @pytest.mark.parametrize("declared", [True, False])
 def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tmp_path, monkeypatch):
     rng = np.random.default_rng(36)
-    path = tmp_path / "random.libsvm"
-    path.write_bytes(_random_libsvm(rng, 300, 25))
+    text = _random_libsvm(rng, 300, 25)
     d = 30 if declared else None
-    want_matrix, want_labels = data._parse_lines(path, d)
+    paths = [tmp_path / "random.libsvm", tmp_path / "spaced.libsvm"]
+    paths[0].write_bytes(text)
+    paths[1].write_bytes(text.replace(b"\n", b" \n"))  # one trailing space per line stays on the bulk path
+    wants = [data._parse_lines(path, d) for path in paths]
     monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
     chunks = []
     real_chunk = data._parse_chunk
     monkeypatch.setattr(data, "_parse_chunk", lambda chunk, d: chunks.append(len(chunk)) or real_chunk(chunk, d))
     monkeypatch.setattr(data, "_parse_lines", None)  # the bulk path must take every chunk
-    matrix, labels = data.parse_libsvm(path, d)
-    assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
-    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
-    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
-    if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
-        assert len(chunks) > 50 and max(chunks) > chunk_bytes
+    for path, (want_matrix, want_labels) in zip(paths, wants):
+        chunks.clear()
+        matrix, labels = data.parse_libsvm(path, d)
+        assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
+        np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+        np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+        if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
+            assert len(chunks) > 50 and max(chunks) > chunk_bytes
 
 
 # ---------------------------------------------------------------- scaling

@@ -373,6 +373,18 @@ def test_partial_without_sync_notes_fallback():
     assert any("output-fallback" in note for note in trace.notes)
 
 
+def test_partial_with_sync_notes_no_fallback():
+    # Records taken before the first round use the fallback output, but the run synchronised.
+    ds = small_dataset(seed=14, m=5)
+    cfg = make_config(
+        2, 2, SyncSchedule.fixed(5, 10), seed=15, participation=Participation("partial", 3, 1),
+        record_every_step=True,
+    )
+    trace = engine.run_partial(ds, cfg)
+    assert [rec.comm_count for rec in trace.records] == [0] * 4 + [1] * 5 + [2]
+    assert trace.notes == ()
+
+
 def test_privacy_rounds_must_match_schedule():
     ds = small_dataset(seed=15)
     schedule = SyncSchedule.fixed(2, 10)  # 5 rounds
@@ -421,7 +433,7 @@ def test_permuting_workers_keeps_noiseless_errors(alignment):
     permuted = ShardedDataset(tuple(ds.shards[i] for i in order))
     schedule = SyncSchedule.fixed(3, 20)
     cfg = make_config(2, 3, schedule, alignment=alignment, seed=5, record_every_step=True)
-    reference = engine.reference_basis(ds, 2)
+    reference = ds.reference_basis(2)
     a = engine.run_full(ds, cfg, reference=reference)
     b = engine.run_full(permuted, cfg, reference=reference)
     for ra, rb in zip(a.records, b.records):
@@ -459,7 +471,7 @@ def test_non_finite_aggregate_raises_named_error():
 
 def test_non_finite_local_iterate_raises_named_error():
     ds = small_dataset(seed=25)
-    reference = engine.reference_basis(ds, 2)
+    reference = ds.reference_basis(2)
     engine.local_approx_eta(ds)  # cached before the corruption below
     ds.shard_grams[1, 0, 0] = np.nan  # corrupt one cached shard Gram
     cfg = make_config(2, 2, SyncSchedule.fixed(50, 4), seed=3)  # local steps only

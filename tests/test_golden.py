@@ -196,11 +196,12 @@ def test_cli_repeats_equal_library_runs():
     cfg = cli.ExperimentConfig.from_dict(README_DEMO)
     matrix = cli.load_matrix(cfg)
     trace = cli.run_experiment(cfg)
+    rendered = cli.parse_trace(trace.render())["repeats"]
     for idx, rep in enumerate(trace.repeats):
         seed = privacy.derive_seed(cfg.seed, idx)
         dataset = partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed)
         library = engine.run(dataset, cli._run_config(cfg, seed))
-        assert rep.seed == seed and rep.eta == library.eta
+        assert rendered[idx]["seed"] == seed and rep.eta == library.eta
         assert [replace(r, wall_ms=0.0) for r in rep.records] == [
             replace(r, wall_ms=0.0) for r in library.records
         ]
