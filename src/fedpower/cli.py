@@ -471,8 +471,10 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             row["status"] = f"invalid-budget: {failure}"
             rows.append(row)
             continue
-        minima = [min((r.sin_theta_k for r in rep.records if r.t <= SWEEP_WINDOW), default=rep.records[-1].sin_theta_k)
-                  for rep in repeats]
+        minima = []
+        for rep in repeats:  # a repeat with no record in the window counts its last record
+            window = [r.sin_theta_k for r in rep.records if r.t <= SWEEP_WINDOW]
+            minima.append(min(window) if window else rep.records[-1].sin_theta_k)
         last = repeats[0].records[-1]
         row.update(
             min_sin_theta_mean=_mean(minima),
@@ -494,8 +496,9 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
 def inspect_dataset(cfg: ExperimentConfig) -> dict:
     """Summarize a dataset: dimensions, leading spectrum, shard weights, and
     the local-approximation diagnostic for the configured partition."""
-    [dataset] = _per_repeat(replace(cfg, repeats=1), lambda _seed, dataset: dataset, None)
-    # sigma_j(A) = sqrt(n * lambda_j(A.T @ A / n)): no SVD of the n x d matrix.
+    [dataset] = _per_repeat(replace(cfg, repeats=1), lambda _seed, dataset: dataset, 1)  # no thread count read
+    # sigma_j(A) = sqrt(n * lambda_j(A.T @ A / n)), no SVD of the n x d matrix; values below
+    # about 1e-7 * sigma_1 are not resolved, since forming the Gram squares the condition number.
     eigenvalues = linalg.top_eigenpairs(dataset.global_gram(), min(10, dataset.n)).singular_values
     return {
         "n": dataset.n,

@@ -225,15 +225,14 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
     The file is read in chunks of whole lines, each parsed with a few array
     operations. A chunk that is not in the strict form ``write_libsvm``
-    writes (single spaces, ``\\n`` line ends, all-digit indices; one space
-    before a line end is dropped first) sends the whole file to the
-    line-by-line parser, which accepts the same syntax and raises the error,
-    with its line number and byte offset.
+    writes (single spaces, ``\\n`` line ends, all-digit indices) sends the
+    whole file to the line-by-line parser, which accepts the same syntax and
+    raises the error, with its line number and byte offset.
     """
     parts = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0))]  # a file may hold no line
     with _open_maybe_gzip(path) as fh:
         while chunk := fh.read(_CHUNK_BYTES):
-            part = _parse_chunk((chunk + fh.readline()).replace(b" \n", b"\n"), d)
+            part = _parse_chunk(chunk + fh.readline(), d)
             if part is None:
                 return _parse_lines(path, d)
             parts.append(part)

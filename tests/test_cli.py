@@ -675,14 +675,30 @@ def test_main_inspect_dataset(tmp_path, capsys):
     assert info["eta"] >= 0.0
 
 
-def test_inspect_dataset_singular_values_match_an_svd_of_the_matrix(tmp_path, capsys):
+# The first spectrum is well conditioned; the second falls to 1e-12, far below what the Gram resolves.
+@pytest.mark.parametrize("singular_values", [None, [6.0, 5.0, 4.0, 6e-4] + [1e-12] * 8])
+def test_inspect_dataset_singular_values_match_an_svd_of_the_matrix(singular_values, tmp_path, capsys):
     # They come from the eigenvalues of the global Gram, not from an SVD of the n x d matrix.
+    doc = config_doc()
+    if singular_values is not None:
+        doc["dataset"]["synthetic"]["singular_values"] = singular_values
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
+    got = json.loads(capsys.readouterr().out)["top_singular_values"]
+    want = np.linalg.svd(cli.load_matrix(ExperimentConfig.from_dict(doc)), compute_uv=False)[:10]
+    # Forming A.T @ A squares the condition number: a value near zero comes out near sqrt(eps) * sigma_1.
+    floor = 0.0 if singular_values is None else 10 * np.sqrt(np.finfo(float).eps) * want[0]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
+    np.testing.assert_allclose(got[:4], want[:4], rtol=1e-8)  # the values above the floor stay accurate
+
+
+def test_inspect_dataset_reads_no_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.THREADS_ENV, "0")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_doc()))
     assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
-    got = json.loads(capsys.readouterr().out)["top_singular_values"]
-    want = np.linalg.svd(cli.load_matrix(ExperimentConfig.from_dict(config_doc())), compute_uv=False)[:10]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert json.loads(capsys.readouterr().out)["n"] == 200
 
 
 def test_main_run_libsvm_override(tmp_path, capsys):

@@ -217,25 +217,21 @@ def _random_libsvm(rng, n: int, d: int) -> bytes:
 @pytest.mark.parametrize("declared", [True, False])
 def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tmp_path, monkeypatch):
     rng = np.random.default_rng(36)
-    text = _random_libsvm(rng, 300, 25)
+    path = tmp_path / "random.libsvm"
+    path.write_bytes(_random_libsvm(rng, 300, 25))
     d = 30 if declared else None
-    paths = [tmp_path / "random.libsvm", tmp_path / "spaced.libsvm"]
-    paths[0].write_bytes(text)
-    paths[1].write_bytes(text.replace(b"\n", b" \n"))  # one trailing space per line stays on the bulk path
-    wants = [data._parse_lines(path, d) for path in paths]
+    want_matrix, want_labels = data._parse_lines(path, d)
     monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
     chunks = []
     real_chunk = data._parse_chunk
     monkeypatch.setattr(data, "_parse_chunk", lambda chunk, d: chunks.append(len(chunk)) or real_chunk(chunk, d))
     monkeypatch.setattr(data, "_parse_lines", None)  # the bulk path must take every chunk
-    for path, (want_matrix, want_labels) in zip(paths, wants):
-        chunks.clear()
-        matrix, labels = data.parse_libsvm(path, d)
-        assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
-        np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
-        np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
-        if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
-            assert len(chunks) > 50 and max(chunks) > chunk_bytes
+    matrix, labels = data.parse_libsvm(path, d)
+    assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+    if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
+        assert len(chunks) > 50 and max(chunks) > chunk_bytes
 
 
 # ---------------------------------------------------------------- scaling
