@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     TooManyShards,
 )
-from .linalg import as_matrix, gram, orth, top_eigenpairs
+from .linalg import as_matrix, gram, orth, svd, top_eigenpairs
 
 __all__ = [
     "DENSE_ENTRY_LIMIT",
@@ -103,12 +103,17 @@ class ShardedDataset:
 
     @cached_property
     def eta(self) -> float:
-        """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards."""
+        """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards.
+
+        Every matrix here is symmetric, so its spectral norm is its largest
+        absolute eigenvalue: ``eigvalsh`` of ``M_i - M``, one shard at a time,
+        in place of an SVD. M is PSD, so ``||M||_2`` is its top eigenvalue.
+        """
         m_global = self.global_gram()
-        denom = float(np.linalg.norm(m_global, 2))
-        if denom == 0.0:
+        denom = float(np.linalg.eigvalsh(m_global)[-1])
+        if denom <= 0.0:
             raise DegenerateData("global second-moment matrix is zero")
-        worst = max(float(np.linalg.norm(g - m_global, 2)) for g in self.shard_grams)
+        worst = max(float(np.abs(np.linalg.eigvalsh(g - m_global)[[0, -1]]).max()) for g in self.shard_grams)
         return worst / denom
 
     def reference_basis(self, k: int) -> np.ndarray:
@@ -119,13 +124,22 @@ class ShardedDataset:
 
     def local_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard
-        Gram, cached per k. One SVD per shard: a stacked SVD would hold two
-        (m, d, d) factors at once."""
+        Gram ``M_i = A_i.T @ A_i / n_i``, cached per k.
+
+        They come from the thin SVD of the shard: the vectors are its right
+        singular vectors and the eigenvalues its squared singular values over
+        ``n_i``, with no d x d factorization. A shard with fewer than k rows
+        is padded with zero rows, which leave ``A_i.T @ A_i`` unchanged, so
+        it still gives k orthonormal vectors; the extra eigenvalues are 0.
+        """
         if k not in self._eigenpairs:
             vecs = np.empty((self.m, self.d, k))
             vals = np.empty((self.m, k))
-            for i, g in enumerate(self.shard_grams):
-                vecs[i], vals[i], _ = top_eigenpairs(g, k)
+            for i, shard in enumerate(self.shards):
+                rows = shard.shape[0]
+                res = svd(np.vstack([shard, np.zeros((k - rows, self.d))]) if rows < k else shard)
+                vecs[i] = res.v[:, :k]
+                vals[i] = res.singular_values[:k] ** 2 / rows
             self._eigenpairs[k] = (vecs, vals)
         return self._eigenpairs[k]
 

@@ -377,12 +377,9 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             round_idx = comm
             ids, coefs, base = _round_members(part, weights, cfg.seed, round_idx)
             uploads = ys[ids]
-            aligned = zs[ids]
-            d_ids = _alignment_matrix(cfg.alignment, aligned, zs[base])
+            d_ids = _alignment_matrix(cfg.alignment, zs[ids], zs[base])
             if d_ids is not None:
                 uploads = uploads @ d_ids
-                aligned = aligned @ d_ids
-            server_norm = float(np.abs(aligned).max())
             if scales.sigma_local > 0.0:
                 for j, i in enumerate(ids):
                     std = float(np.abs(zs[i]).max()) * scales.sigma_local
@@ -391,8 +388,9 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
                     )
             agg = _aggregate(coefs, uploads)
             if scales.sigma_server > 0.0:
+                aligned = zs[ids] if d_ids is None else zs[ids] @ d_ids
                 agg = agg + privacy.sample_noise(
-                    d, cfg.r, server_norm * scales.sigma_server, cfg.seed,
+                    d, cfg.r, float(np.abs(aligned).max()) * scales.sigma_server, cfg.seed,
                     (privacy.STREAM_SERVER, round_idx, 0),
                 )
             zs[:] = linalg.orth(agg, require_full_rank=False)

@@ -36,7 +36,7 @@ __all__ = [
 # count as orthonormal.
 ORTHO_TOL = 1e-10
 
-# A QR pivot below RANK_TOL * ||y||_2 marks the input as rank deficient.
+# A QR pivot below RANK_TOL * ||y||_2 (= ||R||_2) marks the input as rank deficient.
 RANK_TOL = 1e-12
 
 
@@ -89,10 +89,12 @@ def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.nd
     The factorization is deterministic: column signs of Q are flipped so the
     diagonal of R is nonnegative. With ``require_full_rank`` (the default) a
     diagonal entry of R below ``rank_tol * ||y||_2`` raises
-    :class:`RankDeficient`. Passing ``require_full_rank=False`` returns the
-    (still orthonormal) Q unconditionally, which the iteration engine needs
-    when a shard has fewer rows than the iteration rank. NaN or infinite
-    input raises :class:`NonFinite` instead of yielding a NaN basis.
+    :class:`RankDeficient`; ``||y||_2`` is taken as ``||R||_2``, equal in
+    exact arithmetic, which is an r x r SVD in place of a d x r one. Passing
+    ``require_full_rank=False`` returns the (still orthonormal) Q
+    unconditionally, which the iteration engine needs when a shard has fewer
+    rows than the iteration rank. NaN or infinite input raises
+    :class:`NonFinite` instead of yielding a NaN basis.
     """
     y = _as_stack(y)
     if y.shape[-2] < y.shape[-1]:
@@ -101,7 +103,7 @@ def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.nd
     q, r = np.linalg.qr(y)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     if require_full_rank:
-        scale = np.linalg.norm(y, 2, axis=(-2, -1))
+        scale = np.linalg.norm(r, 2, axis=(-2, -1))
         pivot = np.abs(diag).min(axis=-1)
         bad = (scale == 0.0) | (pivot < rank_tol * scale)
         if bad.any():
