@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'participation.K' must be at most m={self.m}, got {count}")
         if bad := [t for t in self.explicit_steps if not 1 <= t <= self.horizon]:
             raise ConfigError(f"config key 'schedule.steps' must lie within [1, T={self.horizon}], got step {bad[0]}")
+        if any(a >= b for a, b in zip(self.explicit_steps, self.explicit_steps[1:])):
+            raise ConfigError(f"config key 'schedule.steps' must be strictly increasing, got {list(self.explicit_steps)}")
 
     def schedule(self) -> engine.SyncSchedule:
         return engine.build_schedule(
@@ -515,7 +517,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    flags = {path: getattr(args, path.split(".")[-1]) for path, f in _FIELDS.items() if f.metadata["flag"]}
+    flags = {path: getattr(args, path.split(".")[-1], None) for path, f in _FIELDS.items() if f.metadata["flag"]}
     return ExperimentConfig.from_dict(doc, {path: v for path, v in flags.items() if v is not None})
 
 
@@ -533,10 +535,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help=f"parallel repeats (default ${THREADS_ENV} or 1)")
+        # inspect-dataset prints one partition to standard output, so it takes no flag for repeats or a file.
+        unused = {"threads", "repeats", "out"} if name == "inspect-dataset" else set()
+        if "threads" not in unused:
+            cmd.add_argument("--threads", type=int, default=None,
+                             help=f"parallel repeats (default ${THREADS_ENV} or 1)")
         for path, f in _FIELDS.items():
-            if f.metadata["flag"]:
+            if f.metadata["flag"] and path not in unused:
                 cmd.add_argument("--" + path.split(".")[-1], type=int if f.metadata["type"] in (int, COUNT) else str,
                                  help=f"overrides config key {path!r}")
         if name == "privacy-sweep":

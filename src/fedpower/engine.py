@@ -100,7 +100,7 @@ class SyncSchedule:
 
     @classmethod
     def explicit(cls, steps, horizon: int) -> "SyncSchedule":
-        return cls("explicit", horizon, tuple(sorted(set(int(t) for t in steps))))
+        return cls("explicit", horizon, tuple(int(t) for t in steps))
 
 
 def build_schedule(kind: str, horizon: int, p: int | None = None, steps=None) -> SyncSchedule:

@@ -198,6 +198,10 @@ def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, cap
     ({"schedule": {"kind": "explicit", "steps": [5, 20]}}, ["--T", "10"],
      "config key 'schedule.steps' must lie within [1, T=10], got step 20"),
     ({}, ["--threads", "0"], "--threads / FEDPOWER_THREADS must be an integer of at least 1, got 0"),
+    ({"schedule": {"kind": "explicit", "steps": [4, 4, 2]}}, [],
+     "config key 'schedule.steps' must be strictly increasing, got [4, 4, 2]"),
+    ({"schedule": {"kind": "explicit", "steps": [2, 9, 5]}}, [],
+     "config key 'schedule.steps' must be strictly increasing, got [2, 9, 5]"),
 ])
 def test_out_of_range_count_fails_before_the_dataset_is_parsed(overrides, flags, message, tmp_path, capsys,
                                                                monkeypatch):
@@ -699,6 +703,18 @@ def test_inspect_dataset_reads_no_thread_count(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(config_doc()))
     assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 200
+
+
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "2"], ["--out", "x.json"], ["--repeats", "5"]])
+def test_inspect_dataset_rejects_the_flags_it_has_no_use_for(flags, tmp_path, capsys, monkeypatch):
+    # It prints one partition to standard output: a repeat count, thread count or output file would be ignored.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(config_doc()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["inspect-dataset", "--config", "cfg.json", *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not Path("x.json").exists()
 
 
 def test_main_run_libsvm_override(tmp_path, capsys):

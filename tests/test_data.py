@@ -311,6 +311,43 @@ def test_global_gram_is_the_weighted_sum_of_shard_grams():
     assert np.abs(ds.global_gram() - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+# ---------------------------------------------------------------- eta and local eigenpairs
+
+# Shard row counts around d = 12: all shorter than d, all taller, and mixed with shards of fewer rows than k = 4.
+SHARD_ROWS = [(5, 9, 3, 7), (20, 40, 17, 13), (2, 30, 12, 3)]
+
+
+def _dataset_with_rows(rows, seed=36, d=12):
+    rng = np.random.default_rng(seed)
+    return ShardedDataset(tuple(rng.standard_normal((n, d)) * np.geomspace(5.0, 0.2, d) for n in rows))
+
+
+@pytest.mark.parametrize("rows", SHARD_ROWS)
+def test_eta_equals_its_spectral_norm_definition(rows):
+    ds = _dataset_with_rows(rows)
+    m_global = ds.global_gram()
+    want = max(np.linalg.norm(g - m_global, 2) for g in ds.shard_grams) / np.linalg.norm(m_global, 2)
+    assert abs(ds.eta - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("rows", SHARD_ROWS)
+def test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams(rows):
+    k = 4
+    ds = _dataset_with_rows(rows)
+    vecs, vals = ds.local_eigenpairs(k)
+    assert vecs.shape == (ds.m, ds.d, k) and vals.shape == (ds.m, k)
+    for v, lam, g, shard in zip(vecs, vals, ds.shard_grams, ds.shards):
+        want = linalg.top_eigenpairs(g, k)
+        # A shard of fewer than k rows fixes only its row space; the rest of the Gram's top k is an
+        # arbitrary null-space basis, so there the vectors need only be orthonormal and in the null space.
+        rank = min(shard.shape[0], k)
+        assert linalg.is_orthonormal(v)
+        assert linalg.projection_distance(v[:, :rank], want.u[:, :rank]) <= 1e-12
+        np.testing.assert_allclose(lam[:rank], want.singular_values[:rank], rtol=1e-12)
+        assert np.abs(lam[rank:]).max(initial=0.0) <= 1e-12 * lam[0]
+        assert np.abs(shard @ v[:, rank:]).max(initial=0.0) <= 1e-12 * np.abs(shard).max()
+
+
 # ---------------------------------------------------------------- synthetic
 
 

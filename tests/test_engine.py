@@ -55,9 +55,10 @@ def test_fixed_schedule_excludes_zero_and_may_be_empty():
 def test_build_schedule_dispatch():
     assert engine.build_schedule("fixed", 6, p=2).steps == (2, 4, 6)
     assert engine.build_schedule("decaying", 12, p=4).steps == (4, 7, 9, 10, 11, 12)
-    assert engine.build_schedule("explicit", 9, steps=[5, 2, 7]).steps == (2, 5, 7)
-    with pytest.raises(ValueError):
-        engine.build_schedule("explicit", 4, steps=[0, 2])
+    assert engine.build_schedule("explicit", 9, steps=[2, 5, 7]).steps == (2, 5, 7)
+    for steps in ([0, 2], [5, 2, 7], [2, 2, 5]):  # out of range, decreasing, repeated: none is reordered
+        with pytest.raises(ValueError):
+            engine.build_schedule("explicit", 9, steps=steps)
 
 
 # ---------------------------------------------------------------- reductions

@@ -70,6 +70,21 @@ def test_orth_rank_deficient_raises():
     assert linalg.is_orthonormal(q)
 
 
+def test_orth_rank_check_scales_with_the_norm_of_y():
+    # The threshold is rank_tol * ||R||_2, equal to rank_tol * ||y||_2 in exact arithmetic.
+    rng = np.random.default_rng(82)
+    tall = rng.standard_normal((2000, 3))
+    tall[:, 2] = tall[:, 0] - 2.0 * tall[:, 1]
+    for y in (np.ones((4, 2)), np.zeros((3, 2)), tall, 3.0 * np.diag([1.0, 0.5e-12])):
+        with pytest.raises(RankDeficient):
+            linalg.orth(y)
+    assert linalg.is_orthonormal(linalg.orth(3.0 * np.diag([1.0, 2e-12])))  # just above the threshold
+    stack = rng.standard_normal((4, 2000, 3))
+    stack[3] = tall
+    with pytest.raises(RankDeficient, match="slice 3"):
+        linalg.orth(stack)
+
+
 def test_orth_rejects_wide_input():
     with pytest.raises(DimensionMismatch):
         linalg.orth(np.ones((2, 3)))
