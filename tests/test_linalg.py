@@ -71,11 +71,12 @@ def test_orth_rank_deficient_raises():
 
 
 def test_orth_rank_check_scales_with_the_norm_of_y():
-    # The threshold is rank_tol * ||R||_2, equal to rank_tol * ||y||_2 in exact arithmetic.
+    # The threshold is rank_tol * ||R||_2, equal to rank_tol * ||y||_2 in exact arithmetic; the small
+    # cases are in test_orth_rank_deficient_raises and test_orth_stack_rank_check_names_the_slice.
     rng = np.random.default_rng(82)
     tall = rng.standard_normal((2000, 3))
     tall[:, 2] = tall[:, 0] - 2.0 * tall[:, 1]
-    for y in (np.ones((4, 2)), np.zeros((3, 2)), tall, 3.0 * np.diag([1.0, 0.5e-12])):
+    for y in (tall, 3.0 * np.diag([1.0, 0.5e-12])):
         with pytest.raises(RankDeficient):
             linalg.orth(y)
     assert linalg.is_orthonormal(linalg.orth(3.0 * np.diag([1.0, 2e-12])))  # just above the threshold
