@@ -91,6 +91,16 @@ CASES = {
         record_every_step=True,
         repeats=2,
     ), []),
+    # A sync at every step with sampling and both noises: every round starts
+    # from the broadcast basis.
+    "partial_noise_every_step": ("run", _variant(
+        schedule={"kind": "fixed", "p": 1},
+        alignment="opt",
+        privacy={"epsilon": 5.0, "delta": 1e-5},
+        participation={"kind": "partial", "K": 4, "scheme": 1},
+        record_every_step=True,
+        repeats=2,
+    ), []),
     # 125 shards of 4 rows: every local product is rank deficient (r = 5).
     "explicit_small_shards": ("run", _variant(
         m=125,
