@@ -40,9 +40,9 @@ DENSE_ENTRY_LIMIT = 10**8
 class ShardedDataset:
     """A global n x d matrix split into m row shards with weights s_i / n.
 
-    The shard Grams, ``eta``, the local eigenpairs and the reference bases
-    are built on first use and cached, so every run and baseline on one
-    dataset shares them. The
+    The shard Grams, the global Gram, ``eta``, the local eigenpairs and the
+    reference bases are built on first use and cached, so every run and
+    baseline on one dataset shares them. The
     Gram stack keeps m * d * d floats alive for the dataset's lifetime.
     """
 
@@ -90,8 +90,18 @@ class ShardedDataset:
         return np.vstack(self.shards)
 
     def global_gram(self) -> np.ndarray:
-        """Second-moment matrix of the full dataset, ``A.T @ A / n = sum_i p_i M_i``."""
-        return np.tensordot(self.weights, self.shard_grams, axes=1)
+        """Second-moment matrix of the full dataset, ``A.T @ A / n = sum_i p_i M_i``.
+
+        Built once per dataset and shared by every caller, so it is read-only:
+        an in-place write raises ``ValueError``.
+        """
+        return self._global_gram
+
+    @cached_property
+    def _global_gram(self) -> np.ndarray:
+        m_global = np.tensordot(self.weights, self.shard_grams, axes=1)
+        m_global.flags.writeable = False
+        return m_global
 
     @cached_property
     def shard_grams(self) -> np.ndarray:

@@ -13,6 +13,15 @@ Workers are conceptually concurrent. The implementation holds their bases
 in one (m, d, r) stack and advances them together (one batched product with
 the dataset's cached Gram stack, one batched QR, one stacked alignment per
 round), giving each slice exactly the arithmetic of a lone worker.
+
+A sync round at step 1 or right after another sync starts from one basis z
+that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``
+is formed as ``(sum_i c_i M_i) z D``: one d x d product with the dataset's
+cached global Gram under full participation, or with the coefficient-weighted
+sum of the sampled Grams under partial participation, and D the one
+alignment of z against itself. Each worker's local noise is still drawn from
+its own stream and added with its coefficient, so such a round differs from
+the per-worker form by floating-point summation order only.
 """
 
 from __future__ import annotations
@@ -371,24 +380,39 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     started = time.perf_counter()
 
     for t in range(1, cfg.horizon + 1):
-        ys = grams @ zs
         synced = t in sync_steps
         if synced:
             round_idx = comm
             ids, coefs, base = _round_members(part, weights, cfg.seed, round_idx)
-            uploads = ys[ids]
-            d_ids = _alignment_matrix(cfg.alignment, zs[ids], zs[base])
-            if d_ids is not None:
-                uploads = uploads @ d_ids
+            # Every worker holds the same basis at step 1 and right after a sync;
+            # the round then aligns that one basis, else each participant's own.
+            shared = t == 1 or t - 1 in sync_steps
+            held = zs[:1] if shared else zs[ids]
+            d_ids = _alignment_matrix(cfg.alignment, held, zs[base])
+            noise = None
             if scales.sigma_local > 0.0:
-                for j, i in enumerate(ids):
-                    std = float(np.abs(zs[i]).max()) * scales.sigma_local
-                    uploads[j] += privacy.sample_noise(
-                        d, cfg.r, std, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i))
+                noise = np.stack([
+                    privacy.sample_noise(
+                        d, cfg.r, float(np.abs(zs[i]).max()) * scales.sigma_local, cfg.seed,
+                        (privacy.STREAM_LOCAL, round_idx, int(i)),
                     )
-            agg = _aggregate(coefs, uploads)
+                    for i in ids
+                ])
+            if shared:
+                # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
+                g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, grams[ids])
+                agg = g_s @ zs[0] if d_ids is None else g_s @ zs[0] @ d_ids[0]
+                if noise is not None:
+                    agg += _aggregate(coefs, noise)
+            else:
+                uploads = (grams @ zs)[ids]
+                if d_ids is not None:
+                    uploads = uploads @ d_ids
+                if noise is not None:
+                    uploads += noise
+                agg = _aggregate(coefs, uploads)
             if scales.sigma_server > 0.0:
-                aligned = zs[ids] if d_ids is None else zs[ids] @ d_ids
+                aligned = held if d_ids is None else held @ d_ids
                 agg = agg + privacy.sample_noise(
                     d, cfg.r, float(np.abs(aligned).max()) * scales.sigma_server, cfg.seed,
                     (privacy.STREAM_SERVER, round_idx, 0),
@@ -397,7 +421,7 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base
         else:
-            zs = linalg.orth(ys, require_full_rank=False)
+            zs = linalg.orth(grams @ zs, require_full_rank=False)
 
         if synced or t == cfg.horizon or cfg.record_every_step:
             z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)

@@ -311,6 +311,17 @@ def test_global_gram_is_the_weighted_sum_of_shard_grams():
     assert np.abs(ds.global_gram() - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+def test_global_gram_is_built_once_and_read_only():
+    ds = data.partition(np.random.default_rng(37).standard_normal((40, 6)), 4)
+    first = ds.global_gram()
+    assert np.array_equal(ds.global_gram(), first)
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0  # a caller's write must not reach later runs on this dataset
+    with pytest.raises(ValueError):
+        first *= 2.0
+    assert np.array_equal(ds.global_gram(), np.tensordot(ds.weights, ds.shard_grams, axes=1))
+
+
 # ---------------------------------------------------------------- eta and local eigenpairs
 
 # Shard row counts around d = 12: all shorter than d, all taller, and mixed with shards of fewer rows than k = 4.

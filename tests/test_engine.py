@@ -79,7 +79,38 @@ def test_single_worker_matches_power_method_per_step():
         assert np.abs(z_bar - z_power).max() <= 1e-12
 
 
+def _every_step_sync_reference(ds, cfg, scales):
+    """Output basis after each step of a run that syncs at every step, one
+    worker at a time: each participant's ``(M_i z) D``, plus its local noise
+    from its own stream, weighted by its coefficient and summed in worker
+    order; then the server noise and ``orth``."""
+    part = cfg.participation
+    z = engine.initial_basis(ds.d, cfg.r, cfg.seed)
+    for round_idx in range(cfg.horizon):
+        ids, coefs = np.arange(ds.m), ds.weights
+        if part.kind == "partial":
+            rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, round_idx, 0))
+            ids, counts = np.unique(engine.draw_participants(part.scheme, part.count, ds.weights, rng),
+                                    return_counts=True)
+            coefs = counts / part.count if part.scheme == 1 else ds.m / part.count * ds.weights[ids]
+        align = {ALIGN_NONE: np.eye(cfg.r), ALIGN_SIGN: linalg.sign_fix(z, z), ALIGN_OPT: linalg.procrustes(z, z)}
+        d_mat = align[cfg.alignment]
+        agg = np.zeros((ds.d, cfg.r))
+        for coef, i in zip(coefs, ids):
+            y = (linalg.gram(ds.shards[i]) @ z) @ d_mat
+            y += privacy.sample_noise(ds.d, cfg.r, np.abs(z).max() * scales.sigma_local, cfg.seed,
+                                      (privacy.STREAM_LOCAL, round_idx, int(i)))
+            agg += coef * y
+        agg += privacy.sample_noise(ds.d, cfg.r, np.abs(z @ d_mat).max() * scales.sigma_server, cfg.seed,
+                                    (privacy.STREAM_SERVER, round_idx, 0))
+        z = linalg.orth(agg, require_full_rank=False)
+        yield linalg.orth(sum(coef * z for coef in coefs), require_full_rank=False)
+
+
 def test_every_step_sync_matches_distributed_power():
+    # Every round of a p = 1 run starts from the broadcast basis. Noiseless and
+    # under full participation it is the distributed power method; with
+    # sampling and both noises it still matches a loop over the workers.
     ds = small_dataset(seed=5)
     schedule = SyncSchedule.fixed(1, 20)
     for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
@@ -91,6 +122,19 @@ def test_every_step_sync_matches_distributed_power():
             trace.basis_history, baselines._distributed_iterates(grams, ds.weights, z, 20)
         ):
             assert np.abs(z_bar - z_ref).max() <= 1e-12
+    ds = small_dataset(seed=5, n=122)  # shard weights differ, so the schemes' coefficients do
+    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
+    for participation in (engine.FULL_PARTICIPATION, Participation("partial", 3, 1), Participation("partial", 3, 2)):
+        for priv in (noiseless(schedule), noisy):
+            for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
+                cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, keep_basis_history=True,
+                                  participation=participation, privacy=priv)
+                trace = engine.run(ds, cfg)
+                assert priv.noiseless or min(trace.scales.sigma_local, trace.scales.sigma_server) > 0.0
+                history = list(_every_step_sync_reference(ds, cfg, trace.scales))
+                assert len(history) == len(trace.basis_history) == 20
+                for (t, z_bar), z_ref in zip(trace.basis_history, history):
+                    assert np.abs(z_bar - z_ref).max() <= 1e-12, (participation, priv.epsilon, alignment, t)
 
 
 def test_replicated_diagonal_converges_to_leading_axis():
