@@ -496,18 +496,25 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
 
 
 def inspect_dataset(cfg: ExperimentConfig) -> dict:
-    """Summarize a dataset: dimensions, leading spectrum, shard weights, and
-    the local-approximation diagnostic for the configured partition."""
+    """Summarize a dataset: dimensions, leading spectrum, the spectral gap at
+    k, shard weights, and the local-approximation diagnostic for the
+    configured partition, per shard and its worst case."""
     [dataset] = _per_repeat(replace(cfg, repeats=1), lambda _seed, dataset: dataset, 1)  # no thread count read
     # sigma_j(A) = sqrt(n * lambda_j(A.T @ A / n)), no SVD of the n x d matrix; values below
     # about 1e-7 * sigma_1 are not resolved, since forming the Gram squares the condition number.
-    eigenvalues = linalg.top_eigenpairs(dataset.global_gram(), min(10, dataset.n)).singular_values
+    rank = min(dataset.n, dataset.d)
+    eigenvalues = linalg.top_eigenpairs(dataset.global_gram(), rank).singular_values
+    sigma = [math.sqrt(dataset.n * lam) for lam in eigenvalues]
+    k = cfg.k
     return {
         "n": dataset.n,
         "d": dataset.d,
         "m": dataset.m,
         "shard_sizes": list(dataset.sizes),
-        "top_singular_values": [math.sqrt(dataset.n * lam) for lam in eigenvalues],
+        "top_singular_values": sigma[:10],
+        # sigma_{k+1} / sigma_k sets the power method's rate; undefined when k = min(n, d) or sigma_k = 0.
+        "gap_ratio": sigma[k] / sigma[k - 1] if k < rank and sigma[k - 1] > 0.0 else None,
+        "shard_eta": list(dataset.shard_eta),
         "eta": engine.local_approx_eta(dataset),
     }
 

@@ -112,8 +112,8 @@ class ShardedDataset:
         return grams
 
     @cached_property
-    def eta(self) -> float:
-        """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards.
+    def shard_eta(self) -> tuple[float, ...]:
+        """``||M_i - M||_2 / ||M||_2`` for every shard i, in shard order.
 
         Every matrix here is symmetric, so its spectral norm is its largest
         absolute eigenvalue: ``eigvalsh`` of ``M_i - M``, one shard at a time,
@@ -123,8 +123,13 @@ class ShardedDataset:
         denom = float(np.linalg.eigvalsh(m_global)[-1])
         if denom <= 0.0:
             raise DegenerateData("global second-moment matrix is zero")
-        worst = max(float(np.abs(np.linalg.eigvalsh(g - m_global)[[0, -1]]).max()) for g in self.shard_grams)
-        return worst / denom
+        return tuple(float(np.abs(np.linalg.eigvalsh(g - m_global)[[0, -1]]).max()) / denom for g in self.shard_grams)
+
+    @cached_property
+    def eta(self) -> float:
+        """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards:
+        the largest :attr:`shard_eta`."""
+        return max(self.shard_eta)
 
     def reference_basis(self, k: int) -> np.ndarray:
         """Top-k eigenbasis of :meth:`global_gram`, cached per k."""

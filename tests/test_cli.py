@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedpower import cli
+from fedpower import cli, privacy
 from fedpower.cli import ExperimentConfig, parse_trace
-from fedpower.data import write_libsvm
+from fedpower.data import partition, write_libsvm
 from fedpower.errors import ConfigError
 
 
@@ -695,6 +695,30 @@ def test_inspect_dataset_singular_values_match_an_svd_of_the_matrix(singular_val
     floor = 0.0 if singular_values is None else 10 * np.sqrt(np.finfo(float).eps) * want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
     np.testing.assert_allclose(got[:4], want[:4], rtol=1e-8)  # the values above the floor stay accurate
+
+
+# k = 12 = min(n, d): there is no sigma_{k+1}, so no gap ratio.
+@pytest.mark.parametrize("k", [1, 3, 11, 12])
+def test_inspect_dataset_gap_ratio_and_shard_eta_match_their_definitions(k, tmp_path, capsys):
+    doc = config_doc(k=k, r=k)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    cfg = ExperimentConfig.from_dict(doc)
+    matrix = cli.load_matrix(cfg)
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    if k == min(matrix.shape):
+        assert info["gap_ratio"] is None
+    else:
+        # From the Gram's eigenvalues: accurate to 1e-8 while sigma_{k+1} stays above ~1e-7 sigma_1.
+        assert info["gap_ratio"] == pytest.approx(sigma[k] / sigma[k - 1], rel=1e-8)
+    shards = partition(matrix, cfg.m, mode=cfg.partition_mode, seed=privacy.derive_seed(cfg.seed, 0)).shards
+    m_global = matrix.T @ matrix / matrix.shape[0]
+    want = [np.abs(np.linalg.eigvalsh(s.T @ s / s.shape[0] - m_global)).max() / sigma[0] ** 2 * matrix.shape[0]
+            for s in shards]
+    np.testing.assert_allclose(info["shard_eta"], want, rtol=1e-12)
+    assert info["eta"] == max(info["shard_eta"])
 
 
 def test_inspect_dataset_reads_no_thread_count(tmp_path, capsys, monkeypatch):
