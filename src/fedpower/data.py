@@ -181,18 +181,36 @@ class SyntheticSpec:
             raise ValueError("singular values must be non-increasing")
 
 
+# From n >= _CHOLESKY_MIN_ASPECT * rank rows, one CholeskyQR pass builds synth's
+# left factor as accurately as Householder QR; nearer square it loses digits.
+_CHOLESKY_MIN_ASPECT = 4
+
+
 def synth(spec: SyntheticSpec) -> np.ndarray:
     """Matrix ``u @ diag(sv) @ v.T`` with random orthonormal u, v.
 
-    Both factors come from QR of seeded Gaussians, so the same spec always
-    produces the same matrix, and its singular values match the spec to
-    roughly machine precision.
+    u is the orthonormal factor of a seeded n x rank Gaussian g, v that of a
+    seeded d x rank Gaussian drawn after it; v comes from QR. When
+    ``n >= 4 * rank``, u is never formed: with ``L = cholesky(g.T @ g)`` the
+    matrix is ``g @ solve(L.T, diag(sv) @ v.T)``, since ``g L^-T`` is g's QR
+    factor (CholeskyQR; QR with a positive R diagonal is unique). Nearer
+    square, or if the Cholesky fails, u comes from QR. Either way the matrix
+    is the QR one up to rounding, the same spec always produces the same
+    matrix, and its singular values match the spec to roughly machine
+    precision.
     """
     rng = np.random.default_rng(spec.seed)
-    rank = len(spec.singular_values)
-    u = orth(rng.standard_normal((spec.n, rank)))
-    v = orth(rng.standard_normal((spec.d, rank)))
-    return (u * np.asarray(spec.singular_values)) @ v.T
+    sv = np.asarray(spec.singular_values)
+    g = rng.standard_normal((spec.n, sv.size))
+    v = orth(rng.standard_normal((spec.d, sv.size)))
+    if spec.n >= _CHOLESKY_MIN_ASPECT * sv.size:
+        try:
+            chol = np.linalg.cholesky(g.T @ g)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return g @ np.linalg.solve(chol.T, sv[:, None] * v.T)
+    return (orth(g) * sv) @ v.T
 
 
 def scale_features(a) -> np.ndarray:
@@ -254,9 +272,10 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
     The file is read in chunks of whole lines, each parsed with a few array
     operations. A chunk that is not in the strict form ``write_libsvm``
-    writes (single spaces, ``\\n`` line ends, all-digit indices) sends the
-    whole file to the line-by-line parser, which accepts the same syntax and
-    raises the error, with its line number and byte offset.
+    writes (single spaces, ``\\n`` line ends, all-digit indices), give or
+    take one space before a line end, sends the whole file to the
+    line-by-line parser, which accepts the same syntax and raises the error,
+    with its line number and byte offset.
     """
     parts = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0))]  # a file may hold no line
     with _open_maybe_gzip(path) as fh:
@@ -282,8 +301,9 @@ _BYTE_KIND[list(b" :\n")] = _SPACE, _COLON, _NEWLINE
 
 def _parse_chunk(chunk: bytes, d: int | None):
     """(labels, entries per line, indices, values) of ``chunk``, whole lines of
-    LIBSVM text, or None unless every line is ``label( idx:val)*\\n`` with
+    LIBSVM text, or None unless every line is ``label( idx:val)* ?\\n`` with
     all-digit indices in [1, d] that increase and finite values."""
+    chunk = chunk.replace(b" \n", b"\n")  # one space before a line end ends no token
     kinds = _BYTE_KIND[np.frombuffer(chunk, np.uint8)]
     if kinds[-1] != _NEWLINE or kinds.max() == _OTHER:
         return None
@@ -293,7 +313,7 @@ def _parse_chunk(chunk: bytes, d: int | None):
         return None
     seps = np.flatnonzero(kinds >= _SPACE)  # token j ends at separator j
     if numbers.size != seps.size:
-        return None  # an empty token: a blank line, an empty value, or a leading, trailing or doubled space
+        return None  # an empty token: a blank line, an empty value, or a leading or doubled space
     sep_kinds = kinds[seps]
     colon = sep_kinds == _COLON
     if colon[0] or not np.array_equal(colon[1:], sep_kinds[:-1] == _SPACE):

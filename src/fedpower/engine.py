@@ -332,15 +332,17 @@ def _output_basis(zs, alignment, synced, ids, coefs, base):
     """Aggregate the listed worker bases per the protocol's output rule, then
     orthonormalize.
 
-    At a synchronization step the bases are already aligned (they are all
-    equal), so no transform is applied; otherwise each basis is aligned to
-    the baseline worker first.
+    At a synchronization step every worker holds the broadcast basis, which
+    that rule returns unchanged, so it is returned as a copy (the caller
+    overwrites ``zs`` in place). Otherwise each basis is aligned to the
+    baseline worker first.
     """
+    if synced:
+        return zs[0].copy()
     selected = zs[ids]
-    if not synced:
-        d = _alignment_matrix(alignment, selected, zs[base])
-        if d is not None:
-            selected = selected @ d
+    d = _alignment_matrix(alignment, selected, zs[base])
+    if d is not None:
+        selected = selected @ d
     return linalg.orth(_aggregate(coefs, selected), require_full_rank=False)
 
 

@@ -234,6 +234,38 @@ def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tm
         assert len(chunks) > 50 and max(chunks) > chunk_bytes
 
 
+def test_one_space_before_each_line_end_stays_on_the_bulk_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(37)
+    path = tmp_path / "trailing.libsvm"
+    path.write_bytes(_random_libsvm(rng, 300, 25).replace(b"\n", b" \n"))
+    want_matrix, want_labels = data._parse_lines(path, None)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 97)
+
+    def no_line_loop(path, d):
+        raise AssertionError("the bulk path must take every chunk")
+
+    monkeypatch.setattr(data, "_parse_lines", no_line_loop)
+    matrix, labels = data.parse_libsvm(path)
+    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+
+
+@pytest.mark.parametrize("tail, matrix, labels", [
+    (b"2 2:1  \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    (b" \n2 2:1 \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+], ids=["doubled trailing space", "line of one space"])
+def test_other_spaces_before_a_line_end_take_the_line_loop(tail, matrix, labels, tmp_path, monkeypatch):
+    path = tmp_path / "spaces.libsvm"
+    path.write_bytes(GOOD_LINE + tail)
+    calls = []
+    real_lines = data._parse_lines
+    monkeypatch.setattr(data, "_parse_lines", lambda path, d: calls.append(path) or real_lines(path, d))
+    got_matrix, got_labels = data.parse_libsvm(path)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got_matrix, matrix)
+    np.testing.assert_array_equal(got_labels, labels)
+
+
 # ---------------------------------------------------------------- scaling
 
 
@@ -380,6 +412,56 @@ def test_synth_rank_one():
 def test_synth_deterministic():
     spec = SyntheticSpec(n=7, d=5, singular_values=(2.0, 1.0), seed=9)
     np.testing.assert_array_equal(data.synth(spec), data.synth(spec))
+
+
+def _householder_synth(spec: SyntheticSpec) -> np.ndarray:
+    """synth's matrix with both factors from Householder QR, R's diagonal made positive."""
+    rng = np.random.default_rng(spec.seed)
+    sv = np.asarray(spec.singular_values)
+
+    def orth(y):
+        q, r = np.linalg.qr(y)
+        return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+
+    u = orth(rng.standard_normal((spec.n, sv.size)))
+    v = orth(rng.standard_normal((spec.d, sv.size)))
+    return (u * sv) @ v.T
+
+
+# n, d, rank: both sides of the n >= 4 * rank rule that picks the Cholesky route.
+# At n = rank = 100 with seed 5, one Cholesky pass misses the spectrum by 5e-12.
+SYNTH_SHAPES = {
+    "n = rank": (100, 110, 100),
+    "n = 2 rank": (40, 30, 20),
+    "n just below 4 rank": (79, 30, 20),
+    "n = 4 rank": (80, 30, 20),
+    "rank 1, square": (3, 3, 1),
+    "rank 1, n = 4": (4, 3, 1),
+    "20000 x 300": (20000, 300, 300),
+}
+
+
+@pytest.mark.parametrize("n, d, rank", SYNTH_SHAPES.values(), ids=list(SYNTH_SHAPES))
+def test_synth_keeps_householder_accuracy_on_both_routes(n, d, rank):
+    sv = np.geomspace(10.0, 1.0, rank)
+    spec = SyntheticSpec(n=n, d=d, singular_values=tuple(sv), seed=5)
+    a = data.synth(spec)
+    np.testing.assert_allclose(np.linalg.svd(a, compute_uv=False)[:rank], sv, rtol=1e-13, atol=0.0)
+    householder = _householder_synth(spec)
+    if n >= data._CHOLESKY_MIN_ASPECT * rank:
+        assert np.abs(a - householder).max() <= 1e-13 * sv[0]
+    else:
+        np.testing.assert_array_equal(a, householder)
+
+
+def test_synth_falls_back_to_householder_when_cholesky_fails(monkeypatch):
+    spec = SyntheticSpec(n=80, d=30, singular_values=tuple(np.geomspace(10.0, 1.0, 20)), seed=5)
+
+    def failing_cholesky(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    np.testing.assert_array_equal(data.synth(spec), _householder_synth(spec))
 
 
 def test_synth_spec_validation():
