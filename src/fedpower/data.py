@@ -272,10 +272,9 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
     The file is read in chunks of whole lines, each parsed with a few array
     operations. A chunk that is not in the strict form ``write_libsvm``
-    writes (single spaces, ``\\n`` line ends, all-digit indices), give or
-    take one space before a line end, sends the whole file to the
-    line-by-line parser, which accepts the same syntax and raises the error,
-    with its line number and byte offset.
+    writes (single spaces, ``\\n`` line ends, all-digit indices) sends the
+    whole file to the line-by-line parser, which accepts the same syntax and
+    raises the error, with its line number and byte offset.
     """
     parts = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0))]  # a file may hold no line
     with _open_maybe_gzip(path) as fh:
@@ -301,9 +300,8 @@ _BYTE_KIND[list(b" :\n")] = _SPACE, _COLON, _NEWLINE
 
 def _parse_chunk(chunk: bytes, d: int | None):
     """(labels, entries per line, indices, values) of ``chunk``, whole lines of
-    LIBSVM text, or None unless every line is ``label( idx:val)* ?\\n`` with
+    LIBSVM text, or None unless every line is ``label( idx:val)*\\n`` with
     all-digit indices in [1, d] that increase and finite values."""
-    chunk = chunk.replace(b" \n", b"\n")  # one space before a line end ends no token
     kinds = _BYTE_KIND[np.frombuffer(chunk, np.uint8)]
     if kinds[-1] != _NEWLINE or kinds.max() == _OTHER:
         return None
@@ -313,7 +311,7 @@ def _parse_chunk(chunk: bytes, d: int | None):
         return None
     seps = np.flatnonzero(kinds >= _SPACE)  # token j ends at separator j
     if numbers.size != seps.size:
-        return None  # an empty token: a blank line, an empty value, or a leading or doubled space
+        return None  # an empty token: a blank line, an empty value, or a leading, trailing or doubled space
     sep_kinds = kinds[seps]
     colon = sep_kinds == _COLON
     if colon[0] or not np.array_equal(colon[1:], sep_kinds[:-1] == _SPACE):

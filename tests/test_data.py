@@ -134,6 +134,8 @@ ACCEPTED = {
     "no final newline": (b"2 2:1", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
     "blank line, then no final newline": (b"\n2 2:5", [[0.5, 0, -2], [0, 5, 0]], [1, 2]),
     "doubled space": (b"2  2:1\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "trailing space": (b"2 2:1 \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "doubled trailing space": (b"2 2:1  \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
 }
 
 
@@ -232,38 +234,6 @@ def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tm
     np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
     if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
         assert len(chunks) > 50 and max(chunks) > chunk_bytes
-
-
-def test_one_space_before_each_line_end_stays_on_the_bulk_path(tmp_path, monkeypatch):
-    rng = np.random.default_rng(37)
-    path = tmp_path / "trailing.libsvm"
-    path.write_bytes(_random_libsvm(rng, 300, 25).replace(b"\n", b" \n"))
-    want_matrix, want_labels = data._parse_lines(path, None)
-    monkeypatch.setattr(data, "_CHUNK_BYTES", 97)
-
-    def no_line_loop(path, d):
-        raise AssertionError("the bulk path must take every chunk")
-
-    monkeypatch.setattr(data, "_parse_lines", no_line_loop)
-    matrix, labels = data.parse_libsvm(path)
-    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
-    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
-
-
-@pytest.mark.parametrize("tail, matrix, labels", [
-    (b"2 2:1  \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
-    (b" \n2 2:1 \n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
-], ids=["doubled trailing space", "line of one space"])
-def test_other_spaces_before_a_line_end_take_the_line_loop(tail, matrix, labels, tmp_path, monkeypatch):
-    path = tmp_path / "spaces.libsvm"
-    path.write_bytes(GOOD_LINE + tail)
-    calls = []
-    real_lines = data._parse_lines
-    monkeypatch.setattr(data, "_parse_lines", lambda path, d: calls.append(path) or real_lines(path, d))
-    got_matrix, got_labels = data.parse_libsvm(path)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(got_matrix, matrix)
-    np.testing.assert_array_equal(got_labels, labels)
 
 
 # ---------------------------------------------------------------- scaling
