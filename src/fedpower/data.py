@@ -229,7 +229,8 @@ def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> S
     The first ``n mod m`` shards get ``ceil(n / m)`` rows, the rest get
     ``floor(n / m)``. Mode "contiguous" keeps row order; "shuffled" first
     permutes rows with a seeded Fisher-Yates shuffle and is reproducible for
-    a fixed seed.
+    a fixed seed. The shards are read-only row-block views of one private
+    copy of ``a``, so a later write to ``a`` changes no shard.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -240,19 +241,16 @@ def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> S
     if mode == "shuffled":
         if seed is None:
             raise ValueError("shuffled partitioning requires a seed")
-        order = np.random.default_rng(seed).permutation(n)
-        a = a[order]
-    elif mode != "contiguous":
+        rows = a[np.random.default_rng(seed).permutation(n)]
+    elif mode == "contiguous":
+        rows = a.copy()
+    else:
         raise ValueError(f"unknown partition mode {mode!r}")
+    rows.flags.writeable = False
     big = n % m
     base = n // m
     sizes = [base + 1] * big + [base] * (m - big)
-    shards = []
-    offset = 0
-    for s in sizes:
-        shards.append(a[offset:offset + s].copy())
-        offset += s
-    return ShardedDataset(tuple(shards))
+    return ShardedDataset(tuple(np.split(rows, np.cumsum(sizes[:-1]))))
 
 
 def _open_maybe_gzip(path):

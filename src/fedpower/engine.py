@@ -229,10 +229,11 @@ def local_approx_eta(dataset: ShardedDataset) -> float:
     return dataset.eta
 
 
-def _alignment_matrix(mode: str, zs: np.ndarray, z_base: np.ndarray):
-    # Returns None for the identity so callers can skip the multiply.
+def _alignment_matrix(mode: str, zs: np.ndarray, z_base: np.ndarray) -> np.ndarray:
+    # (n, r, r) stack aligning each of the n bases in zs to z_base; "none" is the identity.
     if mode == ALIGN_NONE:
-        return None
+        r = zs.shape[-1]
+        return np.broadcast_to(np.eye(r), (zs.shape[0], r, r))
     if mode == ALIGN_OPT:
         return linalg.procrustes(zs, z_base)
     if mode == ALIGN_SIGN:
@@ -248,8 +249,7 @@ def residual_rho(zs, alignment: str = ALIGN_NONE, baseline: int = 0) -> float:
     if zs.ndim != 3 or zs.shape[0] == 0:
         raise ValueError("need a non-empty stack of d x r worker bases")
     z_base = zs[baseline]
-    d = _alignment_matrix(alignment, zs, z_base)
-    dev = (zs if d is None else zs @ d) - z_base
+    dev = zs @ _alignment_matrix(alignment, zs, z_base) - z_base
     return float(np.linalg.norm(dev, 2, axis=(-2, -1)).max())
 
 
@@ -340,9 +340,7 @@ def _output_basis(zs, alignment, synced, ids, coefs, base):
     if synced:
         return zs[0].copy()
     selected = zs[ids]
-    d = _alignment_matrix(alignment, selected, zs[base])
-    if d is not None:
-        selected = selected @ d
+    selected = selected @ _alignment_matrix(alignment, selected, zs[base])
     return linalg.orth(_aggregate(coefs, selected), require_full_rank=False)
 
 
@@ -403,20 +401,17 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             if shared:
                 # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
                 g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, grams[ids])
-                agg = g_s @ zs[0] if d_ids is None else g_s @ zs[0] @ d_ids[0]
+                agg = g_s @ zs[0] @ d_ids[0]
                 if noise is not None:
                     agg += _aggregate(coefs, noise)
             else:
-                uploads = (grams @ zs)[ids]
-                if d_ids is not None:
-                    uploads = uploads @ d_ids
+                uploads = (grams @ zs)[ids] @ d_ids
                 if noise is not None:
                     uploads += noise
                 agg = _aggregate(coefs, uploads)
             if scales.sigma_server > 0.0:
-                aligned = held if d_ids is None else held @ d_ids
                 agg = agg + privacy.sample_noise(
-                    d, cfg.r, float(np.abs(aligned).max()) * scales.sigma_server, cfg.seed,
+                    d, cfg.r, float(np.abs(held @ d_ids).max()) * scales.sigma_server, cfg.seed,
                     (privacy.STREAM_SERVER, round_idx, 0),
                 )
             zs[:] = linalg.orth(agg, require_full_rank=False)

@@ -27,7 +27,6 @@ __all__ = [
     "projection_distance",
     "sign_fix",
     "sin_theta_k",
-    "spectral_norm",
     "svd",
     "top_eigenpairs",
 ]
@@ -149,12 +148,6 @@ def top_eigenpairs(sym, k: int) -> SvdResult:
     res = svd(sym)
     basis = np.ascontiguousarray(res.u[:, :k])
     return SvdResult(basis, res.singular_values[:k].copy(), basis)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value, computed through :func:`svd`."""
-    res = svd(a)
-    return float(res.singular_values[0]) if res.singular_values.size else 0.0
 
 
 def _complement_norm(u: np.ndarray, v: np.ndarray) -> float:

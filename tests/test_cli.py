@@ -741,6 +741,15 @@ def test_inspect_dataset_rejects_the_flags_it_has_no_use_for(flags, tmp_path, ca
     assert not Path("x.json").exists()
 
 
+def test_inspect_dataset_leaves_the_other_commands_keys_unused(tmp_path, capsys, monkeypatch):
+    # One config file serves all four commands: inspect-dataset validates out and repeats but never acts on them.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(config_doc(out="x.json", repeats=5)))
+    assert cli.main(["inspect-dataset", "--config", "cfg.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 200
+    assert not Path("x.json").exists()
+
+
 def test_main_run_libsvm_override(tmp_path, capsys):
     rng = np.random.default_rng(70)
     from fedpower.data import write_libsvm

@@ -279,10 +279,37 @@ def test_partition_shuffled_deterministic_and_preserves_rows():
     ds2 = data.partition(a, 4, mode="shuffled", seed=5)
     for s1, s2 in zip(ds1.shards, ds2.shards):
         np.testing.assert_array_equal(s1, s2)
-    # multiset of rows preserved
+    assert ds1.sizes == (3, 3, 3, 2)
+    # every row exactly once: the rows are distinct, so sorted equality rules out repeats and losses
     original = sorted(map(tuple, a))
     scattered = sorted(map(tuple, ds1.stacked()))
+    assert len(set(original)) == a.shape[0]
     assert original == scattered
+
+
+PARTITION_MODES = [{"mode": "contiguous"}, {"mode": "shuffled", "seed": 5}]
+
+
+@pytest.mark.parametrize("mode", PARTITION_MODES, ids=lambda kw: kw["mode"])
+def test_partition_shards_are_read_only(mode):
+    ds = data.partition(np.arange(22.0).reshape(11, 2), 4, **mode)
+    for shard in ds.shards:
+        assert not shard.flags.writeable
+        with pytest.raises(ValueError):
+            shard[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            shard *= 2.0
+
+
+@pytest.mark.parametrize("mode", PARTITION_MODES, ids=lambda kw: kw["mode"])
+def test_partition_shards_do_not_alias_the_input(mode):
+    a = np.arange(22.0).reshape(11, 2)
+    ds = data.partition(a, 4, **mode)
+    before = [s.copy() for s in ds.shards]
+    a[:] = -1.0
+    for shard, kept in zip(ds.shards, before):
+        np.testing.assert_array_equal(shard, kept)
+    assert a.flags.writeable  # the caller's matrix stays theirs
 
 
 def test_partition_too_many_shards():

@@ -322,20 +322,6 @@ def test_aligned_spectral_distance_sandwich():
         assert aligned <= math.sqrt(2.0) * dist + 1e-9
 
 
-# ---------------------------------------------------------------- spectral norm
-
-
-def test_spectral_norm_examples():
-    assert abs(linalg.spectral_norm(np.eye(3)) - 1.0) <= 1e-12
-    assert abs(linalg.spectral_norm(np.diag([5.0, 1.0])) - 5.0) <= 1e-12
-
-
-def test_spectral_norm_consistent_with_svd():
-    rng = np.random.default_rng(20)
-    a = rng.standard_normal((8, 5))
-    assert linalg.spectral_norm(a) == linalg.svd(a).singular_values[0]
-
-
 # ---------------------------------------------------------------- stacks
 
 
