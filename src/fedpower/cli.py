@@ -226,11 +226,9 @@ class CsvTrace:
     """
 
     kind: str
-    config: dict
-    seed: int
-    repeats: list[engine.RunTrace] = field(default_factory=list)  # repeat i ran on derive_seed(seed, i)
+    cfg: ExperimentConfig  # rendered in the header; sets the seed and whether wall time is kept
+    repeats: list[engine.RunTrace] = field(default_factory=list)  # repeat i ran on derive_seed(cfg.seed, i)
     rows: list[dict] = field(default_factory=list)
-    measure_wall_time: bool = False
     sub_traces: dict = field(default_factory=dict)  # sweep row index -> that budget's trace
 
     def summary(self) -> dict:
@@ -250,8 +248,8 @@ class CsvTrace:
             raise ValueError(f"unknown trace kind {self.kind!r}")
         lines = [
             f"# schema=fedpower.{self.kind}.v{SCHEMA_VERSION}",
-            f"# config={json.dumps(self.config, sort_keys=True)}",
-            f"# seed={self.seed}",
+            f"# config={json.dumps(self.cfg.to_dict(), sort_keys=True)}",
+            f"# seed={self.cfg.seed}",
             f"# {privacy.STREAM_NOTE}",
             columns,
         ]
@@ -262,12 +260,12 @@ class CsvTrace:
         for idx, rep in enumerate(self.repeats):
             note = ";".join(rep.notes)
             lines.append(
-                f"# repeat={idx} seed={privacy.derive_seed(self.seed, idx)} eta={rep.eta!r}"
+                f"# repeat={idx} seed={privacy.derive_seed(self.cfg.seed, idx)} eta={rep.eta!r}"
                 + (f" notes={note}" if note else "")
             )
             for rec in rep.records:
                 cells = [getattr(rec, key) for key in keys]
-                if not self.measure_wall_time:
+                if not self.cfg.measure_wall_time:
                     cells[-1] = 0.0  # wall_ms
                 lines.append(",".join(map(_fmt, cells)))
         summary = self.summary()
@@ -376,22 +374,17 @@ def _per_repeat(cfg: ExperimentConfig, one, threads: int | None) -> list:
         return list(pool.map(repeat, range(cfg.repeats)))
 
 
-def _written(cfg: ExperimentConfig, trace: CsvTrace) -> CsvTrace:
-    if cfg.out:
-        trace.write(cfg.out)
+def _written(trace: CsvTrace) -> CsvTrace:
+    if trace.cfg.out:
+        trace.write(trace.cfg.out)
     return trace
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
-    repeats = _per_repeat(cfg, lambda seed, dataset: engine.run(dataset, _run_config(cfg, seed)), threads)
-    return _written(cfg, CsvTrace(
-        kind="trace",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        repeats=repeats,
-        measure_wall_time=cfg.measure_wall_time,
-    ))
+    run_cfg = _run_config(cfg, cfg.seed)  # a bad budget fails here, before the dataset is loaded
+    repeats = _per_repeat(cfg, lambda seed, dataset: engine.run(dataset, replace(run_cfg, seed=seed)), threads)
+    return _written(CsvTrace("trace", cfg, repeats=repeats))
 
 
 _ALIGN_FOR_ROW = {
@@ -410,13 +403,13 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
     recovered rank-k basis and the top-k right singular vectors of the full
     matrix.
     """
+    run_cfg = _run_config(cfg, cfg.seed)  # a bad budget fails here, before the dataset is loaded
 
     def one(rep_seed: int, dataset: ShardedDataset) -> dict[str, float]:
-        run_cfg = _run_config(cfg, rep_seed)
         reference = dataset.reference_basis(cfg.k)
         errors = {}
         for name, align in _ALIGN_FOR_ROW.items():
-            trace = engine.run(dataset, replace(run_cfg, alignment=align))
+            trace = engine.run(dataset, replace(run_cfg, seed=rep_seed, alignment=align))
             errors[name] = trace.records[-1].sin_theta_k
         errors["UDA"] = linalg.projection_distance(baselines.uda(dataset, cfg.k).u, reference)
         errors["WDA"] = linalg.projection_distance(baselines.wda(dataset, cfg.k).u, reference)
@@ -435,7 +428,7 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
             "final_error_std": _std(errors),
             "repeats": cfg.repeats,
         })
-    return _written(cfg, CsvTrace(kind="compare", config=cfg.to_dict(), seed=cfg.seed, rows=rows))
+    return _written(CsvTrace("compare", cfg, rows=rows))
 
 
 def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -> CsvTrace:
@@ -485,14 +478,8 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             delta_spent_total=last.delta_spent,
         )
         rows.append(row)
-        sub_traces[row_idx] = CsvTrace(
-            kind="trace",
-            config=run_cfg.to_dict(),
-            seed=cfg.seed,
-            repeats=list(repeats),
-            measure_wall_time=cfg.measure_wall_time,
-        )
-    return _written(cfg, CsvTrace(kind="sweep", config=cfg.to_dict(), seed=cfg.seed, rows=rows, sub_traces=sub_traces))
+        sub_traces[row_idx] = CsvTrace("trace", run_cfg, repeats=list(repeats))
+    return _written(CsvTrace("sweep", cfg, rows=rows, sub_traces=sub_traces))
 
 
 def inspect_dataset(cfg: ExperimentConfig) -> dict:

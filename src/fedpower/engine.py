@@ -45,7 +45,6 @@ __all__ = [
     "RunTrace",
     "SyncRecord",
     "SyncSchedule",
-    "baseline_index",
     "build_schedule",
     "draw_participants",
     "initial_basis",
@@ -73,7 +72,6 @@ class SyncSchedule:
     kind: str
     horizon: int
     steps: tuple[int, ...]
-    param: int | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -89,7 +87,7 @@ class SyncSchedule:
         """Communicate every p iterations: {p, 2p, ..., p * floor(T/p)}."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        return cls("fixed", horizon, tuple(range(p, horizon + 1, p)), p)
+        return cls("fixed", horizon, tuple(range(p, horizon + 1, p)))
 
     @classmethod
     def decaying(cls, p0: int, horizon: int) -> "SyncSchedule":
@@ -105,7 +103,7 @@ class SyncSchedule:
             if t > horizon:
                 break
             steps.append(t)
-        return cls("decaying", horizon, tuple(steps), p0)
+        return cls("decaying", horizon, tuple(steps))
 
     @classmethod
     def explicit(cls, steps, horizon: int) -> "SyncSchedule":
@@ -206,20 +204,6 @@ def initial_basis(d: int, r: int, seed: int) -> np.ndarray:
     return linalg.orth(raw)
 
 
-def baseline_index(weights, active=None) -> int:
-    """Baseline worker used for alignment.
-
-    Full participation: the worker with the largest data weight (ties break
-    to the lowest index). With an ``active`` set: its lowest index.
-    """
-    if active is not None:
-        ids = sorted(int(i) for i in active)
-        if not ids:
-            raise ValueError("active set is empty")
-        return ids[0]
-    return int(np.argmax(np.asarray(weights)))
-
-
 def local_approx_eta(dataset: ShardedDataset) -> float:
     """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards.
 
@@ -308,16 +292,18 @@ FALLBACK_NOTE = (
 def _round_members(part: Participation, weights, seed: int, round_idx: int):
     """(ids, coefficients, baseline) of one aggregation round.
 
-    Full participation: every worker, weighted by its data weight, aligned to
-    the heaviest one. Partial: the distinct sampled workers, weighted count/K
-    under scheme 1 and m/K * p_i under scheme 2, aligned to the lowest id.
+    This is the one rule for who takes part and who the baseline is. Full
+    participation: every worker, weighted by its data weight, aligned to the
+    heaviest one (ties break to the lowest index). Partial: the distinct
+    sampled workers, in index order, weighted count/K under scheme 1 and
+    m/K * p_i under scheme 2, aligned to the lowest sampled id.
     """
     if part.kind == "full":
-        return np.arange(weights.size), weights, baseline_index(weights)
+        return np.arange(weights.size), weights, int(np.argmax(weights))
     rng = privacy.stream(seed, (privacy.STREAM_SAMPLER, round_idx, 0))
     ids, counts = np.unique(draw_participants(part.scheme, part.count, weights, rng), return_counts=True)
     coefs = counts / part.count if part.scheme == 1 else (weights.size / part.count) * weights[ids]
-    return ids, coefs, baseline_index(weights, ids)
+    return ids, coefs, int(ids[0])
 
 
 def _aggregate(coefs, stack: np.ndarray) -> np.ndarray:
@@ -368,10 +354,10 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
 
     grams = dataset.shard_grams
     zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], m, axis=0)
-    base_full = baseline_index(weights)
     # The output basis weights the last round's participants. Before any
-    # round, partial participation falls back to every worker by data weight.
-    out_ids, out_coefs, out_base = np.arange(m), weights, (base_full if part.kind == "full" else 0)
+    # round, both kinds take every worker by data weight, as full participation does.
+    out_ids, out_coefs, out_base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
+    base_full = out_base
 
     records: list[SyncRecord] = []
     history: list[tuple[int, np.ndarray]] | None = [] if cfg.keep_basis_history else None

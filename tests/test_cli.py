@@ -641,10 +641,21 @@ def test_main_run_writes_csv(tmp_path):
     assert cli.TRACE_COLUMNS in text
 
 
-def test_main_reports_errors_as_json(tmp_path, capsys):
+@pytest.mark.parametrize("overrides", [
+    {"privacy": {"epsilon": -2.0, "delta": 1e-3}},
+    {"privacy": {"epsilon": 1.0, "delta": 2.0}},
+    {"privacy": {"epsilon": "inf", "eps_split": [1.0, -1.0], "delta": 1e-3}},
+    {"privacy": {"epsilon": 1.0, "delta": 1e-3}, "schedule": {"kind": "fixed", "p": 40}},  # p > T: no rounds
+], ids=["epsilon", "delta", "eps_split", "no-rounds"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_main_reports_errors_as_json(command, overrides, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before the budget was checked")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(privacy={"epsilon": -2.0, "delta": 1e-3})))
-    code = cli.main(["run", "--config", str(cfg_path)])
+    cfg_path.write_text(json.dumps(config_doc(**overrides)))
+    code = cli.main([command, "--config", str(cfg_path)])
     captured = capsys.readouterr()
     assert code == 1
     payload = json.loads(captured.err.strip())

@@ -284,10 +284,36 @@ def test_local_approx_eta_cases():
         engine.local_approx_eta(ShardedDataset((np.zeros((2, 2)),)))
 
 
-def test_baseline_index_cases():
-    assert engine.baseline_index([0.2, 0.5, 0.3]) == 1
-    assert engine.baseline_index([0.25, 0.25, 0.25, 0.25]) == 0
-    assert engine.baseline_index([0.1] * 10, active={4, 2, 7}) == 2
+def test_round_members_baseline_cases():
+    full = engine.FULL_PARTICIPATION
+    # The heaviest worker is the baseline, and a tie goes to the lowest index.
+    assert engine._round_members(full, np.array([0.2, 0.5, 0.3]), 0, 0)[2] == 1
+    assert engine._round_members(full, np.array([0.2, 0.4, 0.4]), 0, 0)[2] == 1
+    assert engine._round_members(full, np.full(4, 0.25), 0, 0)[2] == 0
+    # Under partial participation the baseline is the lowest sampled id, whatever the weights.
+    weights = np.array([0.05, 0.05, 0.4, 0.05, 0.05, 0.1, 0.1, 0.2])
+    for scheme in (1, 2):
+        bases = set()
+        for round_idx in range(8):
+            ids, _coefs, base = engine._round_members(Participation("partial", 3, scheme), weights, 5, round_idx)
+            assert base == ids.min() and np.all(np.diff(ids) > 0)
+            bases.add(base)
+        assert len(bases) > 1  # the baseline follows the sample from round to round
+
+
+@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
+def test_partial_matches_full_before_the_first_round(alignment):
+    # Shard 0 is not the heaviest, so a baseline other than the heaviest worker would show.
+    rng = np.random.default_rng(66)
+    shards = tuple(rng.standard_normal((n, 6)) @ np.diag(np.geomspace(4.0, 0.5, 6)) for n in (10, 30, 20))
+    ds = ShardedDataset(shards)
+    schedule = SyncSchedule.fixed(5, 10)
+    kw = dict(alignment=alignment, seed=4, record_every_step=True)
+    full = engine.run(ds, make_config(2, 3, schedule, **kw))
+    part = engine.run(ds, make_config(2, 3, schedule, participation=Participation("partial", 2, 2), **kw))
+    before = [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in full.records if rec.t < 5]
+    assert [rec.t for rec in full.records[:4]] == [1, 2, 3, 4]
+    assert [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in part.records if rec.t < 5] == before
 
 
 # ---------------------------------------------------------------- trace invariants
