@@ -178,8 +178,12 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
     value = flat[path]
     if isinstance(json_type, dict):  # an unset recipe key keeps SyntheticSpec's default
         defaults = {f.name: f.default for f in fields(SyntheticSpec)}
-        return SyntheticSpec(**{name: _read(flat, p, t, defaults[name])
-                                for p, t in json_type.items() for name in [p.rsplit(".", 1)[1]]})
+        recipe = {name: _read(flat, p, t, defaults[name])
+                  for p, t in json_type.items() for name in [p.rsplit(".", 1)[1]]}
+        try:  # read first, so a key's own ConfigError is not wrapped again
+            return SyntheticSpec(**recipe)
+        except ValueError as exc:  # a negative or increasing spectrum
+            raise ConfigError(f"config key '{path}.singular_values': {exc}") from None
     if isinstance(json_type, list):
         return tuple(_read({path: v}, path, json_type[0]) for v in _read(flat, path, list))
     if isinstance(json_type, tuple):
@@ -258,11 +262,7 @@ class CsvTrace:
             lines.extend(",".join(_fmt(row[key]) for key in keys) for row in self.rows)
             return "\n".join(lines) + "\n"
         for idx, rep in enumerate(self.repeats):
-            note = ";".join(rep.notes)
-            lines.append(
-                f"# repeat={idx} seed={privacy.derive_seed(self.cfg.seed, idx)} eta={rep.eta!r}"
-                + (f" notes={note}" if note else "")
-            )
+            lines.append(f"# repeat={idx} seed={privacy.derive_seed(self.cfg.seed, idx)} eta={rep.eta!r}")
             for rec in rep.records:
                 cells = [getattr(rec, key) for key in keys]
                 if not self.cfg.measure_wall_time:

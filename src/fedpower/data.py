@@ -17,6 +17,7 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFinite,
     ParseError,
     TooManyShards,
 )
@@ -36,13 +37,20 @@ __all__ = [
 DENSE_ENTRY_LIMIT = 10**8
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a shared array that a caller's write must not reach."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ShardedDataset:
     """A global n x d matrix split into m row shards with weights s_i / n.
 
     The shard Grams, the global Gram, ``eta``, the local eigenpairs and the
     reference bases are built on first use and cached, so every run and
-    baseline on one dataset shares them. The
+    baseline on one dataset shares them. Every cached array is read-only: an
+    in-place write raises ``ValueError`` instead of reaching later runs. The
     Gram stack keeps m * d * d floats alive for the dataset's lifetime.
     """
 
@@ -54,6 +62,8 @@ class ShardedDataset:
         if not self.shards:
             raise DimensionMismatch("a dataset needs at least one shard")
         d = self.shards[0].shape[1]
+        if d < 1:
+            raise DimensionMismatch("a dataset needs at least one column")
         for i, s in enumerate(self.shards):
             if s.ndim != 2 or s.shape[1] != d:
                 raise DimensionMismatch(f"shard {i} has shape {s.shape}, expected (*, {d})")
@@ -92,16 +102,17 @@ class ShardedDataset:
     def global_gram(self) -> np.ndarray:
         """Second-moment matrix of the full dataset, ``A.T @ A / n = sum_i p_i M_i``.
 
-        Built once per dataset and shared by every caller, so it is read-only:
-        an in-place write raises ``ValueError``.
+        Built once per dataset and shared by every caller. Every command reads
+        it first, so data whose squares overflow raises :class:`NonFinite` here.
         """
         return self._global_gram
 
     @cached_property
     def _global_gram(self) -> np.ndarray:
         m_global = np.tensordot(self.weights, self.shard_grams, axes=1)
-        m_global.flags.writeable = False
-        return m_global
+        if not np.isfinite(m_global).all():
+            raise NonFinite("the global second-moment matrix has NaN or infinite entries")
+        return _frozen(m_global)
 
     @cached_property
     def shard_grams(self) -> np.ndarray:
@@ -109,7 +120,7 @@ class ShardedDataset:
         grams = np.empty((self.m, self.d, self.d))
         for i, shard in enumerate(self.shards):
             grams[i] = gram(shard)
-        return grams
+        return _frozen(grams)
 
     @cached_property
     def shard_eta(self) -> tuple[float, ...]:
@@ -134,7 +145,7 @@ class ShardedDataset:
     def reference_basis(self, k: int) -> np.ndarray:
         """Top-k eigenbasis of :meth:`global_gram`, cached per k."""
         if k not in self._references:
-            self._references[k] = top_eigenpairs(self.global_gram(), k).u
+            self._references[k] = _frozen(top_eigenpairs(self.global_gram(), k).u)
         return self._references[k]
 
     def local_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +166,7 @@ class ShardedDataset:
                 res = svd(np.vstack([shard, np.zeros((k - rows, self.d))]) if rows < k else shard)
                 vecs[i] = res.v[:, :k]
                 vals[i] = res.singular_values[:k] ** 2 / rows
-            self._eigenpairs[k] = (vecs, vals)
+            self._eigenpairs[k] = (_frozen(vecs), _frozen(vals))
         return self._eigenpairs[k]
 
 
@@ -246,11 +257,10 @@ def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> S
         rows = a.copy()
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    rows.flags.writeable = False
     big = n % m
     base = n // m
     sizes = [base + 1] * big + [base] * (m - big)
-    return ShardedDataset(tuple(np.split(rows, np.cumsum(sizes[:-1]))))
+    return ShardedDataset(tuple(np.split(_frozen(rows), np.cumsum(sizes[:-1]))))
 
 
 def _open_maybe_gzip(path):

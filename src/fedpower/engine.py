@@ -69,7 +69,6 @@ class SyncSchedule:
     never a member: no communication happens before the first local step.
     """
 
-    kind: str
     horizon: int
     steps: tuple[int, ...]
 
@@ -87,7 +86,7 @@ class SyncSchedule:
         """Communicate every p iterations: {p, 2p, ..., p * floor(T/p)}."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        return cls("fixed", horizon, tuple(range(p, horizon + 1, p)))
+        return cls(horizon, tuple(range(p, horizon + 1, p)))
 
     @classmethod
     def decaying(cls, p0: int, horizon: int) -> "SyncSchedule":
@@ -103,11 +102,11 @@ class SyncSchedule:
             if t > horizon:
                 break
             steps.append(t)
-        return cls("decaying", horizon, tuple(steps))
+        return cls(horizon, tuple(steps))
 
     @classmethod
     def explicit(cls, steps, horizon: int) -> "SyncSchedule":
-        return cls("explicit", horizon, tuple(int(t) for t in steps))
+        return cls(horizon, tuple(int(t) for t in steps))
 
 
 def build_schedule(kind: str, horizon: int, p: int | None = None, steps=None) -> SyncSchedule:
@@ -149,7 +148,9 @@ FULL_PARTICIPATION = Participation("full")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs besides the dataset."""
+    """Everything a run needs besides the dataset. A noisy budget that spans
+    other than the schedule's rounds, or splits its epsilon under partial
+    participation, raises :class:`InvalidBudget` here, before any data is read."""
 
     k: int
     r: int
@@ -166,6 +167,11 @@ class RunConfig:
             raise ValueError(f"need 1 <= k <= r, got k={self.k}, r={self.r}")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}, got {self.alignment!r}")
+        priv, rounds = self.privacy, len(self.schedule.steps)
+        if not priv.noiseless and priv.rounds != rounds:
+            raise InvalidBudget(f"privacy config spans {priv.rounds} rounds but the schedule has {rounds}")
+        if not priv.noiseless and priv.eps_split is not None and self.participation.kind == "partial":
+            raise InvalidBudget("per-round budget splitting is only calibrated for full participation")
 
     @property
     def horizon(self) -> int:
@@ -192,7 +198,6 @@ class RunTrace:
     final_basis: np.ndarray
     eta: float
     scales: privacy.NoiseScales
-    notes: tuple[str, ...] = ()
     basis_history: list[tuple[int, np.ndarray]] | None = None
 
 
@@ -268,27 +273,6 @@ def run_partial(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunT
     return run(dataset, cfg, reference)
 
 
-def _resolve_scales(dataset, cfg, n_rounds) -> privacy.NoiseScales:
-    priv = cfg.privacy
-    if priv.noiseless:
-        return privacy.NoiseScales()
-    if n_rounds == 0:
-        raise InvalidBudget("noise requested but the schedule has no communication rounds")
-    if priv.rounds != n_rounds:
-        raise InvalidBudget(
-            f"privacy config spans {priv.rounds} rounds but the schedule has {n_rounds}"
-        )
-    part = cfg.participation
-    if part.kind == "partial":
-        return privacy.scales_partial(priv, dataset.min_shard_size, dataset.weights, part.count, part.scheme)
-    return privacy.scales_full(priv, dataset.min_shard_size, float(dataset.weights.max()))
-
-
-FALLBACK_NOTE = (
-    "output-fallback: no synchronization occurred; aggregated all workers by data weight"
-)
-
-
 def _round_members(part: Participation, weights, seed: int, round_idx: int):
     """(ids, coefficients, baseline) of one aggregation round.
 
@@ -337,15 +321,14 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     measured against; by default ``dataset.reference_basis(cfg.k)``.
     """
     d = dataset.d
-    m = dataset.m
-    if cfg.r > d:
-        raise DimensionMismatch(f"iteration rank r={cfg.r} exceeds feature count d={d}")
+    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], dataset.m, axis=0)  # rejects r > d
     part = cfg.participation
-    if part.kind == "partial" and part.count > m:
-        raise ValueError(f"cannot sample {part.count} of {m} workers")
     weights = dataset.weights
     sync_steps = frozenset(cfg.schedule.steps)
-    scales = _resolve_scales(dataset, cfg, len(cfg.schedule.steps))
+    if part.kind == "partial":  # also rejects a count above m
+        scales = privacy.scales_partial(cfg.privacy, dataset.min_shard_size, weights, part.count, part.scheme)
+    else:
+        scales = privacy.scales_full(cfg.privacy, dataset.min_shard_size, float(weights.max()))
 
     eta = local_approx_eta(dataset)
     if reference is None:
@@ -353,7 +336,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     reference = linalg.as_matrix(reference)[:, : cfg.k]
 
     grams = dataset.shard_grams
-    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], m, axis=0)
     # The output basis weights the last round's participants. Before any
     # round, both kinds take every worker by data weight, as full participation does.
     out_ids, out_coefs, out_base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
@@ -424,6 +406,5 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
         final_basis=z_bar,
         eta=eta,
         scales=scales,
-        notes=(FALLBACK_NOTE,) if part.kind == "partial" and comm == 0 else (),
         basis_history=history,
     )

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,9 @@ def _without(path):
     ("run", config_doc(seed=-1), "'seed'"),
     ("run", _with_synthetic(seed=-3), "'dataset.synthetic.seed'"),
     ("run", config_doc(repeats=0), "repeats"),
+    # SyntheticSpec's bare ValueError named no key.
+    ("run", _with_synthetic(singular_values=[3.0, -1.0]), "'dataset.synthetic.singular_values'"),
+    ("run", _with_synthetic(singular_values=[1.0, 3.0]), "'dataset.synthetic.singular_values'"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
@@ -646,7 +652,9 @@ def test_main_run_writes_csv(tmp_path):
     {"privacy": {"epsilon": 1.0, "delta": 2.0}},
     {"privacy": {"epsilon": "inf", "eps_split": [1.0, -1.0], "delta": 1e-3}},
     {"privacy": {"epsilon": 1.0, "delta": 1e-3}, "schedule": {"kind": "fixed", "p": 40}},  # p > T: no rounds
-], ids=["epsilon", "delta", "eps_split", "no-rounds"])
+    {"privacy": {"epsilon": "inf", "eps_split": [1.0, 1.0], "delta": 1e-3},
+     "participation": {"kind": "partial", "K": 2, "scheme": 1}},  # eps_split is calibrated for full participation only
+], ids=["epsilon", "delta", "eps_split", "no-rounds", "eps_split-partial"])
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_main_reports_errors_as_json(command, overrides, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -671,6 +679,49 @@ def test_main_reports_non_finite_iterate_as_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "NonFinite"
     assert "NaN or infinite" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "inspect-dataset"])
+def test_zero_width_libsvm_is_a_dimension_mismatch(command, tmp_path, capsys):
+    # Labels and no idx:val entry give d = 0; inspect-dataset crashed with an IndexError traceback.
+    libsvm = tmp_path / "labels.libsvm"
+    libsvm.write_text("1\n-1\n1\n1\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, m=2)))
+    code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "DimensionMismatch")
+    assert "at least one column" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "inspect-dataset"])
+def test_overflowing_second_moments_are_non_finite_in_every_command(command, tmp_path, capsys):
+    # Squares of 1e160 overflow; run reported numpy's LinAlgError from eta.
+    doc = config_doc(dataset={"synthetic": {"n": 60, "d": 6, "singular_values": [1e160, 1e160, 1, 1, 1, 1]}},
+                     m=3, k=2, r=2, T=8, repeats=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "NonFinite")
+    assert "second-moment" in payload["message"]
+
+
+def test_python_m_fedpower_runs_the_cli_without_a_warning(tmp_path):
+    # Running fedpower.cli as a module warned, since the package imports it first.
+    doc = config_doc(repeats=1, T=6)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "module.csv"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedpower", "run", "--config", str(cfg_path),
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text() == cli.run_experiment(ExperimentConfig.from_dict(doc)).render()
 
 
 def test_main_missing_config_is_an_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fedpower import data, linalg
 from fedpower.data import ShardedDataset, SyntheticSpec
-from fedpower.errors import IndexOutOfRange, ParseError, TooManyShards
+from fedpower.errors import DimensionMismatch, IndexOutOfRange, NonFinite, ParseError, TooManyShards
 
 
 # ---------------------------------------------------------------- libsvm
@@ -349,6 +349,25 @@ def test_global_gram_is_built_once_and_read_only():
     with pytest.raises(ValueError):
         first *= 2.0
     assert np.array_equal(ds.global_gram(), np.tensordot(ds.weights, ds.shard_grams, axes=1))
+    # Every other cache is shared the same way, so it is read-only too.
+    vecs, vals = ds.local_eigenpairs(2)
+    for cached in (ds.shard_grams, ds.reference_basis(2), vecs, vals):
+        with pytest.raises(ValueError):
+            cached[:] = 0.0
+    assert ds.reference_basis(2) is ds.reference_basis(2) and np.abs(ds.reference_basis(2)).max() > 0.0
+
+
+def test_dataset_needs_a_column():
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        ShardedDataset((np.zeros((3, 0)), np.zeros((2, 0))))
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        data.partition(np.zeros((4, 0)), 2)
+
+
+def test_overflowing_second_moments_raise_non_finite():
+    ds = ShardedDataset((np.full((3, 2), 1e160), np.ones((2, 2))))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="second-moment"):
+        ds.global_gram()
 
 
 # ---------------------------------------------------------------- eta and local eigenpairs

@@ -5,6 +5,7 @@ import pytest
 
 from fedpower import baselines, data, engine, linalg, privacy
 from fedpower.baselines import _power_iterates
+from fedpower.cli import CsvTrace, ExperimentConfig
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import (
     ALIGN_NONE,
@@ -307,13 +308,21 @@ def test_partial_matches_full_before_the_first_round(alignment):
     rng = np.random.default_rng(66)
     shards = tuple(rng.standard_normal((n, 6)) @ np.diag(np.geomspace(4.0, 0.5, 6)) for n in (10, 30, 20))
     ds = ShardedDataset(shards)
-    schedule = SyncSchedule.fixed(5, 10)
     kw = dict(alignment=alignment, seed=4, record_every_step=True)
-    full = engine.run(ds, make_config(2, 3, schedule, **kw))
-    part = engine.run(ds, make_config(2, 3, schedule, participation=Participation("partial", 2, 2), **kw))
-    before = [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in full.records if rec.t < 5]
-    assert [rec.t for rec in full.records[:4]] == [1, 2, 3, 4]
-    assert [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in part.records if rec.t < 5] == before
+    # The second schedule has no round at all, so every record comes before the first round.
+    for schedule in (SyncSchedule.fixed(5, 10), SyncSchedule.fixed(50, 4)):
+        full = engine.run(ds, make_config(2, 3, schedule, **kw))
+        part = engine.run(ds, make_config(2, 3, schedule, participation=Participation("partial", 2, 2), **kw))
+        before = [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in full.records if rec.t < 5]
+        assert [rec.t for rec in full.records[:4]] == [1, 2, 3, 4]
+        assert [(rec.t, rec.sin_theta_k, rec.rho_t) for rec in part.records if rec.t < 5] == before
+    # comm_count 0 on every row marks the run without rounds; its repeat lines carry nothing more.
+    assert [rec.comm_count for rec in full.records + part.records] == [0] * 8
+    header = ExperimentConfig(synthetic=SyntheticSpec(60, 6, (1.0,)), k=2, r=3, horizon=4, alignment=alignment)
+    text = CsvTrace("trace", header, repeats=[full, part]).render()
+    assert [line for line in text.splitlines() if line.startswith("# repeat=")] == [
+        f"# repeat={i} seed={privacy.derive_seed(0, i)} eta={ds.eta!r}" for i in range(2)
+    ]
 
 
 # ---------------------------------------------------------------- trace invariants
@@ -434,18 +443,8 @@ def test_empty_schedule_runs_pure_local():
     assert linalg.is_orthonormal(trace.final_basis, tol=1e-10)
 
 
-def test_partial_without_sync_notes_fallback():
-    ds = small_dataset(seed=14)
-    schedule = SyncSchedule.fixed(50, 4)
-    cfg = make_config(
-        2, 2, schedule, seed=15, participation=Participation("partial", 2, 1)
-    )
-    trace = engine.run_partial(ds, cfg)
-    assert any("output-fallback" in note for note in trace.notes)
-
-
 def test_partial_with_sync_notes_no_fallback():
-    # Records taken before the first round use the fallback output, but the run synchronised.
+    # Records taken before the first round read comm_count 0, the ones after it count the rounds.
     ds = small_dataset(seed=14, m=5)
     cfg = make_config(
         2, 2, SyncSchedule.fixed(5, 10), seed=15, participation=Participation("partial", 3, 1),
@@ -453,16 +452,13 @@ def test_partial_with_sync_notes_no_fallback():
     )
     trace = engine.run_partial(ds, cfg)
     assert [rec.comm_count for rec in trace.records] == [0] * 4 + [1] * 5 + [2]
-    assert trace.notes == ()
 
 
 def test_privacy_rounds_must_match_schedule():
-    ds = small_dataset(seed=15)
     schedule = SyncSchedule.fixed(2, 10)  # 5 rounds
     bad = privacy.PrivacyConfig(epsilon=1.0, delta=1e-3, rounds=3)
-    cfg = RunConfig(k=2, r=2, schedule=schedule, privacy=bad, seed=1)
     with pytest.raises(InvalidBudget):
-        engine.run_full(ds, cfg)
+        RunConfig(k=2, r=2, schedule=schedule, privacy=bad, seed=1)
 
 
 def test_run_full_rejects_partial_config():
@@ -544,7 +540,8 @@ def test_non_finite_local_iterate_raises_named_error():
     ds = small_dataset(seed=25)
     reference = ds.reference_basis(2)
     engine.local_approx_eta(ds)  # cached before the corruption below
-    ds.shard_grams[1, 0, 0] = np.nan  # corrupt one cached shard Gram
+    ds.shard_grams.flags.writeable = True  # the cache is read-only; unlock it to corrupt one shard Gram
+    ds.shard_grams[1, 0, 0] = np.nan
     cfg = make_config(2, 2, SyncSchedule.fixed(50, 4), seed=3)  # local steps only
     with pytest.raises(NonFinite, match=r"slices \[1\]"):
         engine.run_full(ds, cfg, reference=reference)
