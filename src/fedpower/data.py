@@ -61,6 +61,8 @@ class ShardedDataset:
     def __post_init__(self):
         if not self.shards:
             raise DimensionMismatch("a dataset needs at least one shard")
+        if self.shards[0].ndim != 2:
+            raise DimensionMismatch(f"shard 0 has shape {self.shards[0].shape}, expected a matrix")
         d = self.shards[0].shape[1]
         if d < 1:
             raise DimensionMismatch("a dataset needs at least one column")
@@ -109,7 +111,8 @@ class ShardedDataset:
 
     @cached_property
     def _global_gram(self) -> np.ndarray:
-        m_global = np.tensordot(self.weights, self.shard_grams, axes=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as NonFinite below
+            m_global = np.tensordot(self.weights, self.shard_grams, axes=1)
         if not np.isfinite(m_global).all():
             raise NonFinite("the global second-moment matrix has NaN or infinite entries")
         return _frozen(m_global)
@@ -227,11 +230,9 @@ def synth(spec: SyntheticSpec) -> np.ndarray:
 def scale_features(a) -> np.ndarray:
     """Divide each column by its maximum absolute value (zero columns are
     left alone), mapping every entry into [-1, 1]. Idempotent."""
-    a = as_matrix(a).copy()
-    max_abs = np.abs(a).max(axis=0) if a.shape[0] else np.zeros(a.shape[1])
-    nonzero = max_abs > 0.0
-    a[:, nonzero] /= max_abs[nonzero]
-    return a
+    a = as_matrix(a)
+    max_abs = np.maximum(a.max(axis=0, initial=0.0), -a.min(axis=0, initial=0.0))
+    return a / np.where(max_abs > 0.0, max_abs, 1.0)  # x / 1.0 is x, bit for bit
 
 
 def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> ShardedDataset:
@@ -279,66 +280,88 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     uses them.
 
     The file is read in chunks of whole lines, each parsed with a few array
-    operations. A chunk that is not in the strict form ``write_libsvm``
-    writes (single spaces, ``\\n`` line ends, all-digit indices) sends the
-    whole file to the line-by-line parser, which accepts the same syntax and
-    raises the error, with its line number and byte offset.
+    operations into its sparse entries; the dense matrix is allocated after
+    the last chunk and filled one chunk's entries at a time. A chunk that is
+    not in the strict form ``write_libsvm`` writes (single spaces, ``\\n``
+    line ends, all-digit indices of at most 9 digits) sends the whole file to
+    the line-by-line parser, which accepts the same syntax and raises the
+    error, with its line number and byte offset.
     """
-    parts = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0))]  # a file may hold no line
+    labels, parts = [np.empty(0)], []  # a file may hold no line
     with _open_maybe_gzip(path) as fh:
         while chunk := fh.read(_CHUNK_BYTES):
             part = _parse_chunk(chunk + fh.readline(), d)
             if part is None:
                 return _parse_lines(path, d)
-            parts.append(part)
-    labels, counts, indices, values = (np.concatenate(column) for column in zip(*parts))
-    matrix = _dense_matrix(len(labels), d if d is not None else int(indices.max(initial=0)))
-    matrix[np.repeat(np.arange(len(labels)), counts), indices - 1] = values
-    return matrix, labels
+            labels.append(part[0])
+            parts.append(part[1:])
+    labels = np.concatenate(labels)
+    width = d if d is not None else max((int(indices.max(initial=0)) for _, indices, _ in parts), default=0)
+    flat = _dense_matrix(len(labels), width).reshape(-1)
+    row = 0
+    while parts:  # each part is released once it is in the matrix
+        counts, indices, values = parts.pop(0)
+        flat[np.repeat(np.arange(row, row + counts.size) * width - 1, counts) + indices] = values
+        row += counts.size
+    return flat.reshape(len(labels), width), labels
 
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk-parsed chunk, before it is extended to the next newline
-
-_DIGIT, _NUMERIC, _SPACE, _COLON, _NEWLINE, _OTHER = range(6)
-_BYTE_KIND = np.full(256, _OTHER, np.uint8)
-_BYTE_KIND[list(b"0123456789")] = _DIGIT
-_BYTE_KIND[list(b".+-eE")] = _NUMERIC
-_BYTE_KIND[list(b" :\n")] = _SPACE, _COLON, _NEWLINE
+_STRICT_BYTES = b"0123456789.+-eE :\n"
+_INDEX_DIGITS = 9  # a longer index is above DENSE_ENTRY_LIMIT (or zero-padded), so the line parser takes it
 
 
 def _parse_chunk(chunk: bytes, d: int | None):
     """(labels, entries per line, indices, values) of ``chunk``, whole lines of
     LIBSVM text, or None unless every line is ``label( idx:val)*\\n`` with
-    all-digit indices in [1, d] that increase and finite values."""
-    kinds = _BYTE_KIND[np.frombuffer(chunk, np.uint8)]
-    if kinds[-1] != _NEWLINE or kinds.max() == _OTHER:
+    indices of 1 to 9 digits in [1, d] that increase and finite values.
+
+    Indices are decoded from their digit bytes here and blanked out of the
+    text with their colons, so numpy's float parser reads only labels and
+    values.
+    """
+    if not chunk.endswith(b"\n") or chunk.translate(None, _STRICT_BYTES):
         return None
+    raw = np.frombuffer(chunk, np.uint8)
+    seps = np.flatnonzero((raw == ord(":")) | (raw <= ord(" ")))  # token j ends at separator j
+    sep_bytes = raw[seps]
+    colon = sep_bytes == ord(":")
+    if colon[0] or not np.array_equal(colon[1:], sep_bytes[:-1] == ord(" ")):
+        return None  # a line that is not a label then " idx:val" pairs
+    at_colon = np.flatnonzero(colon)
+    colons = seps[at_colon]
+    lengths = colons - seps[at_colon - 1] - 1  # an index runs from the space before it to its colon
+    shortest, longest = int(lengths.min(initial=1)), int(lengths.max(initial=0))
+    if shortest < 1 or longest > _INDEX_DIGITS:
+        return None
+    indices = np.zeros(colons.size, np.int32)
+    text = np.frombuffer(bytearray(chunk), np.uint8)  # the chunk with every "idx:" blanked out
+    text[colons] = ord(" ")
+    for k in range(1, longest + 1):  # the k-th digit from the right of every index that has one
+        has = slice(None) if k <= shortest else lengths >= k
+        at = colons[has] - k
+        digits = raw[at] - np.uint8(ord("0"))  # any other byte wraps above 9
+        if digits.max(initial=0) > 9:
+            return None  # a sign, point or exponent in an index (int() takes "+1" but not "1.0")
+        indices[has] += digits * np.int32(10 ** (k - 1))
+        text[at] = ord(" ")
     try:
-        numbers = np.fromstring(chunk.replace(b":", b" "), sep=" ")
+        numbers = np.fromstring(text.tobytes(), sep=" ")
     except ValueError:  # a token that is no number
         return None
-    seps = np.flatnonzero(kinds >= _SPACE)  # token j ends at separator j
-    if numbers.size != seps.size:
-        return None  # an empty token: a blank line, an empty value, or a leading, trailing or doubled space
-    sep_kinds = kinds[seps]
-    colon = sep_kinds == _COLON
-    if colon[0] or not np.array_equal(colon[1:], sep_kinds[:-1] == _SPACE):
-        return None  # a line that is not a label then " idx:val" pairs
-    if colon[np.searchsorted(seps, np.flatnonzero(kinds == _NUMERIC))].any():
-        return None  # a sign, point or exponent in an index (int() takes "+1" but not "1.0")
-    newlines = np.flatnonzero(sep_kinds == _NEWLINE)
-    labels = numbers[np.r_[0, newlines[:-1] + 1]]
-    counts = np.diff(np.cumsum(colon)[newlines], prepend=0)
-    indices = numbers[colon]
-    values = numbers[1:][colon[:-1]]
+    if numbers.size != seps.size - colons.size:
+        return None  # an empty label or value: a blank line, or a leading, trailing or doubled space
+    ends = np.cumsum(colon)[sep_bytes == ord("\n")]  # entries up to each line end
+    counts = np.diff(ends, prepend=0)
+    is_label = np.zeros(numbers.size, bool)
+    is_label[np.arange(counts.size) + ends - counts] = True
+    labels, values = numbers[is_label], numbers[~is_label]
     row_start = np.zeros(indices.size, bool)
-    row_start[(np.cumsum(counts) - counts)[counts > 0]] = True
-    # An index above the entry limit fails the dense check anyway; the bound keeps the int32 cast exact.
-    top = DENSE_ENTRY_LIMIT if d is None else min(d, DENSE_ENTRY_LIMIT)
-    if (indices.min(initial=1) < 1 or indices.max(initial=0) > top
+    row_start[(ends - counts)[counts > 0]] = True
+    if (indices.min(initial=1) < 1 or (d is not None and indices.max(initial=0) > d)
             or not (row_start[1:] | (np.diff(indices) > 0)).all() or not np.isfinite(values).all()):
         return None
-    return labels, counts, indices.astype(np.int32), values
+    return labels, counts, indices, values
 
 
 def _parse_lines(path, d: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -117,11 +117,16 @@ def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.nd
 
 
 def gram(shard) -> np.ndarray:
-    """Sample second-moment matrix ``shard.T @ shard / rows``."""
+    """Sample second-moment matrix ``shard.T @ shard / rows``.
+
+    Squares that overflow give infinite entries without a numpy warning; the
+    caller that needs a finite Gram checks for them.
+    """
     shard = as_matrix(shard)
     if shard.shape[0] < 1:
         raise DimensionMismatch("shard must contain at least one row")
-    return (shard.T @ shard) / shard.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (shard.T @ shard) / shard.shape[0]
 
 
 def svd(a) -> SvdResult:

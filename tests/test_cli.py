@@ -145,6 +145,9 @@ def _without(path):
     # SyntheticSpec's bare ValueError named no key.
     ("run", _with_synthetic(singular_values=[3.0, -1.0]), "'dataset.synthetic.singular_values'"),
     ("run", _with_synthetic(singular_values=[1.0, 3.0]), "'dataset.synthetic.singular_values'"),
+    # An OverflowError traceback from the schedule, and numpy's "Maximum allowed dimension exceeded".
+    ("run", config_doc(T=1e20), f"'T' must be at most {np.iinfo(np.intp).max}, got 1e+20"),
+    ("run", _with_synthetic(d=1e300), f"'dataset.synthetic.d' must be at most {np.iinfo(np.intp).max}, got 1e+300"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
@@ -701,8 +704,7 @@ def test_overflowing_second_moments_are_non_finite_in_every_command(command, tmp
                      m=3, k=2, r=2, T=8, repeats=1)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    with np.errstate(invalid="ignore", over="ignore"):
-        code = cli.main([command, "--config", str(cfg_path)])
+    code = cli.main([command, "--config", str(cfg_path)])
     payload = json.loads(capsys.readouterr().err.strip())
     assert (code, payload["error"]) == (1, "NonFinite")
     assert "second-moment" in payload["message"]

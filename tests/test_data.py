@@ -1,4 +1,5 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,65 @@ def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tm
         assert len(chunks) > 50 and max(chunks) > chunk_bytes
 
 
+def test_chunk_decodes_indices_of_one_to_nine_digits():
+    # The bit-for-bit file above has indices of one or two digits only.
+    tokens = [b"7", b"99", b"12345678", b"99999999", b"123456789"]
+    chunk = b"1 " + b" ".join(t + b":%d" % v for v, t in enumerate(tokens)) + b"\n-1 007:5\n2\n"
+    labels, counts, indices, values = data._parse_chunk(chunk, None)
+    assert indices.tolist() == [int(t) for t in tokens] + [int(b"007")]
+    assert counts.tolist() == [5, 1, 0]
+    assert labels.tolist() == [1, -1, 2] and values.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+UNDECODED = {
+    "10 digits": b"1 0000000002:2\n",
+    "10 digits above the entry limit": b"1 1234567890:2\n",
+    "empty index": b"1 :2\n",
+    "empty second index": b"1 2:3 :4\n",
+    "index +1": b"1 +1:2\n",
+    "index 1.0": b"1 1.0:2\n",
+    "index 1e2": b"1 1e2:2\n",
+}
+
+
+@pytest.mark.parametrize("tail", UNDECODED.values(), ids=list(UNDECODED))
+def test_chunk_leaves_an_index_it_does_not_decode_to_the_line_parser(tail, tmp_path):
+    assert data._parse_chunk(GOOD_LINE + tail, None) is None
+    path = tmp_path / "index.libsvm"
+    path.write_bytes(GOOD_LINE + tail)
+    try:
+        want_matrix, want_labels = data._parse_lines(path, None)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            data.parse_libsvm(path)
+        assert str(err.value) == str(exc)
+    else:
+        matrix, labels = data.parse_libsvm(path)
+        np.testing.assert_array_equal(matrix, want_matrix)
+        np.testing.assert_array_equal(labels, want_labels)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_holds_no_more_than_the_sparse_entries_and_the_matrix(tmp_path, monkeypatch):
+    # Small chunks keep the chunk buffers minor. A dense file's entries (8-byte values, 4-byte
+    # indices) are 1.5x the matrix; concatenating them and a file-wide row index peaked at 5.6x.
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 1 << 14)
+    matrix = np.random.default_rng(37).standard_normal((2000, 40))
+    path = tmp_path / "dense.libsvm"
+    data.write_libsvm(path, matrix)
+    (got, _), peak = _traced_peak(data.parse_libsvm, path)
+    np.testing.assert_array_equal(got, matrix)
+    assert peak <= 3 * matrix.nbytes
+
+
 # ---------------------------------------------------------------- scaling
 
 
@@ -246,6 +306,14 @@ def test_scale_features_examples():
     np.testing.assert_array_equal(scaled[:, 1], [0.0, 1.0])
     np.testing.assert_array_equal(scaled[:, 2], [0.0, 0.0])
     assert np.abs(scaled).max() <= 1.0
+
+
+def test_scale_features_allocates_one_matrix():
+    # A copy plus a full-size np.abs temporary allocated twice the matrix.
+    a = np.random.default_rng(38).standard_normal((2000, 40))
+    scaled, peak = _traced_peak(data.scale_features, a)
+    assert peak < 1.2 * a.nbytes
+    np.testing.assert_array_equal(scaled, a / np.abs(a).max(axis=0))
 
 
 def test_scale_features_idempotent():
@@ -366,7 +434,7 @@ def test_dataset_needs_a_column():
 
 def test_overflowing_second_moments_raise_non_finite():
     ds = ShardedDataset((np.full((3, 2), 1e160), np.ones((2, 2))))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="second-moment"):
+    with pytest.raises(NonFinite, match="second-moment"):
         ds.global_gram()
 
 
@@ -494,3 +562,6 @@ def test_sharded_dataset_validation():
         ShardedDataset((np.ones((2, 3)), np.ones((2, 4))))
     with pytest.raises(Exception):
         ShardedDataset(())
+    # The first shard's width was read before its shape was checked: a bare IndexError.
+    with pytest.raises(DimensionMismatch, match=r"shard 0 has shape \(3,\)"):
+        ShardedDataset((np.zeros(3),))
