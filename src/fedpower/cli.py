@@ -152,6 +152,7 @@ _TYPES = {path: f.metadata["type"] for path, f in _FIELDS.items()}
 _TYPES.update(*[t for t in _TYPES.values() if isinstance(t, dict)])  # the synthetic recipe's keys
 _SECTIONS = {path.rsplit(".", 1)[0] for path in _TYPES if "." in path}
 _MAX_INT = int(np.iinfo(np.intp).max)
+_SEEDS = ("seed", "dataset.synthetic.seed")  # numpy's generators take any non-negative integer
 _WHAT = {int: "a non-negative integer", COUNT: "a positive integer", float: "a number", BUDGET: 'a number or "inf"',
          bool: "true or false", str: "a string", list: "a list", dict: "a JSON object"}
 
@@ -198,7 +199,7 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
     if not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
         where = f"config key {path!r}" if path else "a config document"
         raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")
-    if json_type in (int, COUNT) and value > _MAX_INT:  # numpy sizes and counts overflow above it
+    if json_type in (int, COUNT) and value > _MAX_INT and path not in _SEEDS:  # numpy sizes and counts overflow
         raise ConfigError(f"config key {path!r} must be at most {_MAX_INT}, got {value!r}")
     return int(value) if json_type in (int, COUNT) else float(value) if json_type in (float, BUDGET) else value
 

@@ -308,7 +308,8 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk-parsed chunk, before it is extended to the next newline
 _STRICT_BYTES = b"0123456789.+-eE :\n"
-_INDEX_DIGITS = 9  # a longer index is above DENSE_ENTRY_LIMIT (or zero-padded), so the line parser takes it
+# A longer index is above DENSE_ENTRY_LIMIT (or zero-padded), so the line parser takes it.
+_INDEX_DIGITS = len(str(DENSE_ENTRY_LIMIT))
 
 
 def _parse_chunk(chunk: bytes, d: int | None):
@@ -343,7 +344,7 @@ def _parse_chunk(chunk: bytes, d: int | None):
         digits = raw[at] - np.uint8(ord("0"))  # any other byte wraps above 9
         if digits.max(initial=0) > 9:
             return None  # a sign, point or exponent in an index (int() takes "+1" but not "1.0")
-        indices[has] += digits * np.int32(10 ** (k - 1))
+        indices[has] += digits.astype(np.int32) * 10 ** (k - 1)  # widened first: numpy 1.x keeps uint8 * 100 in uint8
         text[at] = ord(" ")
     try:
         numbers = np.fromstring(text.tobytes(), sep=" ")

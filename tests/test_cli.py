@@ -161,6 +161,17 @@ def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys)
     assert path in payload["message"]
 
 
+@pytest.mark.parametrize("doc", [config_doc(seed=2**64), _with_synthetic(seed=2**70)], ids=["seed", "synthetic seed"])
+def test_a_seed_above_the_index_bound_still_runs(doc, tmp_path):
+    # The bound on integers is for counts and sizes; numpy's generators take any non-negative seed.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    trace = parse_trace(out.read_text())
+    synthetic_seed = trace["config"]["dataset"]["synthetic"]["seed"]
+    assert (trace["seed"], synthetic_seed) == (doc["seed"], doc["dataset"]["synthetic"]["seed"])
+
+
 def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, capsys, monkeypatch):
     libsvm = tmp_path / "tiny.libsvm"
     write_libsvm(libsvm, np.random.default_rng(72).standard_normal((40, 12)))

@@ -247,6 +247,13 @@ def test_chunk_decodes_indices_of_one_to_nine_digits():
     assert labels.tolist() == [1, -1, 2] and values.tolist() == [0, 1, 2, 3, 4, 5]
 
 
+def test_chunk_decodes_every_digit_in_every_place():
+    # 300 or 70000 overflow a narrow product, and 999999999 needs int32.
+    want = sorted({digit * 10**place for digit in range(1, 10) for place in range(9)} | {999999999})
+    chunk = b"1 " + b" ".join(b"%d:1" % i for i in want) + b"\n"
+    assert data._parse_chunk(chunk, None)[2].tolist() == want
+
+
 UNDECODED = {
     "10 digits": b"1 0000000002:2\n",
     "10 digits above the entry limit": b"1 1234567890:2\n",
