@@ -107,11 +107,8 @@ def dr_svd(dataset: ShardedDataset, k: int, seed: int) -> SvdResult:
     y = a @ (a.T @ (a @ omega))
     q = linalg.orth(y, require_full_rank=False)
     b = np.zeros((r, d))
-    offset = 0
-    for shard in dataset.shards:
-        rows = shard.shape[0]
-        b += q[offset:offset + rows].T @ shard
-        offset += rows
+    for q_i, shard in zip(np.split(q, np.cumsum(dataset.sizes[:-1])), dataset.shards):
+        b += q_i.T @ shard
     res = linalg.svd(b)
     u_hat = q @ res.u
     return SvdResult(

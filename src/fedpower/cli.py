@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines, engine, linalg, privacy
 from .data import ShardedDataset, SyntheticSpec, parse_libsvm, partition, scale_features, synth
-from .errors import ConfigError, FedPowerError, InvalidBudget
+from .errors import ConfigError, DimensionMismatch, FedPowerError, InvalidBudget
 
 __all__ = [
     "CsvTrace",
@@ -186,6 +186,8 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
             return SyntheticSpec(**recipe)
         except ValueError as exc:  # a negative or increasing spectrum
             raise ConfigError(f"config key '{path}.singular_values': {exc}") from None
+        except DimensionMismatch as exc:  # a matrix above the dense limit, or more singular values than min(n, d)
+            raise ConfigError(f"config key {path!r}: {exc}") from None
     if isinstance(json_type, list):
         return tuple(_read({path: v}, path, json_type[0]) for v in _read(flat, path, list))
     if isinstance(json_type, tuple):
@@ -244,10 +246,10 @@ class CsvTrace:
         minima = [min(rec.sin_theta_k for rec in r.records) for r in self.repeats]
         return {
             "repeats": len(self.repeats),
-            "final_sin_theta_mean": _mean(finals),
-            "final_sin_theta_std": _std(finals),
-            "min_sin_theta_mean": _mean(minima),
-            "min_sin_theta_std": _std(minima),
+            "final_sin_theta_mean": statistics.fmean(finals),
+            "final_sin_theta_std": statistics.pstdev(finals),
+            "min_sin_theta_mean": statistics.fmean(minima),
+            "min_sin_theta_std": statistics.pstdev(minima),
         }
 
     def render(self) -> str:
@@ -325,14 +327,6 @@ def parse_trace(text: str) -> dict:
             }
             repeats[-1]["records"].append(record)
     return {"config": config, "seed": seed, "columns": columns, "repeats": repeats, "summary": summary}
-
-
-def _mean(vals):
-    return statistics.fmean(vals) if vals else 0.0
-
-
-def _std(vals):
-    return statistics.pstdev(vals) if len(vals) > 1 else 0.0
 
 
 def load_matrix(cfg: ExperimentConfig) -> np.ndarray:
@@ -428,8 +422,8 @@ def compare_baselines(cfg: ExperimentConfig, threads: int | None = None) -> CsvT
         errors = [rep[name] for rep in per_repeat]
         rows.append({
             "algorithm": name,
-            "final_error_mean": _mean(errors),
-            "final_error_std": _std(errors),
+            "final_error_mean": statistics.fmean(errors),
+            "final_error_std": statistics.pstdev(errors),
             "repeats": cfg.repeats,
         })
     return _written(CsvTrace("compare", cfg, rows=rows))
@@ -440,9 +434,16 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
     first :data:`SWEEP_WINDOW` iterations plus the total leakage.
 
     A budget that cannot be calibrated is reported in its status column
-    instead of aborting the sweep.
+    instead of aborting the sweep; an entry that is no number, or no entry,
+    is a :class:`ConfigError` raised before the dataset is loaded.
     """
-    budgets = [replace(cfg, epsilon=float(eps), eps_split=None) for eps in eps_list]
+    try:
+        epsilons = [float(eps) for eps in eps_list]
+    except ValueError as exc:
+        raise ConfigError(f"--eps-list must be comma-separated numbers or 'inf': {exc}") from None
+    if not epsilons:
+        raise ConfigError("--eps-list must name at least one budget")
+    budgets = [replace(cfg, epsilon=eps, eps_split=None) for eps in epsilons]
 
     def one(rep_seed: int, dataset: ShardedDataset) -> list:
         # Every budget runs on the repeat's one partition, so its Grams are built once.
@@ -476,8 +477,8 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
             minima.append(min(window) if window else rep.records[-1].sin_theta_k)
         last = repeats[0].records[-1]
         row.update(
-            min_sin_theta_mean=_mean(minima),
-            min_sin_theta_std=_std(minima),
+            min_sin_theta_mean=statistics.fmean(minima),
+            min_sin_theta_std=statistics.pstdev(minima),
             eps_spent_total=last.eps_spent,
             delta_spent_total=last.delta_spent,
         )

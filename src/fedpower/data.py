@@ -185,6 +185,8 @@ class SyntheticSpec:
     def __post_init__(self):
         object.__setattr__(self, "singular_values", tuple(float(s) for s in self.singular_values))
         sv = self.singular_values
+        if self.n * self.d > DENSE_ENTRY_LIMIT:  # checked before synth allocates anything
+            raise DimensionMismatch(f"dense matrix of {self.n} x {self.d} exceeds the {DENSE_ENTRY_LIMIT:.0e}-entry limit")
         if not 1 <= len(sv) <= min(self.n, self.d):
             raise DimensionMismatch(
                 f"need between 1 and min(n, d)={min(self.n, self.d)} singular values, got {len(sv)}"
@@ -258,10 +260,7 @@ def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> S
         rows = a.copy()
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    big = n % m
-    base = n // m
-    sizes = [base + 1] * big + [base] * (m - big)
-    return ShardedDataset(tuple(np.split(_frozen(rows), np.cumsum(sizes[:-1]))))
+    return ShardedDataset(tuple(np.array_split(_frozen(rows), m)))
 
 
 def _open_maybe_gzip(path):
@@ -344,7 +343,7 @@ def _parse_chunk(chunk: bytes, d: int | None):
         digits = raw[at] - np.uint8(ord("0"))  # any other byte wraps above 9
         if digits.max(initial=0) > 9:
             return None  # a sign, point or exponent in an index (int() takes "+1" but not "1.0")
-        indices[has] += digits.astype(np.int32) * 10 ** (k - 1)  # widened first: numpy 1.x keeps uint8 * 100 in uint8
+        indices[has] += digits.astype(np.int32) * 10 ** (k - 1)  # widened first: uint8 * 100 stays uint8 and wraps
         text[at] = ord(" ")
     try:
         numbers = np.fromstring(text.tobytes(), sep=" ")

@@ -7,7 +7,10 @@ Procrustes or column sign-fixing), optionally perturbed with calibrated
 Gaussian noise on both the worker and the server side, aggregated, and
 broadcast back. Runs are bit-reproducible for a fixed seed: every random
 draw comes from a dedicated counter-based stream keyed by (site, round,
-worker), and aggregation always sums in worker-index order.
+worker), and uploads, noise and sampled Grams are summed in worker-index
+order. The one exception is the global Gram that a full-participation round
+from a shared basis multiplies by: it is one ``np.tensordot``, summed in
+BLAS's order, which is fixed for one numpy and BLAS build.
 
 Workers are conceptually concurrent. The implementation holds their bases
 in one (m, d, r) stack and advances them together (one batched product with

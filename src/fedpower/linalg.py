@@ -74,20 +74,20 @@ def _require_finite(a: np.ndarray, action: str) -> None:
         raise NonFinite(f"cannot {action} an array with NaN or infinite entries{where}")
 
 
-def is_orthonormal(q, tol: float = ORTHO_TOL) -> bool:
+def is_orthonormal(q) -> bool:
     q = as_matrix(q)
     gramian = q.T @ q
-    return bool(np.abs(gramian - np.eye(q.shape[1])).max() <= tol)
+    return bool(np.abs(gramian - np.eye(q.shape[1])).max() <= ORTHO_TOL)
 
 
-def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.ndarray:
+def orth(y, require_full_rank: bool = True) -> np.ndarray:
     """Orthonormalize the columns of ``y`` via QR factorization.
 
     ``y`` is one d x r matrix or a stack of shape (k, d, r); a stack is
     factorized slice by slice in one call, with the same result per slice.
     The factorization is deterministic: column signs of Q are flipped so the
     diagonal of R is nonnegative. With ``require_full_rank`` (the default) a
-    diagonal entry of R below ``rank_tol * ||y||_2`` raises
+    diagonal entry of R below ``RANK_TOL * ||y||_2`` raises
     :class:`RankDeficient`; ``||y||_2`` is taken as ``||R||_2``, equal in
     exact arithmetic, which is an r x r SVD in place of a d x r one. Passing
     ``require_full_rank=False`` returns the (still orthonormal) Q
@@ -104,12 +104,12 @@ def orth(y, rank_tol: float = RANK_TOL, require_full_rank: bool = True) -> np.nd
     if require_full_rank:
         scale = np.linalg.norm(r, 2, axis=(-2, -1))
         pivot = np.abs(diag).min(axis=-1)
-        bad = (scale == 0.0) | (pivot < rank_tol * scale)
+        bad = (scale == 0.0) | (pivot < RANK_TOL * scale)
         if bad.any():
             i = int(np.argmax(bad))
-            p, limit = float(pivot.flat[i]), rank_tol * float(scale.flat[i])
+            p, limit = float(pivot.flat[i]), RANK_TOL * float(scale.flat[i])
             raise RankDeficient(
-                f"pivot {p:.3e} under threshold {rank_tol:.1e} * ||y||_2 = {limit:.3e}"
+                f"pivot {p:.3e} under threshold {RANK_TOL:.1e} * ||y||_2 = {limit:.3e}"
                 + (f" in slice {i}" if y.ndim == 3 else "")
             )
     signs = np.where(diag < 0.0, -1.0, 1.0)
@@ -210,18 +210,14 @@ def procrustes(z_i, z_base) -> np.ndarray:
     Closed form: with ``z_i.T @ z_base = W1 diag(s) W2.T``, the minimizer is
     ``D = W1 @ W2.T``. A rank-deficient cross-Gram is fine: the SVD supplies
     an orthogonal completion of the zero directions (any completion is
-    optimal); the result is then re-orthonormalized to clear rounding drift.
+    optimal); LAPACK's W1 and W2 are orthogonal to rounding either way, and
+    so is D.
     A stack ``z_i`` of shape (k, d, r) is aligned to the one ``z_base`` with
     one stacked SVD and gives a (k, r, r) stack.
     """
     z_i, z_base = _alignment_operands(z_i, z_base)
     res = svd(np.swapaxes(z_i, -1, -2) @ z_base)
-    d = res.u @ np.swapaxes(res.v, -1, -2)
-    s = res.singular_values
-    deficient = s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1.0)
-    if deficient.any():
-        d[deficient] = orth(d[deficient], require_full_rank=False)
-    return d
+    return res.u @ np.swapaxes(res.v, -1, -2)
 
 
 def sign_fix(z_i, z_base) -> np.ndarray:

@@ -49,6 +49,14 @@ def test_config_round_trip():
     assert again.synthetic == cfg.synthetic
 
 
+def test_r_defaults_to_k():
+    # No other config here leaves r out; the header then records r = k, so the bytes are the same.
+    doc = config_doc()
+    del doc["r"]
+    assert cli.run_experiment(ExperimentConfig.from_dict(doc)).render() == cli.run_experiment(
+        ExperimentConfig.from_dict(config_doc(r=doc["k"]))).render()
+
+
 def test_config_requires_one_dataset():
     with pytest.raises(ValueError):
         ExperimentConfig(k=1, r=1, horizon=1)
@@ -148,6 +156,10 @@ def _without(path):
     # An OverflowError traceback from the schedule, and numpy's "Maximum allowed dimension exceeded".
     ("run", config_doc(T=1e20), f"'T' must be at most {np.iinfo(np.intp).max}, got 1e+20"),
     ("run", _with_synthetic(d=1e300), f"'dataset.synthetic.d' must be at most {np.iinfo(np.intp).max}, got 1e+300"),
+    # numpy's bare "array is too big", and a DimensionMismatch that named no key.
+    ("run", _with_synthetic(n=1e18), f"'dataset.synthetic': dense matrix of {10**18} x 12 exceeds the 1e+08-entry limit"),
+    ("run", _with_synthetic(d=1e18), f"'dataset.synthetic': dense matrix of 200 x {10**18} exceeds the 1e+08-entry limit"),
+    ("run", _with_synthetic(singular_values=[1.0] * 13), "'dataset.synthetic': need between 1 and min(n, d)=12"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
@@ -636,6 +648,21 @@ def test_privacy_sweep_numbers_sub_traces_by_row(tmp_path):
     sweep = cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["1", "inf"])
     assert sweep.rows[0]["status"].startswith("invalid-budget")
     assert _sweep_epsilons(tmp_path, "bad", 2) == {1: "inf"}
+
+
+@pytest.mark.parametrize("eps_list", ["1,x", ","])
+def test_bad_eps_list_is_a_config_error_before_the_dataset_is_loaded(eps_list, tmp_path, capsys, monkeypatch):
+    # "1,x" gave a bare ValueError; "," loaded the dataset and wrote a sweep without rows.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before --eps-list was checked")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()))
+    code = cli.main(["privacy-sweep", "--config", str(cfg_path), "--eps-list", eps_list])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "ConfigError")
+    assert "--eps-list" in payload["message"]
 
 
 def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):

@@ -171,6 +171,7 @@ def test_gzip_error_offset_counts_decompressed_bytes(tmp_path):
 @pytest.mark.parametrize("bad, message", [
     (b"1 2:1 2:1\n", "indices must be 1-based and strictly increasing, got 2 after 2"),
     (b"1:2 3:4\n", "bad label '1:2'"),
+    (b"1 1:1.2.3\n", "bad feature token '1:1.2.3'"),  # passes the byte and structure checks; np.fromstring rejects it
 ])
 def test_bad_line_after_many_chunks_reports_its_offset_in_the_file(bad, message, tmp_path, monkeypatch):
     # 32-byte reads end mid-line and are extended over three lines, so line 40 starts chunk 14.
@@ -553,6 +554,13 @@ def test_synth_falls_back_to_householder_when_cholesky_fails(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     np.testing.assert_array_equal(data.synth(spec), _householder_synth(spec))
+
+
+def test_synth_spec_refuses_a_matrix_above_the_dense_entry_limit():
+    # Checked when the spec is built, so synth never allocates such a matrix; parse_libsvm has the same limit.
+    SyntheticSpec(n=data.DENSE_ENTRY_LIMIT // 4, d=4, singular_values=(1.0,))
+    with pytest.raises(DimensionMismatch, match=r"^dense matrix of 25000001 x 4 exceeds the 1e\+08-entry limit$"):
+        SyntheticSpec(n=data.DENSE_ENTRY_LIMIT // 4 + 1, d=4, singular_values=(1.0,))
 
 
 def test_synth_spec_validation():

@@ -369,7 +369,7 @@ def test_output_basis_orthonormal_and_counters():
     priv = privacy.PrivacyConfig.for_schedule(1.5, 1e-3, schedule)
     cfg = RunConfig(k=2, r=3, schedule=schedule, privacy=priv, alignment=ALIGN_SIGN, seed=8)
     trace = engine.run_full(ds, cfg)
-    assert linalg.is_orthonormal(trace.final_basis, tol=1e-10)
+    assert linalg.is_orthonormal(trace.final_basis)
     last = trace.records[-1]
     assert last.t == 17
     assert last.comm_count == len(schedule.steps)
@@ -407,7 +407,7 @@ def test_partial_runs_with_noise_both_schemes():
             alignment=ALIGN_OPT,
         )
         trace = engine.run_partial(ds, cfg)
-        assert linalg.is_orthonormal(trace.final_basis, tol=1e-10)
+        assert linalg.is_orthonormal(trace.final_basis)
         assert trace.records[-1].eps_spent == 10.0
 
 
@@ -440,7 +440,7 @@ def test_empty_schedule_runs_pure_local():
     trace = engine.run_full(ds, cfg)
     assert len(trace.records) == 1
     assert trace.records[0].comm_count == 0
-    assert linalg.is_orthonormal(trace.final_basis, tol=1e-10)
+    assert linalg.is_orthonormal(trace.final_basis)
 
 
 def test_partial_with_sync_notes_no_fallback():

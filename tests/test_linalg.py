@@ -71,7 +71,7 @@ def test_orth_rank_deficient_raises():
 
 
 def test_orth_rank_check_scales_with_the_norm_of_y():
-    # The threshold is rank_tol * ||R||_2, equal to rank_tol * ||y||_2 in exact arithmetic; the small
+    # The threshold is RANK_TOL * ||R||_2, equal to RANK_TOL * ||y||_2 in exact arithmetic; the small
     # cases are in test_orth_rank_deficient_raises and test_orth_stack_rank_check_names_the_slice.
     rng = np.random.default_rng(82)
     tall = rng.standard_normal((2000, 3))
@@ -281,6 +281,30 @@ def test_procrustes_rank_deficient_cross_gram():
     z_b = np.eye(6)[:, 2:4]
     d = linalg.procrustes(z_i, z_b)
     assert linalg.is_orthonormal(d)
+
+
+def _deficient_cross_grams(rng, d, r, ranks):
+    """A (len(ranks), d, r) stack of orthonormal bases and one base z_b, the cross-Gram
+    ``z_i.T @ z_b`` of slice i having rank ``ranks[i]`` < r."""
+    q = random_basis(rng, d, 2 * r)
+    z_b = q[:, :r] @ random_basis(rng, r, r)
+    zs = np.stack([np.hstack([q[:, :k], q[:, r:2 * r - k]]) @ random_basis(rng, r, r) for k in ranks])
+    return zs, z_b
+
+
+def test_procrustes_is_orthogonal_to_rounding_on_deficient_cross_grams():
+    # LAPACK's singular vectors are orthogonal to rounding whatever the rank, so D = W1 @ W2.T needs no
+    # second orthonormalization; the bound is far tighter than ORTHO_TOL.
+    rng = np.random.default_rng(84)
+    for _ in range(300):
+        r = int(rng.integers(1, 9))
+        zs, z_b = _deficient_cross_grams(rng, 2 * r + int(rng.integers(0, 6)), r, [int(rng.integers(0, r))])
+        d = linalg.procrustes(zs[0], z_b)
+        assert np.abs(d.T @ d - np.eye(r)).max() <= 1e-14
+    for r in range(1, 9):
+        zs, z_b = _deficient_cross_grams(rng, 2 * r + 3, r, range(r))
+        ds = linalg.procrustes(zs, z_b)
+        assert np.abs(np.swapaxes(ds, 1, 2) @ ds - np.eye(r)).max() <= 1e-14
 
 
 def test_sign_fix_examples():
