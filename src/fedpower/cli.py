@@ -565,8 +565,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             trace = compare_baselines(cfg, threads=args.threads)
         else:
-            eps_list = [e.strip() for e in args.eps_list.split(",") if e.strip()]
-            trace = privacy_sweep(cfg, eps_list, threads=args.threads)
+            trace = privacy_sweep(cfg, args.eps_list.split(","), threads=args.threads)
         if not cfg.out:
             sys.stdout.write(trace.render())
     except (FedPowerError, ValueError, OSError, KeyError) as exc:

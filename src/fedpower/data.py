@@ -8,6 +8,7 @@ Matrices are stored dense; the intended scale is desk-size experiments
 from __future__ import annotations
 
 import gzip
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -263,12 +264,6 @@ def partition(a, m: int, mode: str = "contiguous", seed: int | None = None) -> S
     return ShardedDataset(tuple(np.array_split(_frozen(rows), m)))
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse a LIBSVM text file into a dense matrix plus label vector.
 
@@ -278,31 +273,38 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     decompressed transparently. Labels are returned but nothing downstream
     uses them.
 
-    The file is read in chunks of whole lines, each parsed with a few array
-    operations into its sparse entries; the dense matrix is allocated after
-    the last chunk and filled one chunk's entries at a time. A chunk that is
-    not in the strict form ``write_libsvm`` writes (single spaces, ``\\n``
-    line ends, all-digit indices of at most 9 digits) sends the whole file to
-    the line-by-line parser, which accepts the same syntax and raises the
-    error, with its line number and byte offset.
+    The file is read once, in chunks of whole lines, each parsed with a few
+    array operations into its sparse entries; the dense matrix is allocated
+    after the last chunk and filled one chunk's entries at a time. A chunk
+    that is not in the strict form ``write_libsvm`` writes (single spaces,
+    ``\\n`` line ends, which one space may precede, all-digit indices of at
+    most 9 digits) is parsed line by line instead; that parser accepts the
+    same syntax and raises the error, with its line number and byte offset.
     """
     labels, parts = [np.empty(0)], []  # a file may hold no line
-    with _open_maybe_gzip(path) as fh:
+    line, offset = 1, 0
+    with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
         while chunk := fh.read(_CHUNK_BYTES):
-            part = _parse_chunk(chunk + fh.readline(), d)
+            chunk += fh.readline()
+            part = _parse_chunk(chunk, d)
             if part is None:
-                return _parse_lines(path, d)
+                part = _parse_lines(chunk, d, line, offset)
             labels.append(part[0])
             parts.append(part[1:])
+            line += chunk.count(b"\n")
+            offset += len(chunk)
     labels = np.concatenate(labels)
+    n = labels.size
     width = d if d is not None else max((int(indices.max(initial=0)) for _, indices, _ in parts), default=0)
-    flat = _dense_matrix(len(labels), width).reshape(-1)
+    if n * width > DENSE_ENTRY_LIMIT:
+        raise ParseError(f"dense matrix of {n} x {width} exceeds the {DENSE_ENTRY_LIMIT:.0e}-entry limit")
+    flat = np.zeros(n * width)
     row = 0
     while parts:  # each part is released once it is in the matrix
         counts, indices, values = parts.pop(0)
         flat[np.repeat(np.arange(row, row + counts.size) * width - 1, counts) + indices] = values
         row += counts.size
-    return flat.reshape(len(labels), width), labels
+    return flat.reshape(n, width), labels
 
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk-parsed chunk, before it is extended to the next newline
@@ -313,18 +315,22 @@ _INDEX_DIGITS = len(str(DENSE_ENTRY_LIMIT))
 
 def _parse_chunk(chunk: bytes, d: int | None):
     """(labels, entries per line, indices, values) of ``chunk``, whole lines of
-    LIBSVM text, or None unless every line is ``label( idx:val)*\\n`` with
+    LIBSVM text, or None unless every line is ``label( idx:val)* ?\\n`` with
     indices of 1 to 9 digits in [1, d] that increase and finite values.
 
     Indices are decoded from their digit bytes here and blanked out of the
     text with their colons, so numpy's float parser reads only labels and
     values.
     """
-    if not chunk.endswith(b"\n") or chunk.translate(None, _STRICT_BYTES):
-        return None
+    if not chunk.endswith(b"\n") or chunk[0] in b" \n" or chunk.translate(None, _STRICT_BYTES):
+        return None  # a leading blank is not strict, and np.fromstring reads a text of blanks only as [-1.0]
     raw = np.frombuffer(chunk, np.uint8)
     seps = np.flatnonzero((raw == ord(":")) | (raw <= ord(" ")))  # token j ends at separator j
     sep_bytes = raw[seps]
+    line_ends = np.flatnonzero(sep_bytes == ord("\n"))
+    spaced = line_ends[raw[seps[line_ends] - 1] == ord(" ")] - 1  # a space right before "\n" ends no token
+    if spaced.size:
+        seps, sep_bytes = np.delete(seps, spaced), np.delete(sep_bytes, spaced)
     colon = sep_bytes == ord(":")
     if colon[0] or not np.array_equal(colon[1:], sep_bytes[:-1] == ord(" ")):
         return None  # a line that is not a label then " idx:val" pairs
@@ -364,66 +370,57 @@ def _parse_chunk(chunk: bytes, d: int | None):
     return labels, counts, indices, values
 
 
-def _parse_lines(path, d: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`parse_libsvm`, one line at a time: the reference parser, and
-    the one that reports a bad line."""
-    rows: list[list[tuple[int, float]]] = []
-    labels: list[float] = []
-    max_index = 0
-    offset = 0
-    with _open_maybe_gzip(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line_offset = offset
-            offset += len(raw)
+def _parse_lines(chunk: bytes, d: int | None, line: int, offset: int):
+    """:func:`_parse_chunk`'s arrays for ``chunk`` in any spelling LIBSVM
+    text allows, one line at a time: the reference parser, and the one that
+    reports a bad line. ``chunk`` starts at ``line`` and byte ``offset`` of
+    the file."""
+    labels, counts, indices, values = [], [], [], []
+    for line_no, raw in enumerate(io.BytesIO(chunk), line):  # split on "\n" only, as the file is
+        line_offset = offset
+        offset += len(raw)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"undecodable bytes: {exc}", line_no, line_offset) from None
+        text = text.strip()
+        if not text:
+            continue
+        parts = text.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ParseError(f"bad label {parts[0]!r}", line_no, line_offset) from None
+        prev = 0
+        for token in parts[1:]:
+            idx_text, sep, val_text = token.partition(":")
+            if not sep:
+                raise ParseError(f"expected idx:val, got {token!r}", line_no, line_offset)
             try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"undecodable bytes: {exc}", line_no, line_offset) from None
-            text = text.strip()
-            if not text:
-                continue
-            parts = text.split()
-            try:
-                label = float(parts[0])
+                idx = int(idx_text)
+                val = float(val_text)
             except ValueError:
-                raise ParseError(f"bad label {parts[0]!r}", line_no, line_offset) from None
-            entries: list[tuple[int, float]] = []
-            prev = 0
-            for token in parts[1:]:
-                idx_text, sep, val_text = token.partition(":")
-                if not sep:
-                    raise ParseError(f"expected idx:val, got {token!r}", line_no, line_offset)
-                try:
-                    idx = int(idx_text)
-                    val = float(val_text)
-                except ValueError:
-                    raise ParseError(f"bad feature token {token!r}", line_no, line_offset) from None
-                if idx < 1 or idx <= prev:
-                    raise ParseError(
-                        f"indices must be 1-based and strictly increasing, got {idx} after {prev}",
-                        line_no,
-                        line_offset,
-                    )
-                if not np.isfinite(val):
-                    raise ParseError(f"non-finite value in token {token!r}", line_no, line_offset)
-                if d is not None and idx > d:
-                    raise IndexOutOfRange(f"feature index {idx} exceeds declared d={d}", line_no, line_offset)
-                entries.append((idx, val))
-                prev = idx
-            max_index = max(max_index, prev)
-            labels.append(label)
-            rows.append(entries)
-    matrix = _dense_matrix(len(rows), d if d is not None else max_index)
-    for r, entries in enumerate(rows):
-        for idx, val in entries:
-            matrix[r, idx - 1] = val
-    return matrix, np.asarray(labels)
-
-
-def _dense_matrix(n: int, width: int) -> np.ndarray:
-    if n * width > DENSE_ENTRY_LIMIT:
-        raise ParseError(f"dense matrix of {n} x {width} exceeds the {DENSE_ENTRY_LIMIT:.0e}-entry limit")
-    return np.zeros((n, width))
+                raise ParseError(f"bad feature token {token!r}", line_no, line_offset) from None
+            if idx < 1 or idx <= prev:
+                raise ParseError(
+                    f"indices must be 1-based and strictly increasing, got {idx} after {prev}",
+                    line_no,
+                    line_offset,
+                )
+            if not np.isfinite(val):
+                raise ParseError(f"non-finite value in token {token!r}", line_no, line_offset)
+            if d is not None and idx > d:
+                raise IndexOutOfRange(f"feature index {idx} exceeds declared d={d}", line_no, line_offset)
+            indices.append(idx)
+            values.append(val)
+            prev = idx
+        labels.append(label)
+        counts.append(len(parts) - 1)
+    try:
+        index_array = np.array(indices, np.int64)
+    except OverflowError:  # an index above 2**63 - 1, which makes parse_libsvm's matrix too large
+        index_array = np.array(indices, object)
+    return np.array(labels), np.array(counts, np.int64), index_array, np.array(values)
 
 
 def write_libsvm(path, matrix, labels=None) -> None:

@@ -650,9 +650,10 @@ def test_privacy_sweep_numbers_sub_traces_by_row(tmp_path):
     assert _sweep_epsilons(tmp_path, "bad", 2) == {1: "inf"}
 
 
-@pytest.mark.parametrize("eps_list", ["1,x", ","])
+@pytest.mark.parametrize("eps_list", ["1,x", ",", "inf,,1", "1,"])
 def test_bad_eps_list_is_a_config_error_before_the_dataset_is_loaded(eps_list, tmp_path, capsys, monkeypatch):
-    # "1,x" gave a bare ValueError; "," loaded the dataset and wrote a sweep without rows.
+    # "1,x" gave a bare ValueError; "," loaded the dataset and wrote a sweep without rows;
+    # "inf,,1" and "1," ran as if their empty entries were not there.
     def never(*args, **kwargs):
         raise AssertionError("the dataset was loaded before --eps-list was checked")
 

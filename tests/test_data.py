@@ -195,6 +195,13 @@ def test_dense_entry_limit_is_checked_before_the_matrix_is_allocated(tail, tmp_p
     assert err.value.line is None
 
 
+def _line_by_line(path, d=None):
+    """``parse_libsvm`` with every chunk sent to the line parser: the reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_parse_chunk", lambda chunk, d: None)
+        return data.parse_libsvm(path, d)
+
+
 def _random_libsvm(rng, n: int, d: int) -> bytes:
     """LIBSVM text in many spellings of the strict form: 17-digit and
     exponent reprs, -0.0, subnormals, ``1e5``/``.5``/``5.``/``+3`` and
@@ -224,7 +231,7 @@ def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tm
     path = tmp_path / "random.libsvm"
     path.write_bytes(_random_libsvm(rng, 300, 25))
     d = 30 if declared else None
-    want_matrix, want_labels = data._parse_lines(path, d)
+    want_matrix, want_labels = _line_by_line(path, d)
     monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
     chunks = []
     real_chunk = data._parse_chunk
@@ -236,6 +243,91 @@ def test_bulk_parse_equals_the_line_parser_bit_for_bit(chunk_bytes, declared, tm
     np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
     if chunk_bytes < 1 << 20:  # many chunks, some extended over a line that straddles their edge
         assert len(chunks) > 50 and max(chunks) > chunk_bytes
+
+
+def test_a_blank_last_line_sends_only_its_chunk_to_the_line_parser(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 64)
+    path = tmp_path / "blank.libsvm"
+    path.write_bytes(GOOD_LINE * 200 + b"\n")
+    sent = []
+    real_lines = data._parse_lines
+    monkeypatch.setattr(data, "_parse_lines", lambda chunk, *args: sent.append(len(chunk)) or real_lines(chunk, *args))
+    matrix, labels = data.parse_libsvm(path)
+    assert len(sent) == 1 and sent[0] <= 64 + len(GOOD_LINE)
+    np.testing.assert_array_equal(matrix, np.tile([0.5, 0, -2], (200, 1)))
+    np.testing.assert_array_equal(labels, np.ones(200))
+
+
+def test_a_gzip_file_with_a_loose_line_is_opened_once(tmp_path, monkeypatch):
+    path = tmp_path / "loose.libsvm.gz"
+    path.write_bytes(gzip.compress(GOOD_LINE + b"2\t2:1\n"))
+    opened = []
+    real_open = gzip.open
+    monkeypatch.setattr(gzip, "open", lambda *args: opened.append(args) or real_open(*args))
+    matrix, _ = data.parse_libsvm(path)
+    assert len(opened) == 1
+    np.testing.assert_array_equal(matrix, [[0.5, 0, -2], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 97])
+def test_svm_scale_output_stays_on_the_bulk_path(chunk_bytes, tmp_path, monkeypatch):
+    # LIBSVM's svm-scale prints each feature as "%d:%g " and then "\n", so every line
+    # ends in " \n", and a line of a label only in "1 \n".
+    plain, scaled = tmp_path / "plain.libsvm", tmp_path / "scaled.libsvm"
+    plain.write_bytes(_random_libsvm(np.random.default_rng(38), 200, 12) + b"1\n")
+    scaled.write_bytes(plain.read_bytes().replace(b"\n", b" \n"))
+    want_matrix, want_labels = data.parse_libsvm(plain)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(data, "_parse_lines", None)  # the bulk path must take every chunk
+    matrix, labels = data.parse_libsvm(scaled)
+    assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+
+
+def test_bulk_parse_equals_the_line_parser_on_random_mixed_files(tmp_path):
+    # Strict lines, loose spellings and at most one malformed line, in random order and
+    # chunk sizes: the result, or the first error with its line and offset, is the reference's.
+    rng = np.random.default_rng(39)
+    path = tmp_path / "mixed.libsvm"
+    loose = [tail for tail, _, _ in ACCEPTED.values()]
+    malformed = [tail for tail, *_ in MALFORMED.values()]
+    for _ in range(200):
+        pieces = [_random_libsvm(rng, int(rng.integers(0, 4)), 12) for _ in range(int(rng.integers(1, 7)))]
+        pieces += [loose[i] for i in rng.integers(len(loose), size=int(rng.integers(0, 3)))]
+        if rng.random() < 0.5:
+            pieces.append(malformed[rng.integers(len(malformed))])
+        path.write_bytes(b"".join(pieces[i] for i in rng.permutation(len(pieces))))
+        d = None if rng.random() < 0.5 else 12
+        results = []
+        for parse in (_line_by_line, data.parse_libsvm):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_CHUNK_BYTES", int(rng.integers(32, 4097)))
+                try:
+                    results.append(parse(path, d))
+                except ParseError as exc:
+                    results.append(exc)
+        want, got = results
+        if isinstance(want, ParseError):
+            assert type(got) is type(want)
+            assert (str(got), got.line, got.offset) == (str(want), want.line, want.offset)
+        else:
+            for got_array, want_array in zip(got, want):
+                assert got_array.shape == want_array.shape
+                np.testing.assert_array_equal(got_array.view(np.int64), want_array.view(np.int64))
+
+
+def test_an_index_beyond_int64_is_refused_by_the_dense_entry_limit(tmp_path):
+    path = tmp_path / "huge.libsvm"
+    path.write_bytes(GOOD_LINE + b"1 %d:2\n" % 10**30)
+    with pytest.raises(ParseError, match=rf"^dense matrix of 2 x {10**30} exceeds the 1e\+08-entry limit$"):
+        data.parse_libsvm(path)
+
+
+@pytest.mark.parametrize("chunk", [b"\n", b" \n"])
+def test_a_chunk_led_by_a_blank_is_left_to_the_line_parser(chunk):
+    # np.fromstring reads a text of blanks only as [-1.0]: "\n" alone came back as a row labelled -1.
+    assert data._parse_chunk(chunk, None) is None
 
 
 def test_chunk_decodes_indices_of_one_to_nine_digits():
@@ -272,7 +364,7 @@ def test_chunk_leaves_an_index_it_does_not_decode_to_the_line_parser(tail, tmp_p
     path = tmp_path / "index.libsvm"
     path.write_bytes(GOOD_LINE + tail)
     try:
-        want_matrix, want_labels = data._parse_lines(path, None)
+        want_matrix, want_labels = _line_by_line(path)
     except ParseError as exc:
         with pytest.raises(ParseError) as err:
             data.parse_libsvm(path)
