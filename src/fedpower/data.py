@@ -52,7 +52,10 @@ class ShardedDataset:
     reference bases are built on first use and cached, so every run and
     baseline on one dataset shares them. Every cached array is read-only: an
     in-place write raises ``ValueError`` instead of reaching later runs. The
-    Gram stack keeps m * d * d floats alive for the dataset's lifetime.
+    Gram stack keeps m * d * d floats alive for the dataset's lifetime. When
+    the tallest shard has h rows with ``2 * h < d``, :meth:`local_products`
+    also caches the shards zero-padded to height h, m * h * d floats, which
+    is less than half of the Gram stack.
     """
 
     shards: tuple[np.ndarray, ...]
@@ -125,6 +128,32 @@ class ShardedDataset:
         for i, shard in enumerate(self.shards):
             grams[i] = gram(shard)
         return _frozen(grams)
+
+    def local_products(self, zs: np.ndarray) -> np.ndarray:
+        """(m, d, r) stack of the local products ``M_i @ zs[i]``.
+
+        This is the one place that decides how the protocol applies a shard's
+        second-moment matrix to its worker's basis. A shard Gram costs
+        d * d * r flops per product, the shard's rows 2 * h * d * r, with h the
+        height of the tallest shard. So when ``2 * h < d`` the product is
+        ``A_i.T @ (A_i @ z_i) / n_i``, two batched products over the shards
+        zero-padded to height h (zero rows change neither product), and
+        otherwise ``shard_grams @ zs``. Both equal ``M_i @ z_i`` up to
+        rounding.
+        """
+        if 2 * max(self.sizes) >= self.d:
+            return self.shard_grams @ zs
+        rows = self._padded_shards
+        sizes = np.array(self.sizes, dtype=np.float64)[:, None, None]
+        return np.swapaxes(rows, 1, 2) @ ((rows @ zs) / sizes)
+
+    @cached_property
+    def _padded_shards(self) -> np.ndarray:
+        # (m, h, d) stack of the shards, each zero-padded to the tallest shard's height h.
+        padded = np.zeros((self.m, max(self.sizes), self.d))
+        for i, shard in enumerate(self.shards):
+            padded[i, : shard.shape[0]] = shard
+        return _frozen(padded)
 
     @cached_property
     def shard_eta(self) -> tuple[float, ...]:
@@ -277,9 +306,10 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     array operations into its sparse entries; the dense matrix is allocated
     after the last chunk and filled one chunk's entries at a time. A chunk
     that is not in the strict form ``write_libsvm`` writes (single spaces,
-    ``\\n`` line ends, which one space may precede, all-digit indices of at
-    most 9 digits) is parsed line by line instead; that parser accepts the
-    same syntax and raises the error, with its line number and byte offset.
+    ``\\n`` line ends, which one space or one ``\\r`` may precede, all-digit
+    indices of at most 9 digits) is parsed line by line instead; that parser
+    accepts the same syntax and raises the error, with its line number and
+    byte offset.
     """
     labels, parts = [np.empty(0)], []  # a file may hold no line
     line, offset = 1, 0
@@ -308,32 +338,33 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk-parsed chunk, before it is extended to the next newline
-_STRICT_BYTES = b"0123456789.+-eE :\n"
+_STRICT_BYTES = b"0123456789.+-eE :\r\n"
 # A longer index is above DENSE_ENTRY_LIMIT (or zero-padded), so the line parser takes it.
 _INDEX_DIGITS = len(str(DENSE_ENTRY_LIMIT))
 
 
 def _parse_chunk(chunk: bytes, d: int | None):
     """(labels, entries per line, indices, values) of ``chunk``, whole lines of
-    LIBSVM text, or None unless every line is ``label( idx:val)* ?\\n`` with
+    LIBSVM text, or None unless every line is ``label( idx:val)*[ \\r]?\\n`` with
     indices of 1 to 9 digits in [1, d] that increase and finite values.
 
     Indices are decoded from their digit bytes here and blanked out of the
     text with their colons, so numpy's float parser reads only labels and
     values.
     """
-    if not chunk.endswith(b"\n") or chunk[0] in b" \n" or chunk.translate(None, _STRICT_BYTES):
+    if not chunk.endswith(b"\n") or chunk[0] in b" \r\n" or chunk.translate(None, _STRICT_BYTES):
         return None  # a leading blank is not strict, and np.fromstring reads a text of blanks only as [-1.0]
     raw = np.frombuffer(chunk, np.uint8)
     seps = np.flatnonzero((raw == ord(":")) | (raw <= ord(" ")))  # token j ends at separator j
     sep_bytes = raw[seps]
     line_ends = np.flatnonzero(sep_bytes == ord("\n"))
-    spaced = line_ends[raw[seps[line_ends] - 1] == ord(" ")] - 1  # a space right before "\n" ends no token
-    if spaced.size:
-        seps, sep_bytes = np.delete(seps, spaced), np.delete(sep_bytes, spaced)
+    before = raw[seps[line_ends] - 1]  # a space or "\r" right before "\n" ends no token
+    loose = line_ends[(before == ord(" ")) | (before == ord("\r"))] - 1
+    if loose.size:
+        seps, sep_bytes = np.delete(seps, loose), np.delete(sep_bytes, loose)
     colon = sep_bytes == ord(":")
-    if colon[0] or not np.array_equal(colon[1:], sep_bytes[:-1] == ord(" ")):
-        return None  # a line that is not a label then " idx:val" pairs
+    if colon[0] or not np.array_equal(colon[1:], sep_bytes[:-1] == ord(" ")) or (sep_bytes == ord("\r")).any():
+        return None  # a line that is not a label then " idx:val" pairs, or a "\r" that ends no line
     at_colon = np.flatnonzero(colon)
     colons = seps[at_colon]
     lengths = colons - seps[at_colon - 1] - 1  # an index runs from the space before it to its colon

@@ -13,9 +13,13 @@ from a shared basis multiplies by: it is one ``np.tensordot``, summed in
 BLAS's order, which is fixed for one numpy and BLAS build.
 
 Workers are conceptually concurrent. The implementation holds their bases
-in one (m, d, r) stack and advances them together (one batched product with
-the dataset's cached Gram stack, one batched QR, one stacked alignment per
-round), giving each slice exactly the arithmetic of a lone worker.
+in one (m, d, r) stack and advances them together: one batched local
+product from ``ShardedDataset.local_products``, one batched QR and one
+stacked alignment per round. The QR and the alignment give each slice
+exactly the arithmetic of a lone worker. The local product gives each slice
+``M_i z_i`` up to rounding only: the dataset's tallest shard decides whether
+every M_i is applied through its shard's rows, zero-padded to that height,
+or through the cached Gram stack.
 
 A sync round at step 1 or right after another sync starts from one basis z
 that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``
@@ -338,7 +342,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
         reference = dataset.reference_basis(cfg.k)
     reference = linalg.as_matrix(reference)[:, : cfg.k]
 
-    grams = dataset.shard_grams
     # The output basis weights the last round's participants. Before any
     # round, both kinds take every worker by data weight, as full participation does.
     out_ids, out_coefs, out_base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
@@ -371,12 +374,12 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
                 ])
             if shared:
                 # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
-                g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, grams[ids])
+                g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, dataset.shard_grams[ids])
                 agg = g_s @ zs[0] @ d_ids[0]
                 if noise is not None:
                     agg += _aggregate(coefs, noise)
             else:
-                uploads = (grams @ zs)[ids] @ d_ids
+                uploads = dataset.local_products(zs)[ids] @ d_ids
                 if noise is not None:
                     uploads += noise
                 agg = _aggregate(coefs, uploads)
@@ -389,7 +392,7 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base
         else:
-            zs = linalg.orth(grams @ zs, require_full_rank=False)
+            zs = linalg.orth(dataset.local_products(zs), require_full_rank=False)
 
         if synced or t == cfg.horizon or cfg.record_every_step:
             z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)

@@ -106,6 +106,7 @@ MALFORMED = {
     "1e400 value": (b"1 2:1e400\n", None, *_bad("non-finite value in token '2:1e400'")),
     "index above d": (b"1 4:1\n", 3, IndexOutOfRange,
                       "feature index 4 exceeds declared d=3 (line 2, byte offset 13)", 2, 13),
+    "cr inside a line": (b"1\r2 1:3\n", None, *_bad("expected idx:val, got '2'")),
     "undecodable bytes": (b"1 1:\xff\n", None, *_bad(
         "undecodable bytes: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte")),
 }
@@ -131,6 +132,8 @@ ACCEPTED = {
     "crlf": (b"2 2:1\r\n-1 1:3\r\n", [[0.5, 0, -2], [0, 1, 0], [3, 0, 0]], [1, 2, -1]),
     "tabs": (b"2\t2:1 \t3:4\n", [[0.5, 0, -2], [0, 1, 4]], [1, 2]),
     "lone cr": (b"2 2:1\r3:4\n", [[0.5, 0, -2], [0, 1, 4]], [1, 2]),  # a line ends at "\n" only
+    "space before crlf": (b"2 2:1 \r\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
+    "blank crlf line": (b"\r\n2 2:1\r\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
     "leading spaces": (b"  2 2:1\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
     "blank and whitespace-only lines": (b"\n \t\n2 2:1\n\n", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
     "no final newline": (b"2 2:1", [[0.5, 0, -2], [0, 1, 0]], [1, 2]),
@@ -286,6 +289,37 @@ def test_svm_scale_output_stays_on_the_bulk_path(chunk_bytes, tmp_path, monkeypa
     np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
 
 
+@pytest.mark.parametrize("chunk_bytes", [1 << 20, 97])
+def test_crlf_line_ends_stay_on_the_bulk_path(chunk_bytes, tmp_path, monkeypatch):
+    plain, crlf = tmp_path / "plain.libsvm", tmp_path / "crlf.libsvm"
+    plain.write_bytes(_random_libsvm(np.random.default_rng(40), 200, 12) + b"1\n")
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    want_matrix, want_labels = data.parse_libsvm(plain)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk_bytes)
+    sent = []
+    real_lines = data._parse_lines
+    monkeypatch.setattr(data, "_parse_lines", lambda chunk, *args: sent.append(chunk) or real_lines(chunk, *args))
+    matrix, labels = data.parse_libsvm(crlf)
+    assert sent == []
+    assert matrix.shape == want_matrix.shape and labels.shape == want_labels.shape
+    np.testing.assert_array_equal(matrix.view(np.int64), want_matrix.view(np.int64))
+    np.testing.assert_array_equal(labels.view(np.int64), want_labels.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["lone cr", "space before crlf", "blank crlf line"])
+def test_a_cr_that_is_not_one_line_end_goes_to_the_line_parser(name, tmp_path, monkeypatch):
+    tail, matrix, labels = ACCEPTED[name]
+    path = tmp_path / "loose.libsvm"
+    path.write_bytes(GOOD_LINE + tail)
+    sent = []
+    real_lines = data._parse_lines
+    monkeypatch.setattr(data, "_parse_lines", lambda chunk, *args: sent.append(chunk) or real_lines(chunk, *args))
+    got_matrix, got_labels = data.parse_libsvm(path)
+    assert sent == [GOOD_LINE + tail]
+    np.testing.assert_array_equal(got_matrix, matrix)
+    np.testing.assert_array_equal(got_labels, labels)
+
+
 def test_bulk_parse_equals_the_line_parser_on_random_mixed_files(tmp_path):
     # Strict lines, loose spellings and at most one malformed line, in random order and
     # chunk sizes: the result, or the first error with its line and offset, is the reference's.
@@ -326,7 +360,7 @@ def test_an_index_beyond_int64_is_refused_by_the_dense_entry_limit(tmp_path):
         data.parse_libsvm(path)
 
 
-@pytest.mark.parametrize("chunk", [b"\n", b" \n"])
+@pytest.mark.parametrize("chunk", [b"\n", b" \n", b"\r\n"])
 def test_a_chunk_led_by_a_blank_is_left_to_the_line_parser(chunk):
     # np.fromstring reads a text of blanks only as [-1.0]: "\n" alone came back as a row labelled -1.
     assert data._parse_chunk(chunk, None) is None
@@ -508,6 +542,29 @@ def test_global_gram_is_the_weighted_sum_of_shard_grams():
     ds = data.partition(a, 5, mode="shuffled", seed=3)
     direct = linalg.gram(ds.stacked())
     assert np.abs(ds.global_gram() - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+# (n, d, m): shards shorter than d/2, equal and unequal, then as tall as d/2 or taller, and one shard.
+LOCAL_PRODUCT_SHAPES = [(40, 12, 10), (125, 30, 10), (9, 20, 1), (100, 40, 5), (123, 10, 4), (30, 20, 1)]
+
+
+@pytest.mark.parametrize("n, d, m", LOCAL_PRODUCT_SHAPES)
+def test_local_products_equal_the_shard_grams_times_the_bases(n, d, m):
+    rng = np.random.default_rng(n + d + m)
+    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=4)
+    zs = rng.standard_normal((m, d, 3))
+    want = ds.shard_grams @ zs
+    got = ds.local_products(zs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    short = 2 * max(ds.sizes) < d
+    assert ("_padded_shards" in vars(ds)) == short  # only short shards are applied through their rows
+    if short:
+        padded = vars(ds)["_padded_shards"]
+        assert padded.shape == (m, max(ds.sizes), d) and not padded.flags.writeable
+        for stacked, shard in zip(padded, ds.shards):
+            np.testing.assert_array_equal(stacked[: shard.shape[0]], shard)
+            assert not stacked[shard.shape[0]:].any()
 
 
 def test_global_gram_is_built_once_and_read_only():

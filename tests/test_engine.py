@@ -545,3 +545,41 @@ def test_non_finite_local_iterate_raises_named_error():
     cfg = make_config(2, 2, SyncSchedule.fixed(50, 4), seed=3)  # local steps only
     with pytest.raises(NonFinite, match=r"slices \[1\]"):
         engine.run_full(ds, cfg, reference=reference)
+
+
+def short_shard_dataset(seed=0):
+    # 10 shards of 12 or 13 rows with d = 30: shorter than d/2, unequal, and taller than r.
+    return small_dataset(seed=seed, n=125, d=30, m=10)
+
+
+@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
+@pytest.mark.parametrize("participation", [
+    engine.FULL_PARTICIPATION, Participation("partial", 4, 1), Participation("partial", 4, 2),
+], ids=["full", "scheme1", "scheme2"])
+def test_short_shard_runs_match_the_gram_product(alignment, participation, monkeypatch):
+    # p = 3: local steps, and rounds whose workers hold different bases, so both products run.
+    schedule = SyncSchedule.fixed(3, 12)
+    cfg = make_config(
+        3, 4, schedule, alignment=alignment, participation=participation, seed=5,
+        privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-5, schedule), record_every_step=True,
+    )
+    rows = engine.run(short_shard_dataset(seed=26), cfg)
+    monkeypatch.setattr(ShardedDataset, "local_products", lambda self, zs: self.shard_grams @ zs)
+    grams = engine.run(short_shard_dataset(seed=26), cfg)
+    assert len(rows.records) == len(grams.records) == 12
+    for a, b in zip(rows.records, grams.records):
+        assert (a.t, a.comm_count, a.eta) == (b.t, b.comm_count, b.eta)
+        assert abs(a.sin_theta_k - b.sin_theta_k) <= 1e-10 and abs(a.rho_t - b.rho_t) <= 1e-10
+    assert np.abs(rows.final_basis - grams.final_basis).max() <= 1e-10
+
+
+def test_only_short_shard_runs_build_the_padded_stack_and_only_once(monkeypatch):
+    prop = ShardedDataset.__dict__["_padded_shards"]
+    builds = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda ds: builds.append(ds) or real(ds))
+    cfg = make_config(2, 3, SyncSchedule.fixed(3, 9), seed=1)
+    tall, short = small_dataset(seed=27), short_shard_dataset(seed=27)
+    for ds in (tall, tall, short, short):
+        engine.run(ds, cfg)
+    assert len(builds) == 1 and builds[0] is short
