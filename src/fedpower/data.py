@@ -141,11 +141,11 @@ class ShardedDataset:
         otherwise ``shard_grams @ zs``. Both equal ``M_i @ z_i`` up to
         rounding.
         """
-        if 2 * max(self.sizes) >= self.d:
+        sizes = self.sizes
+        if 2 * max(sizes) >= self.d:
             return self.shard_grams @ zs
         rows = self._padded_shards
-        sizes = np.array(self.sizes, dtype=np.float64)[:, None, None]
-        return np.swapaxes(rows, 1, 2) @ ((rows @ zs) / sizes)
+        return np.swapaxes(rows, 1, 2) @ ((rows @ zs) / np.array(sizes, dtype=np.float64)[:, None, None])
 
     @cached_property
     def _padded_shards(self) -> np.ndarray:
