@@ -21,28 +21,23 @@ __all__ = [
 ]
 
 
-def _power_iterates(m_matrix, z0, steps):
+def _power_iterates(apply, z0, steps):
     z = z0
     for _ in range(steps):
-        z = linalg.orth(m_matrix @ z)
+        z = linalg.orth(apply(z))
         yield z
 
 
-def _distributed_iterates(grams, weights, z0, steps):
-    z = z0
-    for _ in range(steps):
-        y = np.zeros_like(z)
-        for w, g in zip(weights, grams):
-            y += float(w) * (g @ z)
-        z = linalg.orth(y)
-        yield z
+def _sharded_product(dataset: ShardedDataset, z: np.ndarray) -> np.ndarray:
+    """``sum_i p_i M_i z``, each ``M_i z`` formed by :meth:`ShardedDataset.local_products`."""
+    return np.tensordot(dataset.weights, dataset.local_products(np.broadcast_to(z, (dataset.m, *z.shape))), axes=1)
 
 
 def power_method(m_matrix, r: int, num_iterations: int, seed: int) -> np.ndarray:
     """Block power iteration ``y = M z; z = orth(y)`` from a seeded start."""
     m_matrix = linalg.as_matrix(m_matrix)
     z = initial_basis(m_matrix.shape[1], r, seed)
-    for z in _power_iterates(m_matrix, z, num_iterations):
+    for z in _power_iterates(m_matrix.__matmul__, z, num_iterations):
         pass
     return z
 
@@ -52,12 +47,26 @@ def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed
 
     Every iteration aggregates ``sum_i p_i M_i z``, which equals the global
     ``M z``, so the trajectory matches :func:`power_method` on the assembled
-    second-moment matrix up to floating-point summation order.
+    second-moment matrix up to floating-point summation order. Each ``M_i z``
+    comes from :meth:`ShardedDataset.local_products`, as in the engine.
     """
     z = initial_basis(dataset.d, r, seed)
-    for z in _distributed_iterates(dataset.shard_grams, dataset.weights, z, num_iterations):
+    for z in _power_iterates(lambda y: _sharded_product(dataset, y), z, num_iterations):
         pass
     return z
+
+
+def _averaged_eigenspaces(dataset: ShardedDataset, k: int, weighted: bool) -> SvdResult:
+    """Top-k eigenpairs of the shards' mean ``v_hat v_hat.T``, or ``v_hat diag(s) v_hat.T`` if ``weighted``."""
+    if k > dataset.d:
+        raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
+    vecs, vals = dataset.local_eigenpairs(k)
+    # Unweighted, each product's factors share memory, so numpy forms it with its symmetric A @ A.T kernel.
+    left = vecs * vals[:, None, :] if weighted else vecs
+    acc = np.zeros((dataset.d, dataset.d))
+    for l_hat, v_hat in zip(left, vecs):
+        acc += l_hat @ v_hat.T
+    return linalg.top_eigenpairs(acc / dataset.m, k)
 
 
 def uda(dataset: ShardedDataset, k: int) -> SvdResult:
@@ -67,25 +76,13 @@ def uda(dataset: ShardedDataset, k: int) -> SvdResult:
     server averages the projectors and returns the top-k eigenpairs of the
     average.
     """
-    if k > dataset.d:
-        raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
-    vecs, _ = dataset.local_eigenpairs(k)
-    acc = np.zeros((dataset.d, dataset.d))
-    for v_hat in vecs:
-        acc += v_hat @ v_hat.T
-    return linalg.top_eigenpairs(acc / dataset.m, k)
+    return _averaged_eigenspaces(dataset, k, weighted=False)
 
 
 def wda(dataset: ShardedDataset, k: int) -> SvdResult:
     """Like :func:`uda` but each local eigenvector is weighted by its
     eigenvalue: the server averages ``v_hat diag(s) v_hat.T``."""
-    if k > dataset.d:
-        raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
-    vecs, vals = dataset.local_eigenpairs(k)
-    acc = np.zeros((dataset.d, dataset.d))
-    for v_hat, s_hat in zip(vecs, vals):
-        acc += (v_hat * s_hat) @ v_hat.T
-    return linalg.top_eigenpairs(acc / dataset.m, k)
+    return _averaged_eigenspaces(dataset, k, weighted=True)
 
 
 def dr_svd(dataset: ShardedDataset, k: int, seed: int) -> SvdResult:

@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -512,10 +513,10 @@ def inspect_dataset(cfg: ExperimentConfig) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    doc: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a JSON error gives its line and column
+        raise ConfigError(f"config file {args.config!r} is not UTF-8 JSON: {exc}") from None
     flags = {path: getattr(args, path.split(".")[-1], None) for path, f in _FIELDS.items() if f.metadata["flag"]}
     return ExperimentConfig.from_dict(doc, {path: v for path, v in flags.items() if v is not None})
 

@@ -372,22 +372,23 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
                     )
                     for i in ids
                 ])
-            if shared:
-                # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
-                g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, dataset.shard_grams[ids])
-                agg = g_s @ zs[0] @ d_ids[0]
-                if noise is not None:
-                    agg += _aggregate(coefs, noise)
-            else:
-                uploads = dataset.local_products(zs)[ids] @ d_ids
-                if noise is not None:
-                    uploads += noise
-                agg = _aggregate(coefs, uploads)
-            if scales.sigma_server > 0.0:
-                agg = agg + privacy.sample_noise(
-                    d, cfg.r, float(np.abs(held @ d_ids).max()) * scales.sigma_server, cfg.seed,
-                    (privacy.STREAM_SERVER, round_idx, 0),
-                )
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
+                if shared:
+                    # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
+                    g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, dataset.shard_grams[ids])
+                    agg = g_s @ zs[0] @ d_ids[0]
+                    if noise is not None:
+                        agg += _aggregate(coefs, noise)
+                else:
+                    uploads = dataset.local_products(zs)[ids] @ d_ids
+                    if noise is not None:
+                        uploads += noise
+                    agg = _aggregate(coefs, uploads)
+                if scales.sigma_server > 0.0:
+                    agg = agg + privacy.sample_noise(
+                        d, cfg.r, float(np.abs(held @ d_ids).max()) * scales.sigma_server, cfg.seed,
+                        (privacy.STREAM_SERVER, round_idx, 0),
+                    )
             zs[:] = linalg.orth(agg, require_full_rank=False)
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base

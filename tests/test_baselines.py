@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, linalg
-from fedpower.baselines import _distributed_iterates, _power_iterates
+from fedpower.baselines import _power_iterates, _sharded_product
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import initial_basis
 
@@ -60,14 +60,29 @@ def test_distributed_power_random_split_per_iteration():
     rng = np.random.default_rng(47)
     a = rng.standard_normal((60, 8))
     ds = data.partition(a, 5, mode="shuffled", seed=12)
-    grams = [linalg.gram(s) for s in ds.shards]
     z0 = initial_basis(8, 3, seed=21)
     m_global = ds.global_gram()
     for z_d, z_p in zip(
-        _distributed_iterates(grams, ds.weights, z0, 30),
-        _power_iterates(m_global, z0, 30),
+        _power_iterates(lambda z: _sharded_product(ds, z), z0, 30),
+        _power_iterates(m_global.__matmul__, z0, 30),
     ):
         assert np.abs(z_d - z_p).max() <= 1e-12
+
+
+def test_distributed_power_applies_short_shards_through_their_rows():
+    # 20 shards of 6 rows with d = 30: every shard is shorter than d/2, so no Gram stack is built.
+    rng = np.random.default_rng(49)
+    a = rng.standard_normal((120, 30)) * np.geomspace(4.0, 0.1, 30)
+    ds = data.partition(a, 20, mode="shuffled", seed=13)
+    z_final = baselines.distributed_power(ds, 4, 40, seed=22)
+    assert "shard_grams" not in vars(ds)
+    z0 = initial_basis(30, 4, seed=22)
+    for z_d, z_p in zip(
+        _power_iterates(lambda z: _sharded_product(ds, z), z0, 40),
+        _power_iterates(ds.global_gram().__matmul__, z0, 40),
+    ):
+        assert np.abs(z_d - z_p).max() <= 1e-12
+    np.testing.assert_array_equal(z_final, z_d)
 
 
 # ---------------------------------------------------------------- one-shot averaging

@@ -723,6 +723,19 @@ def test_main_reports_non_finite_iterate_as_json(tmp_path, capsys):
     assert "NaN or infinite" in payload["message"]
 
 
+@pytest.mark.parametrize("epsilon", ["1e-320", "5e-309"])
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep"])
+def test_overflowing_noise_is_non_finite_without_a_warning(command, epsilon, tmp_path, capsys):
+    # Each budget's noise scale overflows to infinity; numpy printed "invalid value encountered in add"
+    # before the NonFinite payload.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(privacy={"epsilon": float(epsilon), "delta": 1e-3})))
+    argv = [command, "--config", str(cfg_path)] + (["--eps-list", epsilon] if command == "privacy-sweep" else [])
+    code = cli.main(argv)
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "NonFinite")
+
+
 @pytest.mark.parametrize("command", ["run", "inspect-dataset"])
 def test_zero_width_libsvm_is_a_dimension_mismatch(command, tmp_path, capsys):
     # Labels and no idx:val entry give d = 0; inspect-dataset crashed with an IndexError traceback.
@@ -769,6 +782,26 @@ def test_main_missing_config_is_an_error(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1
     assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+@pytest.mark.parametrize("text, detail", [
+    (b'{"m": 3,', "line 1 column 9"),
+    (b'{\n "m": 3,\n "k" 2}', "line 3 column 6"),
+    (b"\xff\xfe", "can't decode byte 0xff"),
+], ids=["truncated", "no-colon", "not-utf8"])
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
+def test_unreadable_config_file_is_a_config_error(command, text, detail, tmp_path, capsys, monkeypatch):
+    # Each exited 1 with a JSONDecodeError or UnicodeDecodeError, neither a FedPowerError.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded from an unreadable config")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "ConfigError")
+    assert repr(str(cfg_path)) in payload["message"] and detail in payload["message"]
 
 
 def test_main_inspect_dataset(tmp_path, capsys):

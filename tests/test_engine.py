@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, engine, linalg, privacy
-from fedpower.baselines import _power_iterates
+from fedpower.baselines import _power_iterates, _sharded_product
 from fedpower.cli import CsvTrace, ExperimentConfig
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import (
@@ -76,7 +76,7 @@ def test_single_worker_matches_power_method_per_step():
     )
     trace = engine.run_full(ds, cfg)
     z = engine.initial_basis(8, 2, seed=17)
-    for (t, z_bar), z_power in zip(trace.basis_history, _power_iterates(ds.global_gram(), z, 15)):
+    for (t, z_bar), z_power in zip(trace.basis_history, _power_iterates(ds.global_gram().__matmul__, z, 15)):
         assert np.abs(z_bar - z_power).max() <= 1e-12
 
 
@@ -118,9 +118,8 @@ def test_every_step_sync_matches_distributed_power():
         cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, keep_basis_history=True)
         trace = engine.run_full(ds, cfg)
         z = engine.initial_basis(ds.d, 3, seed=9)
-        grams = [linalg.gram(s) for s in ds.shards]
         for (t, z_bar), z_ref in zip(
-            trace.basis_history, baselines._distributed_iterates(grams, ds.weights, z, 20)
+            trace.basis_history, _power_iterates(lambda y: _sharded_product(ds, y), z, 20)
         ):
             assert np.abs(z_bar - z_ref).max() <= 1e-12
     ds = small_dataset(seed=5, n=122)  # shard weights differ, so the schemes' coefficients do
