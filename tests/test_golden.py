@@ -1,6 +1,8 @@
 """Frozen golden CSVs: every case's CLI output must match its file in
 ``tests/golden/`` byte for byte.
 
+Every case runs in a subprocess pinned to one OpenBLAS kernel (see
+``render_case``), so the goldens hold on any x86-64 CPU with AVX2.
 Regenerate the files (only after a deliberate, logged change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,6 +33,11 @@ from fedpower.data import partition, write_libsvm
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# The OpenBLAS kernel and thread count every golden is rendered under.
+# Haswell's kernels run on any x86-64 CPU with AVX2.
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 README_DEMO = {
     "dataset": {
@@ -166,8 +173,13 @@ def case_files(directory: Path, name: str) -> list[Path]:
 
 
 def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
-    """Run one case through ``cli.main`` into ``out_dir``; return every file
-    it wrote, keyed by file name."""
+    """Run one case as ``python -m fedpower`` in ``out_dir``; return every
+    file it wrote, keyed by file name.
+
+    The process runs under ``PINNED_BLAS``: OpenBLAS picks its kernels from
+    the CPU when it loads, and a matrix product's summation order depends on
+    the kernel, so the goldens hold only for the kernel that froze them.
+    The variables must be set before numpy loads, hence the subprocess."""
     command, config, extra = CASES[name]
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{name}.json"
@@ -175,14 +187,13 @@ def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
     out = out_dir / f"{name}.csv"
     if "libsvm" in config["dataset"]:
         _write_libsvm_rows(out_dir)
-    cwd = os.getcwd()
-    os.chdir(out_dir)
-    try:
-        code = cli.main([command, "--config", str(config_path), "--out", str(out), *extra])
-    finally:
-        os.chdir(cwd)
-    if code != 0:
-        raise RuntimeError(f"case {name} exited with {code}")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fedpower", command, "--config", str(config_path), "--out", str(out), *extra],
+        cwd=out_dir, env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"case {name} exited with {done.returncode}: {done.stderr}")
     return {p.name: p.read_bytes() for p in case_files(out_dir, name)}
 
 
