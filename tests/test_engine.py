@@ -80,32 +80,52 @@ def test_single_worker_matches_power_method_per_step():
         assert np.abs(z_bar - z_power).max() <= 1e-12
 
 
-def _every_step_sync_reference(ds, cfg, scales):
-    """Output basis after each step of a run that syncs at every step, one
-    worker at a time: each participant's ``(M_i z) D``, plus its local noise
-    from its own stream, weighted by its coefficient and summed in worker
-    order; then the server noise and ``orth``."""
+def _per_worker_reference(ds, cfg, scales):
+    """Output basis after each step of a run, one worker at a time, following
+    ``cfg.schedule``. Between rounds every worker takes its own local step
+    ``orth(M_i z_i)``, and the output is the last round's participants' bases,
+    aligned to its baseline, weighted and summed in worker order. At a round
+    each participant uploads ``(M_i z_i) D_i`` plus its local noise from its
+    own stream; the uploads are weighted by their coefficients and summed in
+    worker order, then the server noise is added and ``orth`` gives the basis
+    every worker takes."""
     part = cfg.participation
-    z = engine.initial_basis(ds.d, cfg.r, cfg.seed)
-    for round_idx in range(cfg.horizon):
-        ids, coefs = np.arange(ds.m), ds.weights
+    align = {
+        ALIGN_NONE: lambda z, base: np.eye(cfg.r), ALIGN_SIGN: linalg.sign_fix, ALIGN_OPT: linalg.procrustes,
+    }[cfg.alignment]
+    grams = [linalg.gram(s) for s in ds.shards]
+    zs = [engine.initial_basis(ds.d, cfg.r, cfg.seed)] * ds.m
+    ids, coefs, base = np.arange(ds.m), ds.weights, int(np.argmax(ds.weights))
+    round_idx = 0
+    for t in range(1, cfg.horizon + 1):
+        if t not in cfg.schedule.steps:
+            zs = [linalg.orth(g @ z, require_full_rank=False) for g, z in zip(grams, zs)]
+            out = np.zeros((ds.d, cfg.r))
+            for coef, i in zip(coefs, ids):
+                out += coef * (zs[i] @ align(zs[i], zs[base]))
+            yield linalg.orth(out, require_full_rank=False)
+            continue
+        ids, coefs, base = np.arange(ds.m), ds.weights, int(np.argmax(ds.weights))
         if part.kind == "partial":
             rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, round_idx, 0))
             ids, counts = np.unique(engine.draw_participants(part.scheme, part.count, ds.weights, rng),
                                     return_counts=True)
             coefs = counts / part.count if part.scheme == 1 else ds.m / part.count * ds.weights[ids]
-        align = {ALIGN_NONE: np.eye(cfg.r), ALIGN_SIGN: linalg.sign_fix(z, z), ALIGN_OPT: linalg.procrustes(z, z)}
-        d_mat = align[cfg.alignment]
+            base = int(ids[0])
         agg = np.zeros((ds.d, cfg.r))
+        aligned_max = 0.0
         for coef, i in zip(coefs, ids):
-            y = (linalg.gram(ds.shards[i]) @ z) @ d_mat
-            y += privacy.sample_noise(ds.d, cfg.r, np.abs(z).max() * scales.sigma_local, cfg.seed,
+            d_mat = align(zs[i], zs[base])
+            y = (grams[i] @ zs[i]) @ d_mat
+            y += privacy.sample_noise(ds.d, cfg.r, np.abs(zs[i]).max() * scales.sigma_local, cfg.seed,
                                       (privacy.STREAM_LOCAL, round_idx, int(i)))
             agg += coef * y
-        agg += privacy.sample_noise(ds.d, cfg.r, np.abs(z @ d_mat).max() * scales.sigma_server, cfg.seed,
+            aligned_max = max(aligned_max, np.abs(zs[i] @ d_mat).max())
+        agg += privacy.sample_noise(ds.d, cfg.r, aligned_max * scales.sigma_server, cfg.seed,
                                     (privacy.STREAM_SERVER, round_idx, 0))
-        z = linalg.orth(agg, require_full_rank=False)
-        yield linalg.orth(sum(coef * z for coef in coefs), require_full_rank=False)
+        zs = [linalg.orth(agg, require_full_rank=False)] * ds.m
+        round_idx += 1
+        yield zs[0]
 
 
 def test_every_step_sync_matches_distributed_power():
@@ -131,10 +151,31 @@ def test_every_step_sync_matches_distributed_power():
                                   participation=participation, privacy=priv)
                 trace = engine.run(ds, cfg)
                 assert priv.noiseless or min(trace.scales.sigma_local, trace.scales.sigma_server) > 0.0
-                history = list(_every_step_sync_reference(ds, cfg, trace.scales))
+                history = list(_per_worker_reference(ds, cfg, trace.scales))
                 assert len(history) == len(trace.basis_history) == 20
                 for (t, z_bar), z_ref in zip(trace.basis_history, history):
                     assert np.abs(z_bar - z_ref).max() <= 1e-12, (participation, priv.epsilon, alignment, t)
+
+
+def test_rounds_from_differing_bases_match_a_per_worker_reference():
+    # At p = 3 the workers' bases differ when a round starts, so each
+    # participant's (M_i z_i) D_i is its own. Shards of 30 rows apply M_i
+    # through the Gram stack, shards of 10 rows (d = 30) through their rows.
+    schedule = SyncSchedule.fixed(3, 12)
+    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
+    for ds in (small_dataset(seed=5, n=122), small_dataset(seed=6, n=62, d=30, m=6)):
+        for participation in (engine.FULL_PARTICIPATION, Participation("partial", 3, 1),
+                              Participation("partial", 3, 2)):
+            for priv in (noiseless(schedule), noisy):
+                for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
+                    cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, participation=participation,
+                                      privacy=priv, record_every_step=True, keep_basis_history=True)
+                    trace = engine.run(ds, cfg)
+                    assert priv.noiseless or min(trace.scales.sigma_local, trace.scales.sigma_server) > 0.0
+                    history = list(_per_worker_reference(ds, cfg, trace.scales))
+                    assert len(history) == len(trace.basis_history) == 12
+                    for (t, z_bar), z_ref in zip(trace.basis_history, history):
+                        assert np.abs(z_bar - z_ref).max() <= 1e-12, (ds.d, participation, priv.epsilon, alignment, t)
 
 
 def test_replicated_diagonal_converges_to_leading_axis():
