@@ -512,9 +512,20 @@ def inspect_dataset(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json keeps a repeated key's last value; a config that writes a key twice is refused instead.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config key {key!r} is written more than once")
+        doc[key] = value
+    return doc
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a JSON error gives its line and column
         raise ConfigError(f"config file {args.config!r} is not UTF-8 JSON: {exc}") from None
     flags = {path: getattr(args, path.split(".")[-1], None) for path, f in _FIELDS.items() if f.metadata["flag"]}

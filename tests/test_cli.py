@@ -804,6 +804,29 @@ def test_unreadable_config_file_is_a_config_error(command, text, detail, tmp_pat
     assert repr(str(cfg_path)) in payload["message"] and detail in payload["message"]
 
 
+@pytest.mark.parametrize("key", ["m", "delta"])
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
+def test_a_repeated_config_key_is_a_config_error(command, key, tmp_path, capsys, monkeypatch):
+    # json keeps a repeated key's last value, so {"m": 3, "m": 4} ran 4 shards.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded from a config with a repeated key")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    doc = config_doc()
+    if key == "m":
+        del doc["m"]
+        text = '{"m": 3, "m": 4, ' + json.dumps(doc)[1:]
+    else:
+        del doc["privacy"]
+        text = json.dumps(doc)[:-1] + ', "privacy": {"delta": 1e-5, "delta": 1e-6}}'
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "ConfigError")
+    assert repr(key) in payload["message"]
+
+
 def test_main_inspect_dataset(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_doc()))
