@@ -57,16 +57,15 @@ def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed
 
 
 def _averaged_eigenspaces(dataset: ShardedDataset, k: int, weighted: bool) -> SvdResult:
-    """Top-k eigenpairs of the shards' mean ``v_hat v_hat.T``, or ``v_hat diag(s) v_hat.T`` if ``weighted``."""
+    """Top-k eigenpairs of the shards' mean ``v_hat v_hat.T``, or ``v_hat diag(s) v_hat.T`` if ``weighted``.
+
+    The sum over shards is one ``np.tensordot`` over the shard and column axes
+    of the (m, d, k) eigenvector stack."""
     if k > dataset.d:
         raise DimensionMismatch(f"k={k} exceeds d={dataset.d}")
     vecs, vals = dataset.local_eigenpairs(k)
-    # Unweighted, each product's factors share memory, so numpy forms it with its symmetric A @ A.T kernel.
     left = vecs * vals[:, None, :] if weighted else vecs
-    acc = np.zeros((dataset.d, dataset.d))
-    for l_hat, v_hat in zip(left, vecs):
-        acc += l_hat @ v_hat.T
-    return linalg.top_eigenpairs(acc / dataset.m, k)
+    return linalg.top_eigenpairs(np.tensordot(left, vecs, axes=([0, 2], [0, 2])) / dataset.m, k)
 
 
 def uda(dataset: ShardedDataset, k: int) -> SvdResult:
@@ -90,10 +89,10 @@ def dr_svd(dataset: ShardedDataset, k: int, seed: int) -> SvdResult:
     ``r = k + (d - k) // 4``.
 
     The sketch ``Y = A (A^T (A Omega))`` is formed right-to-left to avoid any
-    n x n product. ``B = Q^T A`` is assembled shard by shard as
-    ``sum_i Q_i^T A_i``. Note the range-finding step works on the assembled
-    matrix, so unlike the iterative protocols this baseline does move raw
-    data to one place.
+    n x n product. ``B = Q^T A``, the sum over shards ``sum_i Q_i^T A_i``, is
+    one product with the assembled matrix. Note the range-finding step works
+    on the assembled matrix, so unlike the iterative protocols this baseline
+    does move raw data to one place.
     """
     d = dataset.d
     r = k + (d - k) // 4
@@ -103,10 +102,7 @@ def dr_svd(dataset: ShardedDataset, k: int, seed: int) -> SvdResult:
     a = dataset.stacked()
     y = a @ (a.T @ (a @ omega))
     q = linalg.orth(y, require_full_rank=False)
-    b = np.zeros((r, d))
-    for q_i, shard in zip(np.split(q, np.cumsum(dataset.sizes[:-1])), dataset.shards):
-        b += q_i.T @ shard
-    res = linalg.svd(b)
+    res = linalg.svd(q.T @ a)
     u_hat = q @ res.u
     return SvdResult(
         np.ascontiguousarray(u_hat[:, :k]),

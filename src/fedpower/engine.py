@@ -7,10 +7,11 @@ Procrustes or column sign-fixing), optionally perturbed with calibrated
 Gaussian noise on both the worker and the server side, aggregated, and
 broadcast back. Runs are bit-reproducible for a fixed seed: every random
 draw comes from a dedicated counter-based stream keyed by (site, round,
-worker), and uploads, noise and sampled Grams are summed in worker-index
-order. The one exception is the global Gram that a full-participation round
-from a shared basis multiplies by: it is one ``np.tensordot``, summed in
-BLAS's order, which is fixed for one numpy and BLAS build.
+worker), and every weighted sum over workers (the global Gram, a round's
+uploads, its local noise and its sampled Grams, and the output basis) is one
+``np.tensordot`` of the coefficients and a stacked array. Its summation
+order is the BLAS kernel's, so the bytes are fixed for one numpy build and
+one OpenBLAS kernel.
 
 Workers are conceptually concurrent. The implementation holds their bases
 in one (m, d, r) stack and advances them together: one batched local
@@ -26,9 +27,10 @@ that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``
 is formed as ``(sum_i c_i M_i) z D``: one d x d product with the dataset's
 cached global Gram under full participation, or with the coefficient-weighted
 sum of the sampled Grams under partial participation, and D the one
-alignment of z against itself. Each worker's local noise is still drawn from
-its own stream and added with its coefficient, so such a round differs from
-the per-worker form by floating-point summation order only.
+alignment of z against itself. Either way, each worker's local noise is
+drawn from its own stream and the coefficient-weighted noise sum is added
+once, so such a round differs from the per-worker form by floating-point
+summation order only.
 """
 
 from __future__ import annotations
@@ -297,14 +299,6 @@ def _round_members(part: Participation, weights, seed: int, round_idx: int):
     return ids, coefs, int(ids[0])
 
 
-def _aggregate(coefs, stack: np.ndarray) -> np.ndarray:
-    # Sums in worker-index order, which keeps runs bit-reproducible.
-    acc = np.zeros(stack.shape[1:])
-    for coef, item in zip(coefs, stack):
-        acc += coef * item
-    return acc
-
-
 def _output_basis(zs, alignment, synced, ids, coefs, base):
     """Aggregate the listed worker bases per the protocol's output rule, then
     orthonormalize.
@@ -318,7 +312,7 @@ def _output_basis(zs, alignment, synced, ids, coefs, base):
         return zs[0].copy()
     selected = zs[ids]
     selected = selected @ _alignment_matrix(alignment, selected, zs[base])
-    return linalg.orth(_aggregate(coefs, selected), require_full_rank=False)
+    return linalg.orth(np.tensordot(coefs, selected, axes=1), require_full_rank=False)
 
 
 def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
@@ -363,27 +357,22 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             shared = t == 1 or t - 1 in sync_steps
             held = zs[:1] if shared else zs[ids]
             d_ids = _alignment_matrix(cfg.alignment, held, zs[base])
-            noise = None
-            if scales.sigma_local > 0.0:
-                noise = np.stack([
-                    privacy.sample_noise(
-                        d, cfg.r, float(np.abs(zs[i]).max()) * scales.sigma_local, cfg.seed,
-                        (privacy.STREAM_LOCAL, round_idx, int(i)),
-                    )
-                    for i in ids
-                ])
             with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
                 if shared:
                     # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
-                    g_s = dataset.global_gram() if part.kind == "full" else _aggregate(coefs, dataset.shard_grams[ids])
+                    g_s = (dataset.global_gram() if part.kind == "full"
+                           else np.tensordot(coefs, dataset.shard_grams[ids], axes=1))
                     agg = g_s @ zs[0] @ d_ids[0]
-                    if noise is not None:
-                        agg += _aggregate(coefs, noise)
                 else:
-                    uploads = dataset.local_products(zs)[ids] @ d_ids
-                    if noise is not None:
-                        uploads += noise
-                    agg = _aggregate(coefs, uploads)
+                    agg = np.tensordot(coefs, dataset.local_products(zs)[ids] @ d_ids, axes=1)
+                if scales.sigma_local > 0.0:
+                    agg += np.tensordot(coefs, np.stack([
+                        privacy.sample_noise(
+                            d, cfg.r, float(np.abs(zs[i]).max()) * scales.sigma_local, cfg.seed,
+                            (privacy.STREAM_LOCAL, round_idx, int(i)),
+                        )
+                        for i in ids
+                    ]), axes=1)
                 if scales.sigma_server > 0.0:
                     agg = agg + privacy.sample_noise(
                         d, cfg.r, float(np.abs(held @ d_ids).max()) * scales.sigma_server, cfg.seed,
