@@ -179,7 +179,8 @@ def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
     The process runs under ``PINNED_BLAS``: OpenBLAS picks its kernels from
     the CPU when it loads, and a matrix product's summation order depends on
     the kernel, so the goldens hold only for the kernel that froze them.
-    The variables must be set before numpy loads, hence the subprocess."""
+    The variables must be set before numpy loads, hence the subprocess. A
+    case fails if it writes to standard error, as a numpy warning would."""
     command, config, extra = CASES[name]
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{name}.json"
@@ -192,7 +193,7 @@ def render_case(name: str, out_dir: Path) -> dict[str, bytes]:
         [sys.executable, "-m", "fedpower", command, "--config", str(config_path), "--out", str(out), *extra],
         cwd=out_dir, env={**os.environ, **PINNED_BLAS, "PYTHONPATH": path}, capture_output=True, text=True,
     )
-    if done.returncode != 0:
+    if done.returncode != 0 or done.stderr:
         raise RuntimeError(f"case {name} exited with {done.returncode}: {done.stderr}")
     return {p.name: p.read_bytes() for p in case_files(out_dir, name)}
 
