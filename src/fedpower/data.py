@@ -54,8 +54,8 @@ class ShardedDataset:
     in-place write raises ``ValueError`` instead of reaching later runs. The
     Gram stack keeps m * d * d floats alive for the dataset's lifetime. When
     the tallest shard has h rows with ``2 * h < d``, :meth:`local_products`
-    also caches the shards zero-padded to height h, m * h * d floats, which
-    is less than half of the Gram stack.
+    and :meth:`local_steps` also cache one row factor ``M_i = P_i K_i P_i.T``,
+    m * d * h + m * h * h floats, which is less than half of the Gram stack.
     """
 
     shards: tuple[np.ndarray, ...]
@@ -134,26 +134,57 @@ class ShardedDataset:
 
         This is the one place that decides how the protocol applies a shard's
         second-moment matrix to its worker's basis. A shard Gram costs
-        d * d * r flops per product, the shard's rows 2 * h * d * r, with h the
-        height of the tallest shard. So when ``2 * h < d`` the product is
-        ``A_i.T @ (A_i @ z_i) / n_i``, two batched products over the shards
-        zero-padded to height h (zero rows change neither product), and
-        otherwise ``shard_grams @ zs``. Both equal ``M_i @ z_i`` up to
-        rounding.
+        d * d * r flops per product, the shard's rows about 2 * h * d * r,
+        with h the height of the tallest shard. So when ``2 * h < d`` the
+        product is ``P_i @ (K_i @ (P_i.T @ z_i))`` with the cached row factor
+        (see :meth:`local_steps`), and otherwise ``shard_grams @ zs``. Both
+        equal ``M_i @ z_i`` up to rounding.
         """
-        sizes = self.sizes
-        if 2 * max(sizes) >= self.d:
+        if not self._row_path:
             return self.shard_grams @ zs
-        rows = self._padded_shards
-        return np.swapaxes(rows, 1, 2) @ ((rows @ zs) / np.array(sizes, dtype=np.float64)[:, None, None])
+        p, k = self._row_factor
+        return p @ (k @ (np.swapaxes(p, 1, 2) @ zs))
+
+    def local_steps(self, zs: np.ndarray, steps: int) -> np.ndarray:
+        """``zs``, a (m, d, r) stack of worker bases, after ``steps`` local
+        power steps ``z_i <- orth(M_i @ z_i)``.
+
+        With ``2 * h < d`` and every shard at least r rows tall, the steps run
+        in the shards' row spaces: the row factor gives ``M_i = P_i K_i P_i.T``
+        with orthonormal P_i, and ``orth(P_i W) = P_i orth(W)`` since a QR with
+        a nonnegative R diagonal is unique. So ``c_i = P_i.T @ z_i`` is formed
+        once, each step is ``c_i <- orth(K_i @ c_i)`` on h x r coordinates, and
+        ``P_i @ c_i`` is returned. A shard shorter than r gives a
+        rank-deficient product, which ``orth`` would complete outside
+        ``range(P_i)``; then, and on the Gram path, each step is
+        ``orth(local_products(zs))``. Both forms agree up to rounding.
+        """
+        if steps and self._row_path and self.min_shard_size >= zs.shape[-1]:
+            p, k = self._row_factor
+            coords = np.swapaxes(p, 1, 2) @ zs
+            for _ in range(steps):
+                coords = orth(k @ coords, require_full_rank=False)
+            return p @ coords
+        for _ in range(steps):
+            zs = orth(self.local_products(zs), require_full_rank=False)
+        return zs
+
+    @property
+    def _row_path(self) -> bool:
+        # Whether every M_i is applied through its shard's rows (the tallest shard is shorter than d/2).
+        return 2 * max(self.sizes) < self.d
 
     @cached_property
-    def _padded_shards(self) -> np.ndarray:
-        # (m, h, d) stack of the shards, each zero-padded to the tallest shard's height h.
-        padded = np.zeros((self.m, max(self.sizes), self.d))
+    def _row_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        # (P, K): one batched QR of the transposed shards, zero-padded to the tallest shard's
+        # height h, gives A_i.T = P_i T_i with P (m, d, h); K_i = T_i T_i.T / n_i is (m, h, h).
+        # A zero column of A_i.T gives a zero column of T_i, which changes no K_i.
+        padded = np.zeros((self.m, self.d, max(self.sizes)))
         for i, shard in enumerate(self.shards):
-            padded[i, : shard.shape[0]] = shard
-        return _frozen(padded)
+            padded[i, :, : shard.shape[0]] = shard.T
+        p, t = np.linalg.qr(padded)
+        k = (t @ np.swapaxes(t, 1, 2)) / np.array(self.sizes, dtype=np.float64)[:, None, None]
+        return _frozen(p), _frozen(k)
 
     @cached_property
     def shard_eta(self) -> tuple[float, ...]:

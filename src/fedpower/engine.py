@@ -14,13 +14,16 @@ order is the BLAS kernel's, so the bytes are fixed for one numpy build and
 one OpenBLAS kernel.
 
 Workers are conceptually concurrent. The implementation holds their bases
-in one (m, d, r) stack and advances them together: one batched local
-product from ``ShardedDataset.local_products``, one batched QR and one
-stacked alignment per round. The QR and the alignment give each slice
-exactly the arithmetic of a lone worker. The local product gives each slice
-``M_i z_i`` up to rounding only: the dataset's tallest shard decides whether
-every M_i is applied through its shard's rows, zero-padded to that height,
-or through the cached Gram stack.
+in one (m, d, r) stack and advances them together. The plain steps before
+each event (a round, the horizon, or every step under ``record_every_step``)
+run in one ``ShardedDataset.local_steps`` call, and a round from differing
+bases takes one batched ``ShardedDataset.local_products``, one batched QR
+and one stacked alignment. The QR and the alignment give each slice exactly
+the arithmetic of a lone worker. The local products and steps give each
+slice ``orth(M_i z_i)`` up to rounding only: when the shards are shorter
+than d/2 they run through each shard's row factor ``M_i = P_i K_i P_i.T``,
+and a run of local steps stays in the h x r coordinates ``P_i.T z_i`` if
+every shard has at least r rows; otherwise through the cached Gram stack.
 
 A sync round at step 1 or right after another sync starts from one basis z
 that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``
@@ -347,8 +350,14 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     z_bar = None
     started = time.perf_counter()
 
-    for t in range(1, cfg.horizon + 1):
+    # Each event (a sync step, the horizon, or every step under record_every_step)
+    # writes a record; the plain steps before it run in one local_steps call.
+    events = range(1, cfg.horizon + 1) if cfg.record_every_step else sorted(sync_steps | {cfg.horizon})
+    done = 0
+    for t in events:
         synced = t in sync_steps
+        zs = dataset.local_steps(zs, t - done - synced)
+        done = t
         if synced:
             round_idx = comm
             ids, coefs, base = _round_members(part, weights, cfg.seed, round_idx)
@@ -381,21 +390,18 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             zs[:] = linalg.orth(agg, require_full_rank=False)
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base
-        else:
-            zs = linalg.orth(dataset.local_products(zs), require_full_rank=False)
 
-        if synced or t == cfg.horizon or cfg.record_every_step:
-            z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
-            sin_val = linalg.sin_theta_k(z_bar, reference)
-            # After a sync every worker holds the broadcast basis: rho is 0.
-            rho_val = 0.0 if synced else residual_rho(zs, cfg.alignment, base_full)
-            eps_spent, delta_spent = privacy.account(cfg.privacy, comm)
-            wall = (time.perf_counter() - started) * 1000.0
-            records.append(
-                SyncRecord(t, comm, sin_val, rho_val, eta, eps_spent, delta_spent, wall)
-            )
-            if history is not None:
-                history.append((t, z_bar))
+        z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
+        sin_val = linalg.sin_theta_k(z_bar, reference)
+        # After a sync every worker holds the broadcast basis: rho is 0.
+        rho_val = 0.0 if synced else residual_rho(zs, cfg.alignment, base_full)
+        eps_spent, delta_spent = privacy.account(cfg.privacy, comm)
+        wall = (time.perf_counter() - started) * 1000.0
+        records.append(
+            SyncRecord(t, comm, sin_val, rho_val, eta, eps_spent, delta_spent, wall)
+        )
+        if history is not None:
+            history.append((t, z_bar))
 
     return RunTrace(
         records=records,

@@ -558,13 +558,33 @@ def test_local_products_equal_the_shard_grams_times_the_bases(n, d, m):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     short = 2 * max(ds.sizes) < d
-    assert ("_padded_shards" in vars(ds)) == short  # only short shards are applied through their rows
+    assert ("_row_factor" in vars(ds)) == short  # only short shards are applied through their rows
     if short:
-        padded = vars(ds)["_padded_shards"]
-        assert padded.shape == (m, max(ds.sizes), d) and not padded.flags.writeable
-        for stacked, shard in zip(padded, ds.shards):
-            np.testing.assert_array_equal(stacked[: shard.shape[0]], shard)
-            assert not stacked[shard.shape[0]:].any()
+        p, k = vars(ds)["_row_factor"]
+        h = max(ds.sizes)
+        assert p.shape == (m, d, h) and k.shape == (m, h, h)
+        assert not p.flags.writeable and not k.flags.writeable
+        assert np.abs(np.swapaxes(p, 1, 2) @ p - np.eye(h)).max() <= 1e-13
+        grams = p @ k @ np.swapaxes(p, 1, 2)  # M_i = P_i K_i P_i.T
+        assert np.abs(grams - ds.shard_grams).max() <= 1e-13 * np.abs(ds.shard_grams).max()
+
+
+# (n, d, m, r): shards of 3-4 rows with r at most 3, in their row spaces; shards of 6-7 rows, in
+# theirs; shards of 10-11 rows with d = 20, through the Gram stack; one shard of 9 rows.
+LOCAL_STEP_SHAPES = [(38, 20, 12, 3), (62, 20, 9, 4), (103, 20, 10, 4), (9, 20, 1, 5)]
+
+
+@pytest.mark.parametrize("n, d, m, r", LOCAL_STEP_SHAPES)
+def test_local_steps_equal_repeated_orth_of_the_gram_products(n, d, m, r):
+    rng = np.random.default_rng(n + d + m + r)
+    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=5)
+    zs = linalg.orth(rng.standard_normal((m, d, r)))  # a basis per worker
+    assert ds.local_steps(zs, 0) is zs
+    want = zs
+    for steps in range(1, 5):
+        want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
+        assert np.abs(ds.local_steps(zs, steps) - want).max() <= 1e-12, steps
+    assert ("_row_factor" in vars(ds)) == (2 * max(ds.sizes) < d)
 
 
 def test_global_gram_is_built_once_and_read_only():

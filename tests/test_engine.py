@@ -178,6 +178,50 @@ def test_rounds_from_differing_bases_match_a_per_worker_reference():
                         assert np.abs(z_bar - z_ref).max() <= 1e-12, (ds.d, participation, priv.epsilon, alignment, t)
 
 
+# (n, m) with d = 20 and r = 4: shards of 3-4 rows (some below r), of 6-7 rows (between r
+# and d/2, so local steps run in the shards' row spaces) and of 10-11 rows (at or above d/2,
+# so every M_i is applied through the Gram stack).
+DIFFERENTIAL_SHAPES = {"below_r": (38, 12), "row_space": (62, 9), "gram": (103, 10)}
+# Horizon 12: every third step, gaps shrinking from 4, and explicit rounds whose horizon is no round.
+DIFFERENTIAL_SCHEDULES = {
+    "fixed": SyncSchedule.fixed(3, 12), "decaying": SyncSchedule.decaying(4, 12),
+    "explicit": SyncSchedule.explicit((1, 2, 5, 9), 12),
+}
+
+
+@pytest.mark.parametrize("schedule", DIFFERENTIAL_SCHEDULES.values(), ids=DIFFERENTIAL_SCHEDULES.keys())
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES.values(), ids=DIFFERENTIAL_SHAPES.keys())
+def test_runs_match_the_per_worker_reference_on_every_shard_height(shape, schedule):
+    # Every recorded basis of engine.run, whichever route its local steps take, equals the Gram-based
+    # per-worker reference's basis at that step. A shard of fewer than r rows gives a rank-deficient
+    # local step, whose missing directions orth completes from rounding noise, so on such a dataset
+    # the rows from the first local step on are left out.
+    n, m = shape
+    ds = small_dataset(seed=n, n=n, d=20, m=m)
+    rank_deficient = ds.min_shard_size < 4
+    first_local = min(set(range(1, 13)) - set(schedule.steps))
+    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
+    compared = 0
+    cases = [(part, priv, every) for part in (engine.FULL_PARTICIPATION, Participation("partial", 4, 1),
+                                              Participation("partial", 4, 2))
+             for priv in (noiseless(schedule), noisy) for every in (False, True)]
+    for idx, (participation, priv, every) in enumerate(cases):
+        alignment = (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT)[idx % 3]
+        cfg = make_config(3, 4, schedule, alignment=alignment, seed=idx, participation=participation,
+                          privacy=priv, record_every_step=every, keep_basis_history=True)
+        trace = engine.run(ds, cfg)
+        want_steps = list(range(1, 13)) if every else sorted({*schedule.steps, 12})
+        assert [t for t, _ in trace.basis_history] == [r.t for r in trace.records] == want_steps
+        history = list(_per_worker_reference(ds, cfg, trace.scales))
+        for t, z_bar in trace.basis_history:
+            if rank_deficient and t >= first_local:
+                continue
+            compared += 1
+            assert np.abs(z_bar - history[t - 1]).max() <= 1e-12, (participation, priv.epsilon, every, alignment, t)
+    assert compared > 0 or first_local == 1
+    assert ("_row_factor" in vars(ds)) == (2 * max(ds.sizes) < ds.d)  # the route the local products took
+
+
 def test_replicated_diagonal_converges_to_leading_axis():
     block = np.diag([4.0, 3.0, 2.0, 1.0])
     ds = ShardedDataset((block.copy(), block.copy()))  # two equal shards, M_i = M
@@ -604,8 +648,17 @@ def test_short_shard_runs_match_the_gram_product(alignment, participation, monke
         privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-5, schedule), record_every_step=True,
     )
     rows = engine.run(short_shard_dataset(seed=26), cfg)
+
+    def gram_steps(self, zs, steps):
+        for _ in range(steps):
+            zs = linalg.orth(self.shard_grams @ zs, require_full_rank=False)
+        return zs
+
     monkeypatch.setattr(ShardedDataset, "local_products", lambda self, zs: self.shard_grams @ zs)
-    grams = engine.run(short_shard_dataset(seed=26), cfg)
+    monkeypatch.setattr(ShardedDataset, "local_steps", gram_steps)
+    ds = short_shard_dataset(seed=26)
+    grams = engine.run(ds, cfg)
+    assert "_row_factor" not in vars(ds)  # the Gram-form run reaches no row-path code
     assert len(rows.records) == len(grams.records) == 12
     for a, b in zip(rows.records, grams.records):
         assert (a.t, a.comm_count, a.eta) == (b.t, b.comm_count, b.eta)
@@ -613,8 +666,8 @@ def test_short_shard_runs_match_the_gram_product(alignment, participation, monke
     assert np.abs(rows.final_basis - grams.final_basis).max() <= 1e-10
 
 
-def test_only_short_shard_runs_build_the_padded_stack_and_only_once(monkeypatch):
-    prop = ShardedDataset.__dict__["_padded_shards"]
+def test_only_short_shard_runs_build_the_row_factor_and_only_once(monkeypatch):
+    prop = ShardedDataset.__dict__["_row_factor"]
     builds = []
     real = prop.func
     monkeypatch.setattr(prop, "func", lambda ds: builds.append(ds) or real(ds))

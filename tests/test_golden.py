@@ -117,6 +117,8 @@ CASES = {
         record_every_step=True,
         repeats=1,
     ), []),
+    # 60 shards of 8 or 9 rows, shorter than d/2 and taller than r: the local steps run in the shards' row spaces.
+    "row_space_shards": ("run", _variant(m=60), []),
     "compare": ("compare", _variant(T=40, repeats=2), []),
     "sweep": ("privacy-sweep", _variant(T=40, repeats=2), ["--eps-list", "inf,10,1"]),
     "full_noise_opt": ("run", _variant(
