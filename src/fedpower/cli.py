@@ -44,6 +44,8 @@ SCHEMA_VERSION = 1
 SWEEP_WINDOW = 40  # iterations over which the sweep takes the minimum error
 
 THREADS_ENV = "FEDPOWER_THREADS"
+# The largest horizon a config may set: the schedule lists its steps and the run loops over them.
+MAX_HORIZON = 10**6
 
 
 BUDGET = "budget"  # JSON type of a privacy budget: a number or the string "inf"
@@ -102,6 +104,8 @@ class ExperimentConfig:
             object.__setattr__(self, "r", self.k)
         if self.r < self.k:
             raise ConfigError(f"config key 'r' must be at least k={self.k}, got {self.r}")
+        if self.horizon > MAX_HORIZON:
+            raise ConfigError(f"config key 'T' must be at most {MAX_HORIZON}, got {self.horizon}")
         if self.participation_kind == "partial" and None in (self.participation_count, self.participation_scheme):
             missing = "participation.K" if self.participation_count is None else "participation.scheme"
             raise ConfigError(f"config key {missing!r} is required under participation kind 'partial'")

@@ -666,6 +666,24 @@ def test_bad_eps_list_is_a_config_error_before_the_dataset_is_loaded(eps_list, t
     assert "--eps-list" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
+def test_a_horizon_above_the_step_limit_is_a_config_error_before_the_dataset_is_loaded(
+        command, tmp_path, capsys, monkeypatch):
+    # "T": 1e18 was a MemoryError traceback from the schedule, which lists every step.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before T was checked")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    cfg_path = tmp_path / "cfg.json"
+    for horizon in (cli.MAX_HORIZON + 1, 1e18):
+        cfg_path.write_text(json.dumps(config_doc(T=horizon)))
+        code = cli.main([command, "--config", str(cfg_path)])
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert (code, payload["error"]) == (1, "ConfigError")
+        assert f"config key 'T' must be at most {cli.MAX_HORIZON}, got {int(horizon)}" == payload["message"]
+    assert ExperimentConfig.from_dict(config_doc(T=cli.MAX_HORIZON)).horizon == cli.MAX_HORIZON
+
+
 def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):
     out = tmp_path / "sweep.csv"
     doc = config_doc(repeats=1, T=20, privacy={"epsilon": 2.0, "delta": 1e-3}, out=str(out))

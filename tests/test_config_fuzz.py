@@ -17,8 +17,9 @@ BASE = {
 }
 # Every key and section the schema knows, except the two that name files: a path is the caller's.
 KEYS = sorted((set(cli._TYPES) | cli._SECTIONS) - {"dataset.libsvm", "out"})
-# Every count here is at most 1e3 or at least 2**63: "T": 1e18 is a MemoryError from the schedule,
-# and counts near 1e8 could allocate gigabytes instead of failing.
+# Every count here is at most 1e3 or at least 2**63: a count near 1e8 as d or repeats could allocate
+# gigabytes or loop for hours instead of failing. HORIZONS adds, for "T" only, counts above
+# cli.MAX_HORIZON, which are refused before any data is made.
 POOL = [
     None, True, False, 0, 1, 2, 3, 5, 24, 100, -1, -0.0, 0.5, 2.5, 3.0, 1e-5, 0.999, 1e-320, 1e-307, 1e160,
     1e300, float("nan"), float("inf"), 2**63, 2**64, 1e19, "inf", "x", "", "fixed", "decaying", "explicit",
@@ -26,6 +27,7 @@ POOL = [
     [1, "inf"], [1e160, 1.0], [1e-300, 1e-300], [5.0] * 5, {}, {"kind": "partial", "K": 2, "scheme": 2},
     {"kind": "explicit", "steps": [1, 3]}, {"kind": "decaying", "p": 3},
 ]
+HORIZONS = [cli.MAX_HORIZON + 1, 1e7, 1e18, 2**62, 2**63 - 1]
 COMMANDS = ("run", "compare", "privacy-sweep", "inspect-dataset")
 CASES = 300
 
@@ -44,7 +46,7 @@ def _case(seed: int, tmp_path):
     rng = random.Random(seed)
     doc = copy.deepcopy(BASE)
     for path in rng.sample(KEYS, rng.randint(1, 3)):
-        _put(doc, path, copy.deepcopy(rng.choice(POOL)))
+        _put(doc, path, copy.deepcopy(rng.choice(POOL + HORIZONS if path == "T" else POOL)))
     text = json.dumps(doc)
     if rng.random() < 0.15:
         text = text[: rng.randrange(len(text))]
