@@ -31,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "compare_baselines",
     "main",
-    "parse_trace",
     "privacy_sweep",
     "run_experiment",
 ]
@@ -39,7 +38,6 @@ __all__ = [
 TRACE_COLUMNS = "t,comm_count,eps_spent,delta_spent,sin_theta_k,rho_t,eta,wall_ms"
 COMPARE_COLUMNS = "algorithm,final_error_mean,final_error_std,repeats"
 SWEEP_COLUMNS = "epsilon,min_sin_theta_mean,min_sin_theta_std,eps_spent_total,delta_spent_total,status"
-TRACE_INT_COLUMNS = {"t": int, "comm_count": int}  # every other trace column is a float
 SCHEMA_VERSION = 1
 SWEEP_WINDOW = 40  # iterations over which the sweep takes the minimum error
 
@@ -290,48 +288,6 @@ class CsvTrace:
         stem, ext = os.path.splitext(path)
         for row_idx, sub in self.sub_traces.items():
             sub.write(f"{stem}.eps{row_idx}{ext or '.csv'}")
-
-
-def parse_trace(text: str) -> dict:
-    """Parse a rendered trace CSV back into config, per-repeat records, and
-    the summary line. Round-trips everything :meth:`CsvTrace.render` emits
-    for kind="trace"."""
-    config = None
-    seed = None
-    columns = None
-    repeats: list[dict] = []
-    summary: dict = {}
-    for line in text.splitlines():
-        if line.startswith("# config="):
-            config = json.loads(line[len("# config="):])
-        elif line.startswith("# seed="):
-            seed = int(line[len("# seed="):])
-        elif line.startswith("# repeat="):
-            head = line[2:].split()
-            fields = dict(part.split("=", 1) for part in head if "=" in part)
-            repeats.append(
-                {
-                    "repeat": int(fields["repeat"]),
-                    "seed": int(fields["seed"]),
-                    "eta": float(fields["eta"]),
-                    "records": [],
-                }
-            )
-        elif line.startswith("# summary"):
-            for part in line[len("# summary"):].split():
-                key, _, val = part.partition("=")
-                summary[key] = float(val)
-        elif line.startswith("#") or not line.strip():
-            continue
-        elif columns is None:
-            columns = line.split(",")
-        else:
-            record = {
-                key: TRACE_INT_COLUMNS.get(key, float)(cell)
-                for key, cell in zip(columns, line.split(","))
-            }
-            repeats[-1]["records"].append(record)
-    return {"config": config, "seed": seed, "columns": columns, "repeats": repeats, "summary": summary}
 
 
 def load_matrix(cfg: ExperimentConfig) -> np.ndarray:

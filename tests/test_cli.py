@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from fedpower import cli, privacy
-from fedpower.cli import ExperimentConfig, parse_trace
+from fedpower.cli import ExperimentConfig
 from fedpower.data import partition, write_libsvm
 from fedpower.errors import ConfigError
+from trace_csv import parse_trace
 
 
 def config_doc(**overrides):

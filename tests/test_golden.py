@@ -30,6 +30,7 @@ import pytest
 
 from fedpower import cli, engine, privacy
 from fedpower.data import partition, write_libsvm
+from trace_csv import parse_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -220,7 +221,7 @@ def test_cli_repeats_equal_library_runs():
     cfg = cli.ExperimentConfig.from_dict(README_DEMO)
     matrix = cli.load_matrix(cfg)
     trace = cli.run_experiment(cfg)
-    rendered = cli.parse_trace(trace.render())["repeats"]
+    rendered = parse_trace(trace.render())["repeats"]
     for idx, rep in enumerate(trace.repeats):
         seed = privacy.derive_seed(cfg.seed, idx)
         dataset = partition(matrix, cfg.m, mode=cfg.partition_mode, seed=seed)
