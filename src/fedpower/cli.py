@@ -271,9 +271,10 @@ class CsvTrace:
             lines.extend(",".join(_fmt(row[key]) for key in keys) for row in self.rows)
             return "\n".join(lines) + "\n"
         for idx, rep in enumerate(self.repeats):
-            lines.append(f"# repeat={idx} seed={privacy.derive_seed(self.cfg.seed, idx)} eta={rep.eta!r}")
+            eta = rep.eta  # one value per repeat's dataset, not a record field
+            lines.append(f"# repeat={idx} seed={privacy.derive_seed(self.cfg.seed, idx)} eta={eta!r}")
             for rec in rep.records:
-                cells = [getattr(rec, key) for key in keys]
+                cells = [eta if key == "eta" else getattr(rec, key) for key in keys]
                 if not self.cfg.measure_wall_time:
                     cells[-1] = 0.0  # wall_ms
                 lines.append(",".join(map(_fmt, cells)))
@@ -342,8 +343,14 @@ def _written(trace: CsvTrace) -> CsvTrace:
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> CsvTrace:
     """Execute ``cfg.repeats`` seeded runs and assemble the trace CSV."""
     run_cfg = _run_config(cfg, cfg.seed)  # a bad budget fails here, before the dataset is loaded
-    repeats = _per_repeat(cfg, lambda seed, dataset: engine.run(dataset, replace(run_cfg, seed=seed)), threads)
+    repeats = _per_repeat(cfg, lambda seed, ds: _with_eta(engine.run(ds, replace(run_cfg, seed=seed))), threads)
     return _written(CsvTrace("trace", cfg, repeats=repeats))
+
+
+def _with_eta(trace: engine.RunTrace) -> engine.RunTrace:
+    """``trace``, its eta read, so that a repeat computes eta in its own thread, not at render time."""
+    trace.eta
+    return trace
 
 
 _ALIGN_FOR_ROW = {
@@ -411,7 +418,7 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
         results = []
         for run_cfg in budgets:
             try:
-                results.append(engine.run(dataset, _run_config(run_cfg, rep_seed)))
+                results.append(_with_eta(engine.run(dataset, _run_config(run_cfg, rep_seed))))
             except InvalidBudget as exc:
                 results.append(exc)
         return results

@@ -48,14 +48,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class ShardedDataset:
     """A global n x d matrix split into m row shards with weights s_i / n.
 
-    The shard Grams, the global Gram, ``eta``, the local eigenpairs and the
-    reference bases are built on first use and cached, so every run and
-    baseline on one dataset shares them. Every cached array is read-only: an
-    in-place write raises ``ValueError`` instead of reaching later runs. The
-    Gram stack keeps m * d * d floats alive for the dataset's lifetime. When
-    the tallest shard has h rows with ``2 * h < d``, :meth:`local_products`
-    and :meth:`local_steps` also cache one row factor ``M_i = P_i K_i P_i.T``,
-    m * d * h + m * h * h floats, which is less than half of the Gram stack.
+    The shard sizes and Grams, the global Gram, ``eta``, the local eigenpairs
+    and the reference bases are built on first use (``eta`` on first read)
+    and cached, so every run and baseline on one dataset shares them. Every
+    cached array is read-only: an in-place write raises ``ValueError``
+    instead of reaching later runs. The Gram stack keeps m * d * d floats
+    alive for the dataset's lifetime. When the tallest shard has h rows with
+    ``2 * h < d``, the local products, steps and eigenpairs also cache one
+    row factor ``M_i = P_i K_i P_i.T``, m * d * h + m * h * h floats, which
+    is less than half of the Gram stack.
     """
 
     shards: tuple[np.ndarray, ...]
@@ -88,7 +89,7 @@ class ShardedDataset:
     def n(self) -> int:
         return sum(s.shape[0] for s in self.shards)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(s.shape[0] for s in self.shards)
 
@@ -109,7 +110,8 @@ class ShardedDataset:
         """Second-moment matrix of the full dataset, ``A.T @ A / n = sum_i p_i M_i``.
 
         Built once per dataset and shared by every caller. Every command reads
-        it first, so data whose squares overflow raises :class:`NonFinite` here.
+        it first, so data whose squares overflow raises :class:`NonFinite` here,
+        and all-zero data :class:`DegenerateData`.
         """
         return self._global_gram
 
@@ -119,6 +121,8 @@ class ShardedDataset:
             m_global = np.tensordot(self.weights, self.shard_grams, axes=1)
         if not np.isfinite(m_global).all():
             raise NonFinite("the global second-moment matrix has NaN or infinite entries")
+        if not m_global.any():
+            raise DegenerateData("global second-moment matrix is zero")
         return _frozen(m_global)
 
     @cached_property
@@ -196,8 +200,6 @@ class ShardedDataset:
         """
         m_global = self.global_gram()
         denom = float(np.linalg.eigvalsh(m_global)[-1])
-        if denom <= 0.0:
-            raise DegenerateData("global second-moment matrix is zero")
         return tuple(float(np.abs(np.linalg.eigvalsh(g - m_global)[[0, -1]]).max()) / denom for g in self.shard_grams)
 
     @cached_property
@@ -214,22 +216,31 @@ class ShardedDataset:
 
     def local_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard
-        Gram ``M_i = A_i.T @ A_i / n_i``, cached per k.
+        Gram ``M_i = A_i.T @ A_i / n_i``, eigenvalues descending, cached per k.
 
-        They come from the thin SVD of the shard: the vectors are its right
-        singular vectors and the eigenvalues its squared singular values over
+        On the row path (``2 * h < d``) with ``k <= h`` they come from the row
+        factor ``M_i = P_i K_i P_i.T``: one batched ``eigh`` of the h x h
+        ``K_i`` gives ``K_i = W_i diag(s_i) W_i.T``, so the vectors are
+        ``P_i @ W_i``. Otherwise they come from the thin SVD of each shard:
+        its right singular vectors, and its squared singular values over
         ``n_i``, with no d x d factorization. A shard with fewer than k rows
-        is padded with zero rows, which leave ``A_i.T @ A_i`` unchanged, so
-        it still gives k orthonormal vectors; the extra eigenvalues are 0.
+        is padded with zero rows, which leave ``A_i.T @ A_i`` unchanged. Either
+        way such a shard still gives k orthonormal vectors, and its extra
+        eigenvalues are 0 up to rounding.
         """
         if k not in self._eigenpairs:
-            vecs = np.empty((self.m, self.d, k))
-            vals = np.empty((self.m, k))
-            for i, shard in enumerate(self.shards):
-                rows = shard.shape[0]
-                res = svd(np.vstack([shard, np.zeros((k - rows, self.d))]) if rows < k else shard)
-                vecs[i] = res.v[:, :k]
-                vals[i] = res.singular_values[:k] ** 2 / rows
+            if self._row_path and k <= max(self.sizes):
+                p, k_rows = self._row_factor
+                vals, w = np.linalg.eigh(k_rows)  # ascending
+                vecs, vals = p @ w[:, :, ::-1][:, :, :k], vals[:, ::-1][:, :k]
+            else:
+                vecs = np.empty((self.m, self.d, k))
+                vals = np.empty((self.m, k))
+                for i, shard in enumerate(self.shards):
+                    rows = shard.shape[0]
+                    res = svd(np.vstack([shard, np.zeros((k - rows, self.d))]) if rows < k else shard)
+                    vecs[i] = res.v[:, :k]
+                    vals[i] = res.singular_values[:k] ** 2 / rows
             self._eigenpairs[k] = (_frozen(vecs), _frozen(vals))
         return self._eigenpairs[k]
 

@@ -39,7 +39,8 @@ summation order only.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,7 +197,6 @@ class SyncRecord:
     comm_count: int
     sin_theta_k: float
     rho_t: float
-    eta: float
     eps_spent: float
     delta_spent: float
     wall_ms: float
@@ -204,13 +204,22 @@ class SyncRecord:
 
 @dataclass
 class RunTrace:
-    """Per-round metrics, the final orthonormalized basis and the applied noise scales."""
+    """Per-round metrics, the final orthonormalized basis and the applied noise scales.
+
+    ``eta`` is one value per dataset, computed by :func:`local_approx_eta`
+    when first read, not by the run, and kept; ``compare`` never reads it.
+    """
 
     records: list[SyncRecord]
     final_basis: np.ndarray
-    eta: float
     scales: privacy.NoiseScales
+    _dataset: ShardedDataset | None = field(repr=False, compare=False)
     basis_history: list[tuple[int, np.ndarray]] | None = None
+
+    @cached_property
+    def eta(self) -> float:
+        eta, self._dataset = local_approx_eta(self._dataset), None  # once read, the trace keeps no shard alive
+        return eta
 
 
 def initial_basis(d: int, r: int, seed: int) -> np.ndarray:
@@ -225,7 +234,8 @@ def local_approx_eta(dataset: ShardedDataset) -> float:
     """Smallest eta with ``||M_i - M||_2 <= eta ||M||_2`` over all shards.
 
     Purely diagnostic: large values mean shards are poor surrogates of the
-    global second-moment matrix. Computed once per dataset and cached.
+    global second-moment matrix. Computed once per dataset, on its first
+    read (:attr:`RunTrace.eta` reads it, :func:`run` does not), and cached.
     """
     return dataset.eta
 
@@ -334,7 +344,6 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     else:
         scales = privacy.scales_full(cfg.privacy, dataset.min_shard_size, float(weights.max()))
 
-    eta = local_approx_eta(dataset)
     if reference is None:
         reference = dataset.reference_basis(cfg.k)
     reference = linalg.as_matrix(reference)[:, : cfg.k]
@@ -397,16 +406,8 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
         rho_val = 0.0 if synced else residual_rho(zs, cfg.alignment, base_full)
         eps_spent, delta_spent = privacy.account(cfg.privacy, comm)
         wall = (time.perf_counter() - started) * 1000.0
-        records.append(
-            SyncRecord(t, comm, sin_val, rho_val, eta, eps_spent, delta_spent, wall)
-        )
+        records.append(SyncRecord(t, comm, sin_val, rho_val, eps_spent, delta_spent, wall))
         if history is not None:
             history.append((t, z_bar))
 
-    return RunTrace(
-        records=records,
-        final_basis=z_bar,
-        eta=eta,
-        scales=scales,
-        basis_history=history,
-    )
+    return RunTrace(records=records, final_basis=z_bar, scales=scales, _dataset=dataset, basis_history=history)

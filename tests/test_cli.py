@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedpower import cli, privacy
+from fedpower import cli, engine, privacy
 from fedpower.cli import ExperimentConfig
 from fedpower.data import partition, write_libsvm
 from fedpower.errors import ConfigError
@@ -418,6 +419,42 @@ def test_compare_threads_do_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_compare_computes_no_eta_and_run_and_sweep_write_each_repeats_own(monkeypatch):
+    # compare writes no eta, so it never computes one; run and privacy-sweep compute it per repeat,
+    # inside the thread pool, and write that repeat's dataset eta in its header and its eta column.
+    cfg = ExperimentConfig.from_dict(config_doc(repeats=2, T=12))
+    matrix = cli.load_matrix(cfg)
+    want = [partition(matrix, cfg.m, mode=cfg.partition_mode, seed=privacy.derive_seed(cfg.seed, i)).eta
+            for i in range(cfg.repeats)]
+    real = engine.local_approx_eta
+    callers = []
+    monkeypatch.setattr(engine, "local_approx_eta", lambda ds: callers.append(threading.current_thread()) or real(ds))
+    run = cli.run_experiment(cfg, threads=2)
+    sweep = cli.privacy_sweep(cfg, ["inf", "1"], threads=2)
+    assert len(callers) == 3 * cfg.repeats and threading.main_thread() not in callers  # a run and two budgets
+    for trace in (run, *sweep.sub_traces.values()):
+        for rep, eta in zip(parse_trace(trace.render())["repeats"], want, strict=True):
+            assert rep["eta"] == eta and {rec["eta"] for rec in rep["records"]} == {eta}
+
+    def refuse(dataset):
+        raise AssertionError("compare computed eta")
+
+    monkeypatch.setattr(engine, "local_approx_eta", refuse)
+    rows = cli.compare_baselines(cfg).rows
+    assert [row["algorithm"] for row in rows] == list(cli.COMPARE_ALGORITHMS)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
+def test_all_zero_data_is_degenerate_in_every_command(command, tmp_path, capsys):
+    # The only check sat in eta, which compare no longer computes.
+    libsvm = tmp_path / "zero.libsvm"
+    libsvm.write_text("0 1:0 2:0 3:0\n" * 12)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, m=3, k=2, r=2, T=8, repeats=1)))
+    code = cli.main([command, "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "DegenerateData")
+    assert "zero" in payload["message"]
 
 
 def test_compare_single_shard_degenerate():

@@ -620,7 +620,9 @@ def test_overflowing_second_moments_raise_non_finite():
 # ---------------------------------------------------------------- eta and local eigenpairs
 
 # Shard row counts around d = 12: all shorter than d, all taller, and mixed with shards of fewer rows than k = 4.
-SHARD_ROWS = [(5, 9, 3, 7), (20, 40, 17, 13), (2, 30, 12, 3)]
+# With d = 12 and k = 4: shards near or above d/2, whose products use the Grams; shards below d/2
+# (the row path), some shorter than k; and shards below d/2 that are all shorter than k, so k > h.
+SHARD_ROWS = [(5, 9, 3, 7), (20, 40, 17, 13), (2, 30, 12, 3), (5, 2, 4, 3, 5), (3, 2, 3)]
 
 
 def _dataset_with_rows(rows, seed=36, d=12):
@@ -642,6 +644,8 @@ def test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams(rows):
     ds = _dataset_with_rows(rows)
     vecs, vals = ds.local_eigenpairs(k)
     assert vecs.shape == (ds.m, ds.d, k) and vals.shape == (ds.m, k)
+    # Only the row path with k <= h reads the eigenpairs off the row factor.
+    assert ("_row_factor" in vars(ds)) == (2 * max(rows) < ds.d and k <= max(rows))
     for v, lam, g, shard in zip(vecs, vals, ds.shard_grams, ds.shards):
         want = linalg.top_eigenpairs(g, k)
         # A shard of fewer than k rows fixes only its row space; the rest of the Gram's top k is an

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -603,6 +604,18 @@ def test_cached_eta_matches_a_fresh_dataset():
         np.testing.assert_array_equal(g, linalg.gram(shard))
 
 
+def test_a_trace_computes_eta_on_first_read_and_then_keeps_no_dataset_alive():
+    ds = small_dataset(seed=22)
+    trace = engine.run_full(ds, make_config(2, 2, SyncSchedule.fixed(2, 6), seed=1))
+    assert "eta" not in vars(ds)  # the run itself computes no eta
+    eta = trace.eta
+    assert eta == ds.eta
+    # A sweep holds every repeat's traces until it writes them; they must not hold the shards too.
+    alive = weakref.ref(ds)
+    del ds
+    assert alive() is None and trace.eta == eta
+
+
 def test_partition_builds_no_grams():
     ds = small_dataset(seed=23)
     assert "shard_grams" not in vars(ds) and "eta" not in vars(ds)
@@ -659,9 +672,9 @@ def test_short_shard_runs_match_the_gram_product(alignment, participation, monke
     ds = short_shard_dataset(seed=26)
     grams = engine.run(ds, cfg)
     assert "_row_factor" not in vars(ds)  # the Gram-form run reaches no row-path code
-    assert len(rows.records) == len(grams.records) == 12
+    assert len(rows.records) == len(grams.records) == 12 and rows.eta == grams.eta
     for a, b in zip(rows.records, grams.records):
-        assert (a.t, a.comm_count, a.eta) == (b.t, b.comm_count, b.eta)
+        assert (a.t, a.comm_count) == (b.t, b.comm_count)
         assert abs(a.sin_theta_k - b.sin_theta_k) <= 1e-10 and abs(a.rho_t - b.rho_t) <= 1e-10
     assert np.abs(rows.final_basis - grams.final_basis).max() <= 1e-10
 

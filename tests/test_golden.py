@@ -121,6 +121,9 @@ CASES = {
     # 60 shards of 8 or 9 rows, shorter than d/2 and taller than r: the local steps run in the shards' row spaces.
     "row_space_shards": ("run", _variant(m=60), []),
     "compare": ("compare", _variant(T=40, repeats=2), []),
+    # The compare config on 60 shards of 8 or 9 rows (d = 20, k = 5): UDA and WDA take their local
+    # eigenpairs from the row factor's h x h eigendecomposition.
+    "compare_row_space": ("compare", _variant(T=40, repeats=2, m=60), []),
     "sweep": ("privacy-sweep", _variant(T=40, repeats=2), ["--eps-list", "inf,10,1"]),
     "full_noise_opt": ("run", _variant(
         schedule={"kind": "fixed", "p": 3},

@@ -28,7 +28,7 @@ def _noiseless(alignment: str, p: int = 4, horizon: int = 40) -> engine.RunConfi
 
 def _diagnostics(matrix, cfg) -> np.ndarray:
     trace = engine.run(_dataset(matrix), cfg)
-    return np.array([(r.sin_theta_k, r.rho_t, r.eta) for r in trace.records])
+    return np.array([(r.sin_theta_k, r.rho_t, trace.eta) for r in trace.records])
 
 
 @pytest.mark.parametrize("alignment", ["none", "sign_fix", "opt"])
