@@ -14,6 +14,7 @@ from .engine import (
     SyncSchedule,
     build_schedule,
     run,
+    run_budgets,
     run_full,
     run_partial,
 )

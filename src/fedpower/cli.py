@@ -413,15 +413,19 @@ def privacy_sweep(cfg: ExperimentConfig, eps_list, threads: int | None = None) -
         raise ConfigError("--eps-list must name at least one budget")
     budgets = [replace(cfg, epsilon=eps, eps_split=None) for eps in epsilons]
 
+    def calibrated(run_cfg: ExperimentConfig, rep_seed: int, dataset: ShardedDataset):
+        try:
+            run_cfg = _run_config(run_cfg, rep_seed)
+            engine.noise_scales(dataset, run_cfg)
+            return run_cfg
+        except InvalidBudget as exc:
+            return exc
+
     def one(rep_seed: int, dataset: ShardedDataset) -> list:
-        # Every budget runs on the repeat's one partition, so its Grams are built once.
-        results = []
-        for run_cfg in budgets:
-            try:
-                results.append(_with_eta(engine.run(dataset, _run_config(run_cfg, rep_seed))))
-            except InvalidBudget as exc:
-                results.append(exc)
-        return results
+        # The budgets that calibrate on the repeat's partition run in one engine pass.
+        results = [calibrated(run_cfg, rep_seed, dataset) for run_cfg in budgets]
+        traces = iter(engine.run_budgets(dataset, [res for res in results if isinstance(res, engine.RunConfig)]))
+        return [res if isinstance(res, InvalidBudget) else _with_eta(next(traces)) for res in results]
 
     rows = []
     sub_traces = {}

@@ -14,7 +14,12 @@ order is the BLAS kernel's, so the bytes are fixed for one numpy build and
 one OpenBLAS kernel.
 
 Workers are conceptually concurrent. The implementation holds their bases
-in one (m, d, r) stack and advances them together. The plain steps before
+in one (B, m, d, r) stack and advances them together: :func:`run_budgets`
+runs B configs that differ only in their privacy budget in one pass, with
+one draw of participants per round and one standard-normal draw per
+(site, round, worker) that each budget scales by its own noise scale, and
+:func:`run` is that pass with B = 1. Until the first round every budget
+holds the same bases, so the stack has one slice. The plain steps before
 each event (a round, the horizon, or every step under ``record_every_step``)
 run in one ``ShardedDataset.local_steps`` call, and a round from differing
 bases takes one batched ``ShardedDataset.local_products``, one batched QR
@@ -62,8 +67,10 @@ __all__ = [
     "draw_participants",
     "initial_basis",
     "local_approx_eta",
+    "noise_scales",
     "residual_rho",
     "run",
+    "run_budgets",
     "run_full",
     "run_partial",
 ]
@@ -241,10 +248,10 @@ def local_approx_eta(dataset: ShardedDataset) -> float:
 
 
 def _alignment_matrix(mode: str, zs: np.ndarray, z_base: np.ndarray) -> np.ndarray:
-    # (n, r, r) stack aligning each of the n bases in zs to z_base; "none" is the identity.
+    # (..., r, r) stack aligning each basis in zs to z_base (broadcast); "none" is the identity.
     if mode == ALIGN_NONE:
         r = zs.shape[-1]
-        return np.broadcast_to(np.eye(r), (zs.shape[0], r, r))
+        return np.broadcast_to(np.eye(r), zs.shape[:-2] + (r, r))
     if mode == ALIGN_OPT:
         return linalg.procrustes(zs, z_base)
     if mode == ALIGN_SIGN:
@@ -281,6 +288,18 @@ def draw_participants(scheme: int, count: int, weights, rng: np.random.Generator
     return np.sort(picks)
 
 
+def noise_scales(dataset: ShardedDataset, cfg: RunConfig) -> privacy.NoiseScales:
+    """The two noise scales ``cfg``'s budget calibrates to on ``dataset``.
+
+    Raises :class:`InvalidBudget` when the budget cannot be calibrated there,
+    and ``ValueError`` for a sampled count above m.
+    """
+    part, weights = cfg.participation, dataset.weights
+    if part.kind == "partial":
+        return privacy.scales_partial(cfg.privacy, dataset.min_shard_size, weights, part.count, part.scheme)
+    return privacy.scales_full(cfg.privacy, dataset.min_shard_size, float(weights.max()))
+
+
 def run_full(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     """:func:`run`, checking that the config asks for full participation."""
     if cfg.participation.kind != "full":
@@ -313,8 +332,8 @@ def _round_members(part: Participation, weights, seed: int, round_idx: int):
 
 
 def _output_basis(zs, alignment, synced, ids, coefs, base):
-    """Aggregate the listed worker bases per the protocol's output rule, then
-    orthonormalize.
+    """Aggregate the listed worker bases of each (m, d, r) slice of ``zs`` per
+    the protocol's output rule, then orthonormalize.
 
     At a synchronization step every worker holds the broadcast basis, which
     that rule returns unchanged, so it is returned as a copy (the caller
@@ -322,27 +341,43 @@ def _output_basis(zs, alignment, synced, ids, coefs, base):
     baseline worker first.
     """
     if synced:
-        return zs[0].copy()
-    selected = zs[ids]
-    selected = selected @ _alignment_matrix(alignment, selected, zs[base])
-    return linalg.orth(np.tensordot(coefs, selected, axes=1), require_full_rank=False)
+        return zs[:, 0].copy()
+    selected = zs[:, ids]
+    selected = selected @ _alignment_matrix(alignment, selected, zs[:, base, None])
+    return linalg.orth(np.stack([np.tensordot(coefs, sel, axes=1) for sel in selected]), require_full_rank=False)
 
 
 def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
-    """Run the protocol with the config's participation, full or partial.
+    """Run the protocol with the config's participation, full or partial:
+    :func:`run_budgets` with one budget.
 
     ``reference`` is the d x k (or wider) basis that ``sin_theta_k`` is
     measured against; by default ``dataset.reference_basis(cfg.k)``.
     """
-    d = dataset.d
-    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None], dataset.m, axis=0)  # rejects r > d
+    return run_budgets(dataset, [cfg], reference)[0]
+
+
+def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) -> list[RunTrace]:
+    """One trace per config, from one pass that advances every config together.
+
+    The configs may differ in ``privacy`` only (else ``ValueError``), so they
+    share the schedule, each round's participants and every standard-normal
+    draw: each (site, round, worker) stream is drawn once and scaled per
+    budget, which gives each trace exactly the bytes of its own run. The
+    worker bases are one (B, m, d, r) stack, with B = 1 until the first round
+    (before it every budget holds the same bases). ``wall_ms`` times the whole pass.
+    """
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any({**vars(c), "privacy": None} != {**vars(cfg), "privacy": None} for c in cfgs):
+        raise ValueError("run_budgets needs configs that differ in privacy only")
+    d, n_budgets = dataset.d, len(cfgs)
+    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None, None], dataset.m, axis=1)  # rejects r > d
     part = cfg.participation
     weights = dataset.weights
     sync_steps = frozenset(cfg.schedule.steps)
-    if part.kind == "partial":  # also rejects a count above m
-        scales = privacy.scales_partial(cfg.privacy, dataset.min_shard_size, weights, part.count, part.scheme)
-    else:
-        scales = privacy.scales_full(cfg.privacy, dataset.min_shard_size, float(weights.max()))
+    scales = [noise_scales(dataset, c) for c in cfgs]
 
     if reference is None:
         reference = dataset.reference_basis(cfg.k)
@@ -353,8 +388,8 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     out_ids, out_coefs, out_base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
     base_full = out_base
 
-    records: list[SyncRecord] = []
-    history: list[tuple[int, np.ndarray]] | None = [] if cfg.keep_basis_history else None
+    records: list[list[SyncRecord]] = [[] for _ in cfgs]
+    histories = [[] if cfg.keep_basis_history else None for _ in cfgs]
     comm = 0
     z_bar = None
     started = time.perf_counter()
@@ -373,41 +408,51 @@ def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
             # Every worker holds the same basis at step 1 and right after a sync;
             # the round then aligns that one basis, else each participant's own.
             shared = t == 1 or t - 1 in sync_steps
-            held = zs[:1] if shared else zs[ids]
-            d_ids = _alignment_matrix(cfg.alignment, held, zs[base])
+            held = zs[:, :1] if shared else zs[:, ids]
+            d_ids = _alignment_matrix(cfg.alignment, held, zs[:, base, None])
             with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
                 if shared:
                     # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
                     g_s = (dataset.global_gram() if part.kind == "full"
                            else np.tensordot(coefs, dataset.shard_grams[ids], axes=1))
-                    agg = g_s @ zs[0] @ d_ids[0]
+                    agg = g_s @ zs[:, 0] @ d_ids[:, 0]
                 else:
-                    agg = np.tensordot(coefs, dataset.local_products(zs)[ids] @ d_ids, axes=1)
-                if scales.sigma_local > 0.0:
-                    agg += np.tensordot(coefs, np.stack([
-                        privacy.sample_noise(
-                            d, cfg.r, float(np.abs(zs[i]).max()) * scales.sigma_local, cfg.seed,
-                            (privacy.STREAM_LOCAL, round_idx, int(i)),
-                        )
-                        for i in ids
-                    ]), axes=1)
-                if scales.sigma_server > 0.0:
-                    agg = agg + privacy.sample_noise(
-                        d, cfg.r, float(np.abs(held @ d_ids).max()) * scales.sigma_server, cfg.seed,
-                        (privacy.STREAM_SERVER, round_idx, 0),
-                    )
-            zs[:] = linalg.orth(agg, require_full_rank=False)
+                    uploads = dataset.local_products(zs)[:, ids] @ d_ids
+                    agg = np.stack([np.tensordot(coefs, up, axes=1) for up in uploads])
+                if len(agg) < n_budgets:
+                    agg = np.repeat(agg, n_budgets, axis=0)
+                # Each (site, round, worker) stream is drawn once; budget b scales it by its own
+                # sigma and by the max-abs entry of its own slice b % len(zs) of the bases.
+                if any(sc.sigma_local > 0.0 for sc in scales):
+                    draws = [privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i)))
+                             for i in ids]
+                    held_max = np.abs(zs[:, ids]).max(axis=(-2, -1))
+                if any(sc.sigma_server > 0.0 for sc in scales):
+                    draw = privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_SERVER, round_idx, 0))
+                    upload_max = np.abs(held @ d_ids).max(axis=(-3, -2, -1))
+                for b, sc in enumerate(scales):
+                    if sc.sigma_local > 0.0:
+                        agg[b] += np.tensordot(coefs, np.stack([
+                            float(top) * sc.sigma_local * g for top, g in zip(held_max[b % len(zs)], draws)
+                        ]), axes=1)
+                    if sc.sigma_server > 0.0:
+                        agg[b] += float(upload_max[b % len(zs)]) * sc.sigma_server * draw
+            if len(zs) < n_budgets:
+                zs = np.empty((n_budgets,) + zs.shape[1:])
+            zs[:] = linalg.orth(agg, require_full_rank=False)[:, None]
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base
 
         z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
-        sin_val = linalg.sin_theta_k(z_bar, reference)
+        sins = [linalg.sin_theta_k(z, reference) for z in z_bar]
         # After a sync every worker holds the broadcast basis: rho is 0.
-        rho_val = 0.0 if synced else residual_rho(zs, cfg.alignment, base_full)
-        eps_spent, delta_spent = privacy.account(cfg.privacy, comm)
+        rhos = [0.0] * len(zs) if synced else [residual_rho(z, cfg.alignment, base_full) for z in zs]
         wall = (time.perf_counter() - started) * 1000.0
-        records.append(SyncRecord(t, comm, sin_val, rho_val, eps_spent, delta_spent, wall))
-        if history is not None:
-            history.append((t, z_bar))
+        for b, c in enumerate(cfgs):
+            s = b % len(zs)  # one slice per budget, or one for all before the first round
+            records[b].append(SyncRecord(t, comm, sins[s], rhos[s], *privacy.account(c.privacy, comm), wall))
+            if histories[b] is not None:
+                histories[b].append((t, z_bar[s]))
 
-    return RunTrace(records=records, final_basis=z_bar, scales=scales, _dataset=dataset, basis_history=history)
+    return [RunTrace(records=rec, final_basis=z_bar[b % len(z_bar)], scales=sc, _dataset=dataset, basis_history=hist)
+            for b, (rec, sc, hist) in enumerate(zip(records, scales, histories))]

@@ -60,9 +60,9 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _as_stack(a) -> np.ndarray:
-    """Coerce ``a`` to one float64 matrix (2-D) or a stack of them (3-D)."""
+    """Coerce ``a`` to one float64 matrix (2-D) or a stack of them (any leading axes)."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim not in (2, 3):
+    if m.ndim < 2:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     return m
 
@@ -70,7 +70,7 @@ def _as_stack(a) -> np.ndarray:
 def _require_finite(a: np.ndarray, action: str) -> None:
     bad = ~np.isfinite(a).all(axis=(-2, -1))
     if bad.any():
-        where = f" (slices {np.flatnonzero(bad).tolist()})" if a.ndim == 3 else ""
+        where = f" (slices {np.flatnonzero(bad).tolist()})" if a.ndim > 2 else ""
         raise NonFinite(f"cannot {action} an array with NaN or infinite entries{where}")
 
 
@@ -83,8 +83,9 @@ def is_orthonormal(q) -> bool:
 def orth(y, require_full_rank: bool = True) -> np.ndarray:
     """Orthonormalize the columns of ``y`` via QR factorization.
 
-    ``y`` is one d x r matrix or a stack of shape (k, d, r); a stack is
-    factorized slice by slice in one call, with the same result per slice.
+    ``y`` is one d x r matrix or a stack of shape (..., d, r); a stack is
+    factorized slice by slice in one call, with the same result per slice
+    (slices are numbered in C order in error messages).
     The factorization is deterministic: column signs of Q are flipped so the
     diagonal of R is nonnegative. With ``require_full_rank`` (the default) a
     diagonal entry of R below ``RANK_TOL * ||y||_2`` raises
@@ -110,7 +111,7 @@ def orth(y, require_full_rank: bool = True) -> np.ndarray:
             p, limit = float(pivot.flat[i]), RANK_TOL * float(scale.flat[i])
             raise RankDeficient(
                 f"pivot {p:.3e} under threshold {RANK_TOL:.1e} * ||y||_2 = {limit:.3e}"
-                + (f" in slice {i}" if y.ndim == 3 else "")
+                + (f" in slice {i}" if y.ndim > 2 else "")
             )
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs[..., None, :]
@@ -130,7 +131,7 @@ def gram(shard) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD of a dense matrix, or of each slice of a (k, m, n) stack,
+    """Thin SVD of a dense matrix, or of each slice of a (..., m, n) stack,
     via LAPACK; deterministic for fixed input.
 
     Raises :class:`NonFinite` on NaN or infinite entries and
@@ -198,8 +199,8 @@ def sin_theta_k(z, v, k: int | None = None) -> float:
 
 def _alignment_operands(z_i, z_base):
     z_i = _as_stack(z_i)
-    z_base = as_matrix(z_base)
-    if z_i.shape[-2:] != z_base.shape:
+    z_base = _as_stack(z_base)
+    if z_i.shape[-2:] != z_base.shape[-2:]:
         raise DimensionMismatch(f"alignment operands differ in shape: {z_i.shape} vs {z_base.shape}")
     return z_i, z_base
 
@@ -212,8 +213,9 @@ def procrustes(z_i, z_base) -> np.ndarray:
     an orthogonal completion of the zero directions (any completion is
     optimal); LAPACK's W1 and W2 are orthogonal to rounding either way, and
     so is D.
-    A stack ``z_i`` of shape (k, d, r) is aligned to the one ``z_base`` with
-    one stacked SVD and gives a (k, r, r) stack.
+    Stacks broadcast over their leading axes: a ``z_i`` of shape (..., d, r)
+    is aligned to one ``z_base`` (or to a stack that broadcasts against it)
+    with one stacked SVD and gives a (..., r, r) stack.
     """
     z_i, z_base = _alignment_operands(z_i, z_base)
     res = svd(np.swapaxes(z_i, -1, -2) @ z_base)
@@ -225,8 +227,8 @@ def sign_fix(z_i, z_base) -> np.ndarray:
     flips: ``D[j, j] = sgn(<z_i[:, j], z_base[:, j]>)``.
 
     A zero inner product resolves to +1 so the result is stable and
-    idempotent. Runs in O(d r) time. A stack ``z_i`` of shape (k, d, r)
-    gives a (k, r, r) stack of diagonal matrices.
+    idempotent. Runs in O(d r) time. Stacks broadcast as in
+    :func:`procrustes`, giving a (..., r, r) stack of diagonal matrices.
     """
     z_i, z_base = _alignment_operands(z_i, z_base)
     ips = np.einsum("...ij,...ij->...j", z_i, z_base)

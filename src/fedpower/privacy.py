@@ -188,16 +188,20 @@ def standard_gaussian(rows: int, cols: int, seed: int, key: tuple[int, ...]) -> 
 
 
 def sample_noise(rows: int, cols: int, scale: float, seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """i.i.d. N(0, scale^2) matrix from the stream ``key``.
+    """i.i.d. N(0, scale^2) matrix from the stream ``key``: exactly
+    ``scale * standard_gaussian(rows, cols, seed, key)``, so one standard draw
+    serves every scale (the engine scales it once per privacy budget).
 
     ``scale = 0`` returns exact zeros without touching the generator, and a
-    fixed (seed, key, shape) always yields a bit-identical draw.
+    fixed (seed, key, shape) always yields a bit-identical draw. A product
+    that overflows is infinite, without a numpy warning.
     """
     if scale < 0.0:
         raise ValueError(f"noise scale must be nonnegative, got {scale}")
     if scale == 0.0:
         return np.zeros((rows, cols))
-    return stream(seed, key).normal(0.0, scale, size=(rows, cols))
+    with np.errstate(over="ignore"):
+        return scale * standard_gaussian(rows, cols, seed, key)
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -731,6 +731,40 @@ def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):
     assert (tmp_path / "sweep.eps1.csv").exists()
 
 
+def test_privacy_sweep_budgets_write_the_bytes_they_write_alone(tmp_path):
+    # A repeat's calibrated budgets run in one engine pass; no budget may leak into another, an
+    # uncalibratable one keeps its row, and --threads changes no byte.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc(
+        repeats=2, T=20, participation={"kind": "partial", "K": 3, "scheme": 1},
+        privacy={"epsilon": 2.0, "delta": 1e-3})))
+
+    def sweep(eps_list: str, stem: str, threads: str = "1") -> list[bytes]:
+        out = tmp_path / f"{stem}.csv"
+        argv = ["privacy-sweep", "--config", str(cfg_path), "--eps-list", eps_list, "--threads", threads]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        return [out.read_bytes()] + [(tmp_path / f"{stem}.eps{i}.csv").read_bytes()
+                                     if (tmp_path / f"{stem}.eps{i}.csv").exists() else None for i in range(3)]
+
+    swept = sweep("inf,-1,1", "swept")
+    rows = [line for line in swept[0].decode().splitlines() if not line.startswith("#")][1:]
+    assert rows[1].startswith("-1.0,nan,nan,nan,nan,invalid-budget: ") and swept[2] is None
+    for idx, eps in ((0, "inf"), (2, "1")):
+        alone = sweep(eps, f"alone{idx}")
+        assert [line for line in alone[0].decode().splitlines() if not line.startswith("#")][1:] == [rows[idx]]
+        assert swept[idx + 1] == alone[1]
+    assert sweep("inf,-1,1", "pooled", threads="2") == swept
+
+
+def test_privacy_sweep_with_an_overflowing_budget_is_non_finite(tmp_path, capsys):
+    # The noiseless budget shares the overflowing one's pass, which fails as a whole, without a warning.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()))
+    code = cli.main(["privacy-sweep", "--config", str(cfg_path), "--eps-list", "inf,1e-320"])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "NonFinite")
+
+
 # ---------------------------------------------------------------- command line
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -689,3 +690,61 @@ def test_only_short_shard_runs_build_the_row_factor_and_only_once(monkeypatch):
     for ds in (tall, tall, short, short):
         engine.run(ds, cfg)
     assert len(builds) == 1 and builds[0] is short
+
+
+# ---------------------------------------------------------------- budgets in one pass
+
+
+def _plain(records):
+    # wall_ms times the run itself, so it is the one field two runs of one config differ in.
+    return [dataclasses.replace(rec, wall_ms=0.0) for rec in records]
+
+
+@pytest.mark.parametrize("shards", ["rows", "grams"])
+@pytest.mark.parametrize("every_step", [False, True], ids=["sync-steps", "every-step"])
+@pytest.mark.parametrize("schedule", [
+    SyncSchedule.fixed(3, 12), SyncSchedule.decaying(4, 12), SyncSchedule.explicit([1, 2, 5, 9], 12),
+], ids=["fixed", "decaying", "explicit"])
+@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
+@pytest.mark.parametrize("participation", [
+    engine.FULL_PARTICIPATION, Participation("partial", 4, 1), Participation("partial", 4, 2),
+], ids=["full", "scheme1", "scheme2"])
+def test_run_budgets_equals_one_run_per_budget(participation, alignment, schedule, every_step, shards):
+    # Shards of 12-13 rows with d = 30 take the row path; 20 rows with d = 10 the Gram path.
+    ds = short_shard_dataset(seed=28) if shards == "rows" else small_dataset(seed=28, n=160, m=8)
+    cfgs = [
+        make_config(3, 4, schedule, alignment=alignment, participation=participation, seed=6,
+                    record_every_step=every_step, keep_basis_history=True,
+                    privacy=privacy.PrivacyConfig.for_schedule(eps, 1e-5, schedule))
+        for eps in (math.inf, 5.0, 0.5)
+    ]
+    traces = engine.run_budgets(ds, cfgs)
+    assert len(traces) == len(cfgs)
+    for cfg, trace in zip(cfgs, traces):
+        alone = engine.run(ds, cfg)
+        assert _plain(trace.records) == _plain(alone.records)
+        assert trace.final_basis.tobytes() == alone.final_basis.tobytes()
+        assert trace.scales == alone.scales
+        assert [(t, z.tobytes()) for t, z in trace.basis_history] == [
+            (t, z.tobytes()) for t, z in alone.basis_history]
+    # Every budget here calibrates under full participation; under sampling, a delta near 1 with
+    # at most 6 rounds of q_i <= 0.125 puts the local formula's log argument below 1.
+    if participation.kind == "partial":
+        bad = dataclasses.replace(cfgs[1], privacy=privacy.PrivacyConfig.for_schedule(1.0, 0.99, schedule))
+        with pytest.raises(InvalidBudget):
+            engine.noise_scales(ds, bad)
+        with pytest.raises(InvalidBudget):
+            engine.run(ds, bad)
+        with pytest.raises(InvalidBudget):
+            engine.run_budgets(ds, [*cfgs, bad])
+
+
+def test_run_budgets_takes_configs_that_differ_in_privacy_only():
+    ds = small_dataset(seed=29)
+    schedule = SyncSchedule.fixed(2, 6)
+    cfg = make_config(2, 3, schedule, seed=1)
+    assert engine.run_budgets(ds, []) == []
+    for other in (dataclasses.replace(cfg, seed=2), dataclasses.replace(cfg, alignment=ALIGN_OPT),
+                  dataclasses.replace(cfg, schedule=SyncSchedule.fixed(3, 6))):
+        with pytest.raises(ValueError, match="differ in privacy only"):
+            engine.run_budgets(ds, [cfg, other])

@@ -396,6 +396,27 @@ def test_sign_fix_stack_matches_slices_bit_for_bit():
         np.testing.assert_array_equal(signs[i], linalg.sign_fix(zs[i], z_b))
 
 
+def test_stacks_with_two_leading_axes_match_slices_bit_for_bit():
+    # A (B, m, d, r) stack: one (m, d, r) stack of worker bases per privacy budget, each aligned
+    # to its own baseline of shape (B, 1, d, r).
+    rng = np.random.default_rng(84)
+    zs = np.stack([np.stack([random_basis(rng, 7, 3) for _ in range(4)]) for _ in range(2)])
+    bases = zs[:, 2, None]
+    q = linalg.orth(zs + 0.1)
+    svd = linalg.svd(zs)
+    aligned = {fn: fn(zs, bases) for fn in (linalg.procrustes, linalg.sign_fix)}
+    for b in range(2):
+        for i in range(4):
+            np.testing.assert_array_equal(q[b, i], linalg.orth(zs[b, i] + 0.1))
+            for got, want in zip(svd, linalg.svd(zs[b, i])):
+                np.testing.assert_array_equal(got[b, i], want)
+            for fn, stack in aligned.items():
+                np.testing.assert_array_equal(stack[b, i], fn(zs[b, i], zs[b, 2]))
+    zs[1, 2, 0, 0] = np.nan
+    with pytest.raises(NonFinite, match=r"slices \[6\]"):  # numbered in C order
+        linalg.orth(zs)
+
+
 def test_orth_and_svd_reject_non_finite_with_named_error():
     y = np.ones((3, 4, 2))
     y[1, 0, 0] = np.inf

@@ -168,6 +168,20 @@ def test_streams_uncorrelated():
     assert abs(corr) <= 4.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 0.3, 1.0, 7.5, 1e300, 1.7e308])
+def test_sample_noise_is_the_scaled_standard_draw_bit_for_bit(scale):
+    # One standard draw scaled per budget is what a privacy sweep adds, so each budget's noise
+    # must be exactly its own draw: subnormal and overflowing (infinite) products included.
+    key = (privacy.STREAM_LOCAL, 3, 2)
+    draw = privacy.sample_noise(40, 7, scale, seed=11, key=key)
+    with np.errstate(over="ignore"):
+        scaled = scale * privacy.standard_gaussian(40, 7, seed=11, key=key)
+    assert draw.tobytes() == scaled.tobytes()
+    # numpy's normal(0, scale) adds 0.0 to the same product, which differs only where it underflows to -0.0.
+    legacy = privacy.stream(11, key).normal(0.0, scale, size=(40, 7))
+    assert np.array_equal(draw, legacy) and (draw.tobytes() == legacy.tobytes()) == (scale > 5e-324)
+
+
 def test_sample_noise_rejects_negative_scale():
     with pytest.raises(ValueError):
         privacy.sample_noise(2, 2, -1.0, seed=0, key=())
