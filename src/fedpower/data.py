@@ -134,7 +134,7 @@ class ShardedDataset:
         return _frozen(grams)
 
     def local_products(self, zs: np.ndarray) -> np.ndarray:
-        """(m, d, r) stack of the local products ``M_i @ zs[i]``.
+        """(..., m, d, r) stack of the local products ``M_i @ zs[..., i, :, :]``.
 
         This is the one place that decides how the protocol applies a shard's
         second-moment matrix to its worker's basis. A shard Gram costs
@@ -150,7 +150,7 @@ class ShardedDataset:
         return p @ (k @ (np.swapaxes(p, 1, 2) @ zs))
 
     def local_steps(self, zs: np.ndarray, steps: int) -> np.ndarray:
-        """``zs``, a (m, d, r) stack of worker bases, after ``steps`` local
+        """``zs``, a (..., m, d, r) stack of worker bases, after ``steps`` local
         power steps ``z_i <- orth(M_i @ z_i)``.
 
         With ``2 * h < d`` and every shard at least r rows tall, the steps run
