@@ -96,7 +96,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.libsvm_path is None) == (self.synthetic is None):
             raise ConfigError("config key 'dataset' needs exactly one of 'libsvm' or 'synthetic'")
-        if self.eps_split is not None and math.isfinite(self.epsilon):
+        if self.eps_split is not None and self.epsilon != math.inf:
             raise ConfigError(f'epsilon must be "inf" when eps_split sets the budgets, got {self.epsilon!r}')
         if self.r is None:
             object.__setattr__(self, "r", self.k)

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     TooManyShards,
 )
-from .linalg import as_matrix, gram, orth, svd, top_eigenpairs
+from .linalg import as_matrix, gram, orth, top_eigenpairs
 
 __all__ = [
     "DENSE_ENTRY_LIMIT",
@@ -56,7 +56,9 @@ class ShardedDataset:
     alive for the dataset's lifetime. When the tallest shard has h rows with
     ``2 * h < d``, the local products, steps and eigenpairs also cache one
     row factor ``M_i = P_i K_i P_i.T``, m * d * h + m * h * h floats, which
-    is less than half of the Gram stack.
+    is less than half of the Gram stack. The local eigenpairs are one
+    batched ``eigh`` of ``K`` there, and of the Gram stack otherwise (see
+    :meth:`local_eigenpairs`).
     """
 
     shards: tuple[np.ndarray, ...]
@@ -218,30 +220,21 @@ class ShardedDataset:
         """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard
         Gram ``M_i = A_i.T @ A_i / n_i``, eigenvalues descending, cached per k.
 
-        On the row path (``2 * h < d``) with ``k <= h`` they come from the row
-        factor ``M_i = P_i K_i P_i.T``: one batched ``eigh`` of the h x h
-        ``K_i`` gives ``K_i = W_i diag(s_i) W_i.T``, so the vectors are
-        ``P_i @ W_i``. Otherwise they come from the thin SVD of each shard:
-        its right singular vectors, and its squared singular values over
-        ``n_i``, with no d x d factorization. A shard with fewer than k rows
-        is padded with zero rows, which leave ``A_i.T @ A_i`` unchanged. Either
-        way such a shard still gives k orthonormal vectors, and its extra
-        eigenvalues are 0 up to rounding.
+        They come from one batched ``eigh`` of a cached symmetric stack. On
+        the row path (``2 * h < d``) with ``k <= h`` that is the h x h ``K_i``
+        of the row factor ``M_i = P_i K_i P_i.T``, so ``K_i = W_i diag(s_i)
+        W_i.T`` gives the vectors ``P_i @ W_i``; otherwise it is the Gram
+        stack itself. A shard with fewer than k rows still gives k orthonormal
+        vectors, and its extra eigenvalues are 0 up to rounding.
         """
         if k not in self._eigenpairs:
-            if self._row_path and k <= max(self.sizes):
-                p, k_rows = self._row_factor
-                vals, w = np.linalg.eigh(k_rows)  # ascending
-                vecs, vals = p @ w[:, :, ::-1][:, :, :k], vals[:, ::-1][:, :k]
-            else:
-                vecs = np.empty((self.m, self.d, k))
-                vals = np.empty((self.m, k))
-                for i, shard in enumerate(self.shards):
-                    rows = shard.shape[0]
-                    res = svd(np.vstack([shard, np.zeros((k - rows, self.d))]) if rows < k else shard)
-                    vecs[i] = res.v[:, :k]
-                    vals[i] = res.singular_values[:k] ** 2 / rows
-            self._eigenpairs[k] = (_frozen(vecs), _frozen(vals))
+            row_path = self._row_path and k <= max(self.sizes)
+            vals, vecs = np.linalg.eigh(self._row_factor[1] if row_path else self.shard_grams)  # ascending
+            vecs, vals = vecs[:, :, ::-1][:, :, :k], vals[:, ::-1][:, :k]
+            if row_path:
+                vecs = self._row_factor[0] @ vecs
+            # Copies of the top k, so the cache keeps no (m, d, d) eigenvector stack alive.
+            self._eigenpairs[k] = (_frozen(np.ascontiguousarray(vecs)), _frozen(np.ascontiguousarray(vals)))
         return self._eigenpairs[k]
 
 

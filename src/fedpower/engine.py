@@ -14,16 +14,16 @@ order is the BLAS kernel's, so the bytes are fixed for one numpy build and
 one OpenBLAS kernel.
 
 Workers are conceptually concurrent. The implementation holds their bases
-in one (B, m, d, r) stack and advances them together: :func:`run_budgets`
+in one (B, m, d, r) stack, slice b for budget b from step 0, and advances
+them together: :func:`run_budgets`
 runs B configs that differ only in their privacy budget in one pass, with
 one draw of participants per round and one standard-normal draw per
 (site, round, worker) that each budget scales by its own noise scale, and
-:func:`run` is that pass with B = 1. Until the first round every budget
-holds the same bases, so the stack has one slice. The plain steps before
-each event (a round, the horizon, or every step under ``record_every_step``)
-run in one ``ShardedDataset.local_steps`` call, and a round from differing
-bases takes one batched ``ShardedDataset.local_products``, one batched QR
-and one stacked alignment. The QR and the alignment give each slice exactly
+:func:`run` is that pass with B = 1. The plain steps before each event (a
+round, the horizon, or every step under ``record_every_step``) run in one
+``ShardedDataset.local_steps`` call, and a round from differing bases takes
+one batched ``ShardedDataset.local_products``, one batched QR and one
+stacked alignment. The QR and the alignment give each slice exactly
 the arithmetic of a lone worker. The local products and steps give each
 slice ``orth(M_i z_i)`` up to rounding only: when the shards are shorter
 than d/2 they run through each shard's row factor ``M_i = P_i K_i P_i.T``,
@@ -364,16 +364,16 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
     share the schedule, each round's participants and every standard-normal
     draw: each (site, round, worker) stream is drawn once and scaled per
     budget, which gives each trace exactly the bytes of its own run. The
-    worker bases are one (B, m, d, r) stack, with B = 1 until the first round
-    (before it every budget holds the same bases). ``wall_ms`` times the whole pass.
+    worker bases are one (B, m, d, r) stack from step 0, so budget b's trace
+    reads slice b throughout. ``wall_ms`` times the whole pass.
     """
     if not cfgs:
         return []
     cfg = cfgs[0]
     if any({**vars(c), "privacy": None} != {**vars(cfg), "privacy": None} for c in cfgs):
         raise ValueError("run_budgets needs configs that differ in privacy only")
-    d, n_budgets = dataset.d, len(cfgs)
-    zs = np.repeat(initial_basis(d, cfg.r, cfg.seed)[None, None], dataset.m, axis=1)  # rejects r > d
+    d = dataset.d
+    zs = np.tile(initial_basis(d, cfg.r, cfg.seed), (len(cfgs), dataset.m, 1, 1))  # rejects r > d
     part = cfg.participation
     weights = dataset.weights
     sync_steps = frozenset(cfg.schedule.steps)
@@ -391,7 +391,6 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
     records: list[list[SyncRecord]] = [[] for _ in cfgs]
     histories = [[] if cfg.keep_basis_history else None for _ in cfgs]
     comm = 0
-    z_bar = None
     started = time.perf_counter()
 
     # Each event (a sync step, the horizon, or every step under record_every_step)
@@ -403,8 +402,7 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
         zs = dataset.local_steps(zs, t - done - synced)
         done = t
         if synced:
-            round_idx = comm
-            ids, coefs, base = _round_members(part, weights, cfg.seed, round_idx)
+            ids, coefs, base = _round_members(part, weights, cfg.seed, comm)
             # Every worker holds the same basis at step 1 and right after a sync;
             # the round then aligns that one basis, else each participant's own.
             shared = t == 1 or t - 1 in sync_steps
@@ -419,26 +417,22 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
                 else:
                     uploads = dataset.local_products(zs)[:, ids] @ d_ids
                     agg = np.stack([np.tensordot(coefs, up, axes=1) for up in uploads])
-                if len(agg) < n_budgets:
-                    agg = np.repeat(agg, n_budgets, axis=0)
                 # Each (site, round, worker) stream is drawn once; budget b scales it by its own
-                # sigma and by the max-abs entry of its own slice b % len(zs) of the bases.
+                # sigma and by the max-abs entry of its own slice b of the bases.
                 if any(sc.sigma_local > 0.0 for sc in scales):
-                    draws = [privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_LOCAL, round_idx, int(i)))
+                    draws = [privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_LOCAL, comm, int(i)))
                              for i in ids]
                     held_max = np.abs(zs[:, ids]).max(axis=(-2, -1))
                 if any(sc.sigma_server > 0.0 for sc in scales):
-                    draw = privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_SERVER, round_idx, 0))
+                    draw = privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_SERVER, comm, 0))
                     upload_max = np.abs(held @ d_ids).max(axis=(-3, -2, -1))
                 for b, sc in enumerate(scales):
                     if sc.sigma_local > 0.0:
                         agg[b] += np.tensordot(coefs, np.stack([
-                            float(top) * sc.sigma_local * g for top, g in zip(held_max[b % len(zs)], draws)
+                            float(top) * sc.sigma_local * g for top, g in zip(held_max[b], draws)
                         ]), axes=1)
                     if sc.sigma_server > 0.0:
-                        agg[b] += float(upload_max[b % len(zs)]) * sc.sigma_server * draw
-            if len(zs) < n_budgets:
-                zs = np.empty((n_budgets,) + zs.shape[1:])
+                        agg[b] += float(upload_max[b]) * sc.sigma_server * draw
             zs[:] = linalg.orth(agg, require_full_rank=False)[:, None]
             comm += 1
             out_ids, out_coefs, out_base = ids, coefs, base
@@ -449,10 +443,9 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
         rhos = [0.0] * len(zs) if synced else [residual_rho(z, cfg.alignment, base_full) for z in zs]
         wall = (time.perf_counter() - started) * 1000.0
         for b, c in enumerate(cfgs):
-            s = b % len(zs)  # one slice per budget, or one for all before the first round
-            records[b].append(SyncRecord(t, comm, sins[s], rhos[s], *privacy.account(c.privacy, comm), wall))
+            records[b].append(SyncRecord(t, comm, sins[b], rhos[b], *privacy.account(c.privacy, comm), wall))
             if histories[b] is not None:
-                histories[b].append((t, z_bar[s]))
+                histories[b].append((t, z_bar[b]))
 
-    return [RunTrace(records=rec, final_basis=z_bar[b % len(z_bar)], scales=sc, _dataset=dataset, basis_history=hist)
+    return [RunTrace(records=rec, final_basis=z_bar[b], scales=sc, _dataset=dataset, basis_history=hist)
             for b, (rec, sc, hist) in enumerate(zip(records, scales, histories))]

@@ -47,11 +47,13 @@ class PrivacyConfig:
     rounds.
 
     ``epsilon = math.inf`` is first-class noiseless mode: every derived noise
-    scale is zero and nothing is accounted. ``eps_split`` optionally replaces
-    the total budget with per-round budgets (eps_local, eps_server) for the
-    worker-side and server-side perturbations; the per-round scale formulas
-    for that mode are derived directly from the Gaussian mechanism (see
-    :func:`scales_full`) and ``delta`` is then interpreted per round.
+    scale is zero and nothing is accounted. Only +inf is noiseless: -inf is
+    a budget that is not positive, so it raises :class:`InvalidBudget`.
+    ``eps_split`` optionally replaces the total budget with per-round budgets
+    (eps_local, eps_server) for the worker-side and server-side
+    perturbations; the per-round scale formulas for that mode are derived
+    directly from the Gaussian mechanism (see :func:`scales_full`) and
+    ``delta`` is then interpreted per round.
     """
 
     epsilon: float
@@ -78,8 +80,8 @@ class PrivacyConfig:
     @property
     def noiseless(self) -> bool:
         if self.eps_split is not None:
-            return all(math.isinf(e) for e in self.eps_split)
-        return math.isinf(self.epsilon)
+            return all(e == math.inf for e in self.eps_split)
+        return self.epsilon == math.inf
 
     @classmethod
     def for_schedule(cls, epsilon, delta, schedule, eps_split=None) -> "PrivacyConfig":

@@ -162,6 +162,8 @@ def _without(path):
     ("run", _with_synthetic(n=1e18), f"'dataset.synthetic': dense matrix of {10**18} x 12 exceeds the 1e+08-entry limit"),
     ("run", _with_synthetic(d=1e18), f"'dataset.synthetic': dense matrix of 200 x {10**18} exceeds the 1e+08-entry limit"),
     ("run", _with_synthetic(singular_values=[1.0] * 13), "'dataset.synthetic': need between 1 and min(n, d)=12"),
+    # -inf is no noiseless epsilon, so it cannot stand beside eps_split; the header wrote it as "inf".
+    ("run", config_doc(privacy={"epsilon": -math.inf, "eps_split": [2, 4]}), "eps_split"),
 ])
 def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
@@ -800,6 +802,29 @@ def test_main_reports_errors_as_json(command, overrides, tmp_path, capsys, monke
     assert code == 1
     payload = json.loads(captured.err.strip())
     assert payload["error"] == "InvalidBudget"
+
+
+@pytest.mark.parametrize("budget", ['"epsilon": -1e400', '"eps_split": [-1e400, -1e400]'])
+def test_negative_infinite_budget_is_invalid_before_the_dataset_is_loaded(budget, tmp_path, capsys, monkeypatch):
+    # JSON reads -1e400 as -inf, which ran noiseless with "epsilon": "inf" in the trace header.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before the budget was checked")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()).replace('"epsilon": "inf"', budget))
+    code = cli.main(["run", "--config", str(cfg_path)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "InvalidBudget")
+    assert "must be positive" in payload["message"]
+
+
+def test_privacy_sweep_reports_a_negative_infinite_budget_as_invalid():
+    sweep = cli.privacy_sweep(ExperimentConfig.from_dict(config_doc(repeats=1)), ["-inf", "1"])
+    assert [row["epsilon"] for row in sweep.rows] == [-math.inf, 1.0]
+    assert sweep.rows[0]["status"].startswith("invalid-budget: ") and "must be positive" in sweep.rows[0]["status"]
+    assert sweep.rows[1]["status"] == "ok" and sweep.rows[1]["eps_spent_total"] == 2.0
+    assert sorted(sweep.sub_traces) == [1]
 
 
 def test_main_reports_non_finite_iterate_as_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -748,3 +749,40 @@ def test_run_budgets_takes_configs_that_differ_in_privacy_only():
                   dataclasses.replace(cfg, schedule=SyncSchedule.fixed(3, 6))):
         with pytest.raises(ValueError, match="differ in privacy only"):
             engine.run_budgets(ds, [cfg, other])
+
+
+@pytest.mark.parametrize("every_step", [False, True], ids=["sync-steps", "every-step"])
+@pytest.mark.parametrize("schedule", [
+    SyncSchedule.fixed(3, 12), SyncSchedule.decaying(4, 12), SyncSchedule.explicit([3, 5, 9], 12),
+], ids=["fixed", "decaying", "explicit"])
+@pytest.mark.parametrize("participation", [engine.FULL_PARTICIPATION, Participation("partial", 4, 1)],
+                         ids=["full", "scheme1"])
+def test_run_budgets_steps_samples_and_draws_once_for_all_budgets(participation, schedule, every_step, monkeypatch):
+    # Three budgets in one pass take exactly the local steps, samples and noise draws of one noisy run,
+    # also before a first round that comes after step 1 (decaying, explicit).
+    calls = []
+    steps, sample, gaussian = ShardedDataset.local_steps, engine.draw_participants, privacy.standard_gaussian
+    monkeypatch.setattr(ShardedDataset, "local_steps", lambda ds, zs, n: calls.append("steps") or steps(ds, zs, n))
+    monkeypatch.setattr(engine, "draw_participants", lambda *args: calls.append("sample") or sample(*args))
+    monkeypatch.setattr(privacy, "standard_gaussian",
+                        lambda rows, cols, seed, key: calls.append(key) or gaussian(rows, cols, seed, key))
+    ds = short_shard_dataset(seed=30)
+    cfgs = [make_config(3, 4, schedule, participation=participation, seed=6, record_every_step=every_step,
+                        privacy=privacy.PrivacyConfig.for_schedule(eps, 1e-5, schedule)) for eps in (5.0, math.inf, 0.5)]
+    counts = []
+    for budgets in (cfgs[:1], cfgs):
+        calls.clear()
+        engine.run_budgets(ds, budgets)
+        counts.append(Counter(calls))
+    one, three = counts
+    assert one == three
+    rounds = len(schedule.steps)
+    assert one["steps"] == (schedule.horizon if every_step else len({*schedule.steps, schedule.horizon}))
+    assert one["sample"] == (rounds if participation.kind == "partial" else 0)
+    # One draw per (site, round, worker): the shared start, each distinct participant's local noise
+    # and the server's noise.
+    keys = [(privacy.STREAM_INIT, 0, 0)]
+    for comm in range(rounds):
+        ids = engine._round_members(participation, ds.weights, 6, comm)[0]
+        keys += [(privacy.STREAM_LOCAL, comm, int(i)) for i in ids] + [(privacy.STREAM_SERVER, comm, 0)]
+    assert {key: n for key, n in one.items() if isinstance(key, tuple)} == Counter(keys)

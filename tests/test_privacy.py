@@ -29,6 +29,15 @@ def test_eps_split_needs_two_budgets(split):
         PrivacyConfig(epsilon=5.0, delta=1e-5, rounds=3, eps_split=split)
 
 
+@pytest.mark.parametrize("epsilon, split", [
+    (-math.inf, None), (math.inf, (-math.inf, -math.inf)), (math.inf, (math.inf, -math.inf)),
+], ids=["epsilon", "split", "half-split"])
+def test_negative_infinite_budget_is_invalid_not_noiseless(epsilon, split):
+    # Only +inf is noiseless; -inf ran without noise when noiseless meant "infinite".
+    with pytest.raises(InvalidBudget, match="must be positive"):
+        PrivacyConfig(epsilon=epsilon, delta=1e-5, rounds=3, eps_split=split)
+
+
 # ---------------------------------------------------------------- full participation
 
 
