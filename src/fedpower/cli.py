@@ -136,7 +136,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, overrides: dict | None = None) -> "ExperimentConfig":
-        """Read a config document; ``overrides`` (dotted path: value) replace its keys."""
+        """Read a config document; ``overrides`` (dotted path: value) replace its keys.
+        A budget of -inf raises :class:`InvalidBudget` here, before any command reads data."""
         flat = _flatten(doc)
         for path, value in (overrides or {}).items():
             # An override that selects a kind (a dataset source) drops the document's keys of other kinds.
@@ -144,6 +145,9 @@ class ExperimentConfig:
             flat = {p: v for p, v in flat.items() if not (p in _FIELDS and _outside(_FIELDS[p], kinds))}
             flat[path] = value
         cfg = cls(**{f.name: _read(flat, f.metadata["path"], f.metadata["type"], f.default) for f in fields(cls)})
+        if -math.inf in (cfg.epsilon, *(cfg.eps_split or ())):  # JSON reads -1e400 as -inf; _to_json writes "inf"
+            path = "privacy.epsilon" if cfg.epsilon == -math.inf else "privacy.eps_split"
+            raise InvalidBudget(f"config key {path!r} must be positive, got -inf")
         for path, f in _FIELDS.items():
             if path in flat and (kind := _outside(f, cfg._kinds())):
                 raise ConfigError(f"config key {path!r} does not apply under {path.split('.')[0]} kind {kind!r}")

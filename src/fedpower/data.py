@@ -37,6 +37,10 @@ __all__ = [
 
 DENSE_ENTRY_LIMIT = 10**8
 
+# The least weight a chunk of local steps gives a shard's r-th eigendirection against its first (see
+# ShardedDataset.local_steps): Householder QR without pivoting loses accuracy on rows graded further.
+_CHUNK_FLOOR = 1e-8
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only: a shared array that a caller's write must not reach."""
@@ -55,10 +59,10 @@ class ShardedDataset:
     instead of reaching later runs. The Gram stack keeps m * d * d floats
     alive for the dataset's lifetime. When the tallest shard has h rows with
     ``2 * h < d``, the local products, steps and eigenpairs also cache one
-    row factor ``M_i = P_i K_i P_i.T``, m * d * h + m * h * h floats, which
-    is less than half of the Gram stack. The local eigenpairs are one
-    batched ``eigh`` of ``K`` there, and of the Gram stack otherwise (see
-    :meth:`local_eigenpairs`).
+    row factor, the shards' eigendecompositions ``M_i = V_i diag(lam_i)
+    V_i.T``: m * d * h + m * h floats, less than half of the Gram stack.
+    The local eigenpairs are slices of it there, and one batched ``eigh``
+    of the Gram stack otherwise (see :meth:`local_eigenpairs`).
     """
 
     shards: tuple[np.ndarray, ...]
@@ -142,35 +146,39 @@ class ShardedDataset:
         second-moment matrix to its worker's basis. A shard Gram costs
         d * d * r flops per product, the shard's rows about 2 * h * d * r,
         with h the height of the tallest shard. So when ``2 * h < d`` the
-        product is ``P_i @ (K_i @ (P_i.T @ z_i))`` with the cached row factor
-        (see :meth:`local_steps`), and otherwise ``shard_grams @ zs``. Both
-        equal ``M_i @ z_i`` up to rounding.
+        product is ``V_i @ (lam_i * (V_i.T @ z_i))`` with the cached row
+        factor ``M_i = V_i diag(lam_i) V_i.T`` (see :meth:`local_steps`), and
+        otherwise ``shard_grams @ zs``. Both equal ``M_i @ z_i`` up to rounding.
         """
         if not self._row_path:
             return self.shard_grams @ zs
-        p, k = self._row_factor
-        return p @ (k @ (np.swapaxes(p, 1, 2) @ zs))
+        v, lam = self._row_factor
+        return v @ (lam[:, :, None] * (np.swapaxes(v, 1, 2) @ zs))
 
     def local_steps(self, zs: np.ndarray, steps: int) -> np.ndarray:
         """``zs``, a (..., m, d, r) stack of worker bases, after ``steps`` local
         power steps ``z_i <- orth(M_i @ z_i)``.
 
-        With ``2 * h < d`` and every shard at least r rows tall, the steps run
-        in the shards' row spaces: the row factor gives ``M_i = P_i K_i P_i.T``
-        with orthonormal P_i, and ``orth(P_i W) = P_i orth(W)`` since a QR with
-        a nonnegative R diagonal is unique. So ``c_i = P_i.T @ z_i`` is formed
-        once, each step is ``c_i <- orth(K_i @ c_i)`` on h x r coordinates, and
-        ``P_i @ c_i`` is returned. A shard shorter than r gives a
-        rank-deficient product, which ``orth`` would complete outside
-        ``range(P_i)``; then, and on the Gram path, each step is
-        ``orth(local_products(zs))``. Both forms agree up to rounding.
+        With ``2 * h < d`` and every shard at least r rows tall, they run in
+        the eigenbases of the row factor ``M_i = V_i diag(lam_i) V_i.T``: a QR
+        with a nonnegative R diagonal is unique, so ``orth(V_i W) = V_i
+        orth(W)`` and ``orth(W R) = orth(W)`` for upper triangular R, and q
+        steps are one ``orth(g_i**q * (V_i.T @ z_i))``, ``g_i = lam_i /
+        lam_i1``, in chunks of the largest q with ``min_i g_ir**q >=
+        _CHUNK_FLOOR`` (the whole stretch when every ``g_ir`` is 1, one step
+        when one is 0). A shard shorter than r gives a rank-deficient product,
+        which ``orth`` would complete outside ``range(V_i)``; then, and on the
+        Gram path, each step is ``orth(local_products(zs))``.
         """
         if steps and self._row_path and self.min_shard_size >= zs.shape[-1]:
-            p, k = self._row_factor
-            coords = np.swapaxes(p, 1, 2) @ zs
-            for _ in range(steps):
-                coords = orth(k @ coords, require_full_rank=False)
-            return p @ coords
+            v, lam = self._row_factor
+            ratio = np.maximum(lam / np.where(lam[:, :1] > 0.0, lam[:, :1], 1.0), 0.0)[:, :, None]
+            worst = ratio[:, zs.shape[-1] - 1].min()  # the chunk is the largest q with worst**q >= _CHUNK_FLOOR, or 1
+            chunk = steps if worst == 1.0 else int(np.log(_CHUNK_FLOOR) / np.log(max(worst, _CHUNK_FLOOR)))
+            coords = np.swapaxes(v, 1, 2) @ zs
+            for q in np.diff([*range(0, steps, chunk), steps]):  # the chunks' lengths
+                coords = orth(ratio**q * coords, require_full_rank=False)
+            return v @ coords
         for _ in range(steps):
             zs = orth(self.local_products(zs), require_full_rank=False)
         return zs
@@ -182,15 +190,15 @@ class ShardedDataset:
 
     @cached_property
     def _row_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        # (P, K): one batched QR of the transposed shards, zero-padded to the tallest shard's
-        # height h, gives A_i.T = P_i T_i with P (m, d, h); K_i = T_i T_i.T / n_i is (m, h, h).
-        # A zero column of A_i.T gives a zero column of T_i, which changes no K_i.
+        # (V, lam): one batched QR of the transposed shards, zero-padded to the tallest shard's height h,
+        # gives A_i.T = P_i T_i; one batched eigh of K_i = T_i T_i.T / n_i = W_i diag(lam_i) W_i.T gives
+        # V = P W (m, d, h) and lam (m, h), descending. A zero column of A_i.T changes no K_i.
         padded = np.zeros((self.m, self.d, max(self.sizes)))
         for i, shard in enumerate(self.shards):
             padded[i, :, : shard.shape[0]] = shard.T
         p, t = np.linalg.qr(padded)
-        k = (t @ np.swapaxes(t, 1, 2)) / np.array(self.sizes, dtype=np.float64)[:, None, None]
-        return _frozen(p), _frozen(k)
+        lam, w = np.linalg.eigh((t @ np.swapaxes(t, 1, 2)) / np.array(self.sizes, dtype=np.float64)[:, None, None])
+        return _frozen(p @ w[:, :, ::-1]), _frozen(np.ascontiguousarray(lam[:, ::-1]))
 
     @cached_property
     def shard_eta(self) -> tuple[float, ...]:
@@ -220,21 +228,19 @@ class ShardedDataset:
         """Top-k eigenvectors (m, d, k) and eigenvalues (m, k) of every shard
         Gram ``M_i = A_i.T @ A_i / n_i``, eigenvalues descending, cached per k.
 
-        They come from one batched ``eigh`` of a cached symmetric stack. On
-        the row path (``2 * h < d``) with ``k <= h`` that is the h x h ``K_i``
-        of the row factor ``M_i = P_i K_i P_i.T``, so ``K_i = W_i diag(s_i)
-        W_i.T`` gives the vectors ``P_i @ W_i``; otherwise it is the Gram
-        stack itself. A shard with fewer than k rows still gives k orthonormal
-        vectors, and its extra eigenvalues are 0 up to rounding.
+        On the row path (``2 * h < d``) with ``k <= h`` they are the first k
+        of the cached row factor ``M_i = V_i diag(lam_i) V_i.T``; otherwise
+        one batched ``eigh`` of the Gram stack gives them. A shard with fewer
+        than k rows still gives k orthonormal vectors, and its extra
+        eigenvalues are 0 up to rounding.
         """
         if k not in self._eigenpairs:
-            row_path = self._row_path and k <= max(self.sizes)
-            vals, vecs = np.linalg.eigh(self._row_factor[1] if row_path else self.shard_grams)  # ascending
-            vecs, vals = vecs[:, :, ::-1][:, :, :k], vals[:, ::-1][:, :k]
-            if row_path:
-                vecs = self._row_factor[0] @ vecs
+            if self._row_path and k <= max(self.sizes):
+                vecs, vals = self._row_factor
+            else:  # eigh's eigenvalues ascend
+                vals, vecs = (a[..., ::-1] for a in np.linalg.eigh(self.shard_grams))
             # Copies of the top k, so the cache keeps no (m, d, d) eigenvector stack alive.
-            self._eigenpairs[k] = (_frozen(np.ascontiguousarray(vecs)), _frozen(np.ascontiguousarray(vals)))
+            self._eigenpairs[k] = tuple(_frozen(np.ascontiguousarray(a[..., :k])) for a in (vecs, vals))
         return self._eigenpairs[k]
 
 

@@ -26,9 +26,9 @@ one batched ``ShardedDataset.local_products``, one batched QR and one
 stacked alignment. The QR and the alignment give each slice exactly
 the arithmetic of a lone worker. The local products and steps give each
 slice ``orth(M_i z_i)`` up to rounding only: when the shards are shorter
-than d/2 they run through each shard's row factor ``M_i = P_i K_i P_i.T``,
-and a run of local steps stays in the h x r coordinates ``P_i.T z_i`` if
-every shard has at least r rows; otherwise through the cached Gram stack.
+than d/2 they run through each shard's ``M_i = V_i diag(lam_i) V_i.T`` (a run
+of local steps as one h x r QR per chunk of steps on ``V_i.T z_i`` when every
+shard has r rows or more), and otherwise through the cached Gram stack.
 
 A sync round at step 1 or right after another sync starts from one basis z
 that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``

@@ -559,6 +559,17 @@ def test_privacy_sweep_noiseless_entry_and_accounting():
     assert abs(by_eps[math.inf]["min_sin_theta_mean"] - float(np.mean(window))) <= 1e-15
 
 
+def test_privacy_sweep_window_includes_its_last_step():
+    # Syncing at every step, the noiseless error falls at every step, so the minimum over the
+    # window is the record at t = SWEEP_WINDOW, and the lower record after it lies outside.
+    doc = config_doc(repeats=1, T=cli.SWEEP_WINDOW + 1, schedule={"kind": "fixed", "p": 1})
+    errors = {r.t: r.sin_theta_k for r in cli.run_experiment(ExperimentConfig.from_dict(doc)).repeats[0].records}
+    last = errors[cli.SWEEP_WINDOW]
+    assert errors[cli.SWEEP_WINDOW + 1] < last < 0.9 * min(v for t, v in errors.items() if t < cli.SWEEP_WINDOW)
+    [row] = cli.privacy_sweep(ExperimentConfig.from_dict(doc), ["inf"]).rows
+    assert abs(row["min_sin_theta_mean"] - last) <= 1e-15
+
+
 def test_privacy_sweep_surfaces_invalid_budget_without_aborting():
     # scheme-2 partial with many workers makes the log argument <= 1
     doc = config_doc(
@@ -817,6 +828,27 @@ def test_negative_infinite_budget_is_invalid_before_the_dataset_is_loaded(budget
     payload = json.loads(capsys.readouterr().err.strip())
     assert (code, payload["error"]) == (1, "InvalidBudget")
     assert "must be positive" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
+def test_every_command_refuses_a_negative_infinite_base_budget_before_the_dataset_is_loaded(
+        command, tmp_path, capsys, monkeypatch):
+    # The sweep replaces the base epsilon per budget, so it ran and wrote "epsilon": "inf" in its header.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before the budget was checked")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_doc()).replace('"epsilon": "inf"', '"epsilon": -1e400'))
+    out = tmp_path / "out.csv"
+    extra = {"privacy-sweep": ["--eps-list", "inf,1"], "inspect-dataset": []}.get(command, [])
+    if command != "inspect-dataset":
+        extra += ["--out", str(out)]
+    code = cli.main([command, "--config", str(cfg_path), *extra])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (code, payload["error"]) == (1, "InvalidBudget")
+    assert payload["message"] == "config key 'privacy.epsilon' must be positive, got -inf"
+    assert not out.exists()
 
 
 def test_privacy_sweep_reports_a_negative_infinite_budget_as_invalid():

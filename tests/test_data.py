@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedpower import data, linalg
+from fedpower import data, linalg, privacy
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.errors import DimensionMismatch, IndexOutOfRange, NonFinite, ParseError, TooManyShards
 
@@ -560,12 +560,13 @@ def test_local_products_equal_the_shard_grams_times_the_bases(n, d, m):
     short = 2 * max(ds.sizes) < d
     assert ("_row_factor" in vars(ds)) == short  # only short shards are applied through their rows
     if short:
-        p, k = vars(ds)["_row_factor"]
+        v, lam = vars(ds)["_row_factor"]
         h = max(ds.sizes)
-        assert p.shape == (m, d, h) and k.shape == (m, h, h)
-        assert not p.flags.writeable and not k.flags.writeable
-        assert np.abs(np.swapaxes(p, 1, 2) @ p - np.eye(h)).max() <= 1e-13
-        grams = p @ k @ np.swapaxes(p, 1, 2)  # M_i = P_i K_i P_i.T
+        assert v.shape == (m, d, h) and lam.shape == (m, h)
+        assert not v.flags.writeable and not lam.flags.writeable
+        assert np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(h)).max() <= 1e-13
+        assert (np.diff(lam, axis=1) <= 0.0).all()  # descending
+        grams = v @ (lam[:, :, None] * np.swapaxes(v, 1, 2))  # M_i = V_i diag(lam_i) V_i.T
         assert np.abs(grams - ds.shard_grams).max() <= 1e-13 * np.abs(ds.shard_grams).max()
 
 
@@ -585,6 +586,104 @@ def test_local_steps_equal_repeated_orth_of_the_gram_products(n, d, m, r):
         want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
         assert np.abs(ds.local_steps(zs, steps) - want).max() <= 1e-12, steps
     assert ("_row_factor" in vars(ds)) == (2 * max(ds.sizes) < d)
+
+
+def _chunk(ds, r):
+    # The largest q with min_i (lambda_ir / lambda_i1)**q >= the floor, from the shard Grams' own eigenvalues.
+    lam = np.linalg.eigvalsh(ds.shard_grams)[:, ::-1]
+    worst = float((lam[:, r - 1] / lam[:, 0]).min())
+    q = 1
+    while worst ** (q + 1) >= data._CHUNK_FLOOR:
+        q += 1
+    return q
+
+
+def _counting_orth(monkeypatch):
+    calls = []
+    monkeypatch.setattr(data, "orth", lambda y, **kw: calls.append(y.shape) or linalg.orth(y, **kw))
+    return calls
+
+
+# (n, d, m, r): shards of exactly r rows and of 8 rows, both shorter than d/2; shards of 12 rows, as tall
+# as d/2 or taller (the Gram path); shards of 2 rows, shorter than r.
+STRETCH_SHAPES = {"r-rows": (15, 20, 5, 3), "taller": (40, 20, 5, 3), "grams": (60, 20, 5, 3), "short": (10, 20, 5, 3)}
+
+
+@pytest.mark.parametrize("n, d, m, r", STRETCH_SHAPES.values(), ids=STRETCH_SHAPES.keys())
+def test_a_stretch_takes_one_qr_per_chunk_on_the_row_path(n, d, m, r, monkeypatch):
+    rng = np.random.default_rng(n + d + m)
+    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=6)
+    zs = linalg.orth(rng.standard_normal((m, d, r)))
+    row_space = 2 * max(ds.sizes) < d and ds.min_shard_size >= r
+    chunk = _chunk(ds, r) if row_space else 1
+    assert chunk > 1 or not row_space  # else one QR per chunk is one per step
+    steps = 2 * chunk + 1
+    want = zs
+    for _ in range(steps):
+        want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
+    calls = _counting_orth(monkeypatch)
+    got = ds.local_steps(zs, steps)
+    assert len(calls) == (3 if row_space else steps)
+    assert all(shape == ((m, max(ds.sizes), r) if row_space else (m, d, r)) for shape in calls)
+    if ds.min_shard_size >= r:  # a rank-deficient step completes its basis from rounding noise
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("row", ["generic", "axis"])
+def test_a_shard_of_duplicated_rows_steps_one_at_a_time(row, monkeypatch):
+    # A shard of 4 copies of one row has rank 1 < r = 3: its r-th eigenvalue is 0 (exactly so for a
+    # row along an axis, up to rounding otherwise), so every chunk is one step, and nothing warns.
+    rng = np.random.default_rng(41)
+    copy = rng.standard_normal(20) if row == "generic" else np.eye(20)[3] * 2.0
+    shards = (*(rng.standard_normal((4, 20)) for _ in range(4)), np.tile(copy, (4, 1)))
+    ds = ShardedDataset(shards)
+    zs = linalg.orth(rng.standard_normal((5, 20, 3)))
+    calls = _counting_orth(monkeypatch)
+    got = ds.local_steps(zs, 7)
+    assert len(calls) == 7 and 2 * max(ds.sizes) < ds.d
+    assert np.isfinite(got).all()
+    assert np.abs(np.swapaxes(got, 1, 2) @ got - np.eye(3)).max() <= 1e-13
+    if row == "axis":
+        assert vars(ds)["_row_factor"][1][4, 2] == 0.0
+
+
+def _many_shards(top, bottom, seed, partition_seed):
+    # 300 shards of 33-34 rows with d = 100, as in compare-many-shards, and a basis of r = 10 per worker.
+    a = data.synth(SyntheticSpec(10000, 100, tuple(np.geomspace(top, bottom, 100)), seed=seed))
+    zs = linalg.orth(np.random.default_rng(seed).standard_normal((300, 100, 10)))
+    return data.partition(a, 300, mode="shuffled", seed=partition_seed), zs
+
+
+# Spectra of compare-many-shards' data: its own geometric one (worst lambda_1 / lambda_r over the shards
+# about 8), and a wider one (about 90).
+LONG_STRETCH_SPECTRA = {"geometric": (20.0, 0.05), "wide": (1e4, 1e-4)}
+
+
+@pytest.mark.parametrize("top, bottom", LONG_STRETCH_SPECTRA.values(), ids=LONG_STRETCH_SPECTRA.keys())
+def test_long_stretches_equal_single_gram_steps(top, bottom):
+    # Both routes differ by rounding only, but a QR basis column is as sensitive to it as its shard's
+    # eigenvalues are close: on other data of this shape, single steps in the row space differed from
+    # Gram steps by up to 5e-12, and so did the single coordinate steps this route replaced.
+    ds, zs = _many_shards(top, bottom, 6, 6)
+    want, done = zs, 0
+    for steps in (3, 20, 160, 320, 640):
+        for _ in range(steps - done):
+            want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
+        done = steps
+        assert np.abs(ds.local_steps(zs, steps) - want).max() <= 1e-12, steps
+
+
+def test_chunks_of_a_long_stretch_equal_its_single_steps():
+    # A copy of the dataset whose first shard is all zeros steps one at a time: that shard's eigenvalues
+    # are all 0. A chunk's QR grades its rows by up to _CHUNK_FLOOR; graded down to 1e-200, a stretch of
+    # 160 steps on this data differed from its single steps by 4e-11.
+    ds, zs = _many_shards(20.0, 0.05, 3, privacy.derive_seed(3, 0))
+    zeroed = ShardedDataset((np.zeros_like(ds.shards[0]), *ds.shards[1:]))
+    single, done = zs, 0
+    for steps in (20, 160, 320):
+        single, done = zeroed.local_steps(single, steps - done), steps
+        assert np.abs(ds.local_steps(zs, steps)[1:] - single[1:]).max() <= 1e-12, steps
+        assert np.isfinite(single[0]).all() and linalg.is_orthonormal(single[0])
 
 
 def test_global_gram_is_built_once_and_read_only():
