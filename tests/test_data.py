@@ -662,8 +662,8 @@ LONG_STRETCH_SPECTRA = {"geometric": (20.0, 0.05), "wide": (1e4, 1e-4)}
 @pytest.mark.parametrize("top, bottom", LONG_STRETCH_SPECTRA.values(), ids=LONG_STRETCH_SPECTRA.keys())
 def test_long_stretches_equal_single_gram_steps(top, bottom):
     # Both routes differ by rounding only, but a QR basis column is as sensitive to it as its shard's
-    # eigenvalues are close: on other data of this shape, single steps in the row space differed from
-    # Gram steps by up to 5e-12, and so did the single coordinate steps this route replaced.
+    # eigenvalues are close: on other data of this shape, single steps in the eigenbasis differed from
+    # Gram steps by up to 5e-12, and single steps through M_i = P_i K_i P_i.T (A_i.T = P_i T_i) by up to 6e-12.
     ds, zs = _many_shards(top, bottom, 6, 6)
     want, done = zs, 0
     for steps in (3, 20, 160, 320, 640):
