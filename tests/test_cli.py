@@ -1027,6 +1027,25 @@ def test_inspect_dataset_gap_ratio_and_shard_eta_match_their_definitions(k, tmp_
     assert info["eta"] == max(info["shard_eta"])
 
 
+def test_inspect_dataset_computes_eta_once_and_prints_the_same_json(tmp_path, capsys, monkeypatch):
+    # "eta" is max(shard_eta): one eigvalsh per shard and one for ||M||_2, with no second pass over the
+    # shards. It prints the JSON that ShardedDataset.eta, the route run and privacy-sweep take, would give.
+    doc = config_doc()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert cli.main(["inspect-dataset", "--config", str(cfg_path)]) == 0
+    monkeypatch.undo()
+    assert len(calls) == doc["m"] + 1
+    printed = capsys.readouterr().out
+    cfg = ExperimentConfig.from_dict(doc)
+    dataset = partition(cli.load_matrix(cfg), cfg.m, mode=cfg.partition_mode, seed=privacy.derive_seed(cfg.seed, 0))
+    want = {**json.loads(printed), "eta": engine.local_approx_eta(dataset)}
+    assert printed == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_inspect_dataset_reads_no_thread_count(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "0")
     cfg_path = tmp_path / "cfg.json"

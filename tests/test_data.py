@@ -7,6 +7,7 @@ import pytest
 from fedpower import data, linalg, privacy
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.errors import DimensionMismatch, IndexOutOfRange, NonFinite, ParseError, TooManyShards
+from reference import is_orthonormal
 
 
 # ---------------------------------------------------------------- libsvm
@@ -683,7 +684,7 @@ def test_chunks_of_a_long_stretch_equal_its_single_steps():
     for steps in (20, 160, 320):
         single, done = zeroed.local_steps(single, steps - done), steps
         assert np.abs(ds.local_steps(zs, steps)[1:] - single[1:]).max() <= 1e-12, steps
-        assert np.isfinite(single[0]).all() and linalg.is_orthonormal(single[0])
+        assert np.isfinite(single[0]).all() and is_orthonormal(single[0])
 
 
 def test_global_gram_is_built_once_and_read_only():
@@ -737,6 +738,66 @@ def test_eta_equals_its_spectral_norm_definition(rows):
     assert abs(ds.eta - want) <= 1e-13 * want
 
 
+def _eta_and_max_shard_eta(shards):
+    # Each from its own dataset, so that eta cannot read a cached shard_eta.
+    return ShardedDataset(shards).eta, max(ShardedDataset(shards).shard_eta)
+
+
+# 2**-250 and 2**250 scale every entry of M_i - M by 2**-500 or 2**500: its unscaled fourth power underflows
+# to 0 or overflows, so only a bound that first divides by max|M_i - M| ranks the shards.
+@pytest.mark.parametrize("scale", [1.0, 2.0**-250, 2.0**250])
+@pytest.mark.parametrize("rows", SHARD_ROWS)
+def test_eta_is_the_largest_shard_eta_to_the_bit(rows, scale):
+    eta, want = _eta_and_max_shard_eta(tuple(s * scale for s in _dataset_with_rows(rows).shards))
+    assert eta == want
+
+
+def test_eta_is_exact_on_replicated_shards():
+    a, b = _dataset_with_rows((7, 9)).shards
+    for shards in [(a, b, a, b, b), (a, a, a)]:  # tied bounds and norms, then shards that all equal M
+        eta, want = _eta_and_max_shard_eta(shards)
+        assert eta == want
+
+
+def test_eta_of_one_shard_is_zero():
+    # M = 1.0 * M_1 is M_1 to the bit, so M_1 - M is 0.
+    ds = ShardedDataset(_dataset_with_rows((20,)).shards)
+    assert ds.eta == 0.0 and ds.shard_eta == (0.0,)
+
+
+def test_eta_finds_a_maximum_on_the_shard_nearest_m_and_with_the_smallest_bound():
+    # M_i = Q diag(1 + v_i) Q.T. Shard 0 deviates from M by 1.2 in one direction, the others by 1 in 11
+    # directions: smaller norms, but larger Frobenius norms and Schatten-8 bounds (11**(1/8) = 1.35).
+    d = 12
+    q = np.linalg.qr(np.random.default_rng(37).standard_normal((d, d)))[0]
+    spikes = [np.eye(d)[0] * 1.5] + [np.r_[0.0, np.tile(signs, 6)[: d - 1]] for signs in ([1, -1], [-1, 1])] * 2
+    shards = tuple(np.sqrt(d * (1.0 + v))[:, None] * q.T for v in spikes)  # d rows, Gram Q diag(1 + v) Q.T
+    ds = ShardedDataset(shards)
+    devs = [g - ds.global_gram() for g in ds.shard_grams]
+    assert np.argmax(ds.shard_eta) == np.argmin([np.linalg.norm(x) for x in devs]) == 0
+    assert np.argmin([np.linalg.norm(np.linalg.matrix_power(x, 4)) for x in devs]) == 0
+    eta, want = _eta_and_max_shard_eta(shards)
+    assert eta == want
+
+
+def test_eta_runs_eigvalsh_only_on_shards_that_can_hold_the_maximum(monkeypatch):
+    # 30 shards from one distribution and one whose first column is 1.6 times as large. The outlier's norm
+    # (2.03) is above every other shard's Schatten-8 bound (1.23 at most) and below its Frobenius norm (2.68
+    # at least), so eta needs eigvalsh for ||M||_2 and the outlier only, and a Frobenius bound would skip none.
+    rng = np.random.default_rng(38)
+    shards = [rng.standard_normal((200, 40)) for _ in range(31)]
+    shards[17][:, 0] *= 1.6
+    ds = ShardedDataset(tuple(shards))
+    ds.global_gram()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    eta = ds.eta
+    assert len(calls) <= 3
+    monkeypatch.undo()
+    assert eta == max(ShardedDataset(tuple(shards)).shard_eta)
+
+
 @pytest.mark.parametrize("rows", SHARD_ROWS)
 def test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams(rows):
     k = 4
@@ -750,7 +811,7 @@ def test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams(rows):
         # A shard of fewer than k rows fixes only its row space; the rest of the Gram's top k is an
         # arbitrary null-space basis, so there the vectors need only be orthonormal and in the null space.
         rank = min(shard.shape[0], k)
-        assert linalg.is_orthonormal(v)
+        assert is_orthonormal(v)
         assert linalg.projection_distance(v[:, :rank], want.u[:, :rank]) <= 1e-12
         np.testing.assert_allclose(lam[:rank], want.singular_values[:rank], rtol=1e-12)
         assert np.abs(lam[rank:]).max(initial=0.0) <= 1e-12 * lam[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, engine, linalg, privacy
-from fedpower.baselines import _power_iterates, _sharded_product
+from fedpower.baselines import _power_iterates
 from fedpower.cli import CsvTrace, ExperimentConfig
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import (
@@ -19,6 +19,7 @@ from fedpower.engine import (
     SyncSchedule,
 )
 from fedpower.errors import DegenerateData, InvalidBudget, NonFinite
+from reference import is_orthonormal, sharded_product
 
 
 def noiseless(schedule):
@@ -142,7 +143,7 @@ def test_every_step_sync_matches_distributed_power():
         trace = engine.run_full(ds, cfg)
         z = engine.initial_basis(ds.d, 3, seed=9)
         for (t, z_bar), z_ref in zip(
-            trace.basis_history, _power_iterates(lambda y: _sharded_product(ds, y), z, 20)
+            trace.basis_history, _power_iterates(lambda y: sharded_product(ds, y), z, 20)
         ):
             assert np.abs(z_bar - z_ref).max() <= 1e-12
     ds = small_dataset(seed=5, n=122)  # shard weights differ, so the schemes' coefficients do
@@ -456,7 +457,7 @@ def test_output_basis_orthonormal_and_counters():
     priv = privacy.PrivacyConfig.for_schedule(1.5, 1e-3, schedule)
     cfg = RunConfig(k=2, r=3, schedule=schedule, privacy=priv, alignment=ALIGN_SIGN, seed=8)
     trace = engine.run_full(ds, cfg)
-    assert linalg.is_orthonormal(trace.final_basis)
+    assert is_orthonormal(trace.final_basis)
     last = trace.records[-1]
     assert last.t == 17
     assert last.comm_count == len(schedule.steps)
@@ -494,7 +495,7 @@ def test_partial_runs_with_noise_both_schemes():
             alignment=ALIGN_OPT,
         )
         trace = engine.run_partial(ds, cfg)
-        assert linalg.is_orthonormal(trace.final_basis)
+        assert is_orthonormal(trace.final_basis)
         assert trace.records[-1].eps_spent == 10.0
 
 
@@ -527,7 +528,7 @@ def test_empty_schedule_runs_pure_local():
     trace = engine.run_full(ds, cfg)
     assert len(trace.records) == 1
     assert trace.records[0].comm_count == 0
-    assert linalg.is_orthonormal(trace.final_basis)
+    assert is_orthonormal(trace.final_basis)
 
 
 def test_partial_with_sync_notes_no_fallback():
