@@ -109,6 +109,15 @@ CASES = {
         record_every_step=True,
         repeats=2,
     ), []),
+    # Sampled rounds at 4, ..., 60 and a last record two local steps later: the
+    # only partial-participation case whose output basis is formed between rounds.
+    "partial_horizon_off_round": ("run", _variant(
+        T=62,
+        alignment="opt",
+        privacy={"epsilon": 5.0, "delta": 1e-5},
+        participation={"kind": "partial", "K": 4, "scheme": 2},
+        repeats=2,
+    ), []),
     # 125 shards of 4 rows: every local product is rank deficient (r = 5).
     "explicit_small_shards": ("run", _variant(
         m=125,
