@@ -20,19 +20,12 @@ __all__ = [
 ]
 
 
-def _power_iterates(apply, z0, steps):
-    z = z0
-    for _ in range(steps):
-        z = linalg.orth(apply(z))
-        yield z
-
-
 def power_method(m_matrix, r: int, num_iterations: int, seed: int) -> np.ndarray:
     """Block power iteration ``y = M z; z = orth(y)`` from a seeded start."""
     m_matrix = linalg.as_matrix(m_matrix)
     z = initial_basis(m_matrix.shape[1], r, seed)
-    for z in _power_iterates(m_matrix.__matmul__, z, num_iterations):
-        pass
+    for _ in range(num_iterations):
+        z = linalg.orth(m_matrix @ z)
     return z
 
 

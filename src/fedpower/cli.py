@@ -501,8 +501,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
         text = Path(args.config).read_text(encoding="utf-8") if args.config else "{}"
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # a JSON error gives its line and column
-        raise ConfigError(f"config file {args.config!r} is not UTF-8 JSON: {exc}") from None
+    except ConfigError:  # a repeated key, named by _unique_keys
+        raise
+    except (ValueError, RecursionError) as exc:  # a JSON error gives its line and column
+        raise ConfigError(f"config file {args.config!r} is not UTF-8 JSON that json can read: {exc}") from None
     flags = {path: getattr(args, path.split(".")[-1], None) for path, f in _FIELDS.items() if f.metadata["flag"]}
     return ExperimentConfig.from_dict(doc, {path: v for path, v in flags.items() if v is not None})
 

@@ -7,38 +7,40 @@ Procrustes or column sign-fixing), optionally perturbed with calibrated
 Gaussian noise on both the worker and the server side, aggregated, and
 broadcast back. Runs are bit-reproducible for a fixed seed: every random
 draw comes from a dedicated counter-based stream keyed by (site, round,
-worker), and every weighted sum over workers (the global Gram, a round's
-uploads, its local noise and its sampled Grams, and the output basis) is one
-``np.tensordot`` of the coefficients and a stacked array. Its summation
-order is the BLAS kernel's, so the bytes are fixed for one numpy build and
-one OpenBLAS kernel.
+worker), and every weighted sum over workers is one ``np.tensordot`` of the
+coefficients and a stacked array. Its summation order is the BLAS kernel's,
+so the bytes are fixed for one numpy build and one OpenBLAS kernel.
 
-Workers are conceptually concurrent. The implementation holds their bases
-in one (B, m, d, r) stack, slice b for budget b from step 0, and advances
-them together: :func:`run_budgets`
-runs B configs that differ only in their privacy budget in one pass, with
-one draw of participants per round and one standard-normal draw per
-(site, round, worker) that each budget scales by its own noise scale, and
-:func:`run` is that pass with B = 1. The plain steps before each event (a
-round, the horizon, or every step under ``record_every_step``) run in one
+Every event (a round, the horizon, or every step under ``record_every_step``)
+forms its basis by one rule and one ``linalg.orth``: the members' held bases
+are aligned to the baseline's, weighted and summed. A round's members are
+its participants; it sums their aligned local products, adds the noise and
+broadcasts the result. Between rounds, the output basis is the last round's
+aggregation applied to the workers' own aligned bases (before the first
+round, every worker's by data weight).
+
+Workers are conceptually concurrent. Their bases are one (B, m, d, r) stack,
+slice b for budget b from step 0: :func:`run_budgets` runs B configs that
+differ only in their privacy budget in one pass, with one draw of
+participants per round and one standard-normal draw per (site, round,
+worker) that each budget scales by its own noise scale, and :func:`run` is
+that pass with B = 1. The plain steps before each event run in one
 ``ShardedDataset.local_steps`` call, and a round from differing bases takes
 one batched ``ShardedDataset.local_products``, one batched QR and one
-stacked alignment. The QR and the alignment give each slice exactly
-the arithmetic of a lone worker. The local products and steps give each
-slice ``orth(M_i z_i)`` up to rounding only: when the shards are shorter
-than d/2 they run through each shard's ``M_i = V_i diag(lam_i) V_i.T`` (a run
-of local steps as one h x r QR per chunk of steps on ``V_i.T z_i`` when every
+stacked alignment. The QR and the alignment give each slice exactly the
+arithmetic of a lone worker. The local products and steps give each slice
+``orth(M_i z_i)`` up to rounding only: when the shards are shorter than d/2
+they run through each shard's ``M_i = V_i diag(lam_i) V_i.T`` (a run of
+local steps as one h x r QR per chunk of steps on ``V_i.T z_i`` when every
 shard has r rows or more), and otherwise through the cached Gram stack.
 
-A sync round at step 1 or right after another sync starts from one basis z
-that every worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D``
-is formed as ``(sum_i c_i M_i) z D``: one d x d product with the dataset's
-cached global Gram under full participation, or with the coefficient-weighted
-sum of the sampled Grams under partial participation, and D the one
-alignment of z against itself. Either way, each worker's local noise is
-drawn from its own stream and the coefficient-weighted noise sum is added
-once, so such a round differs from the per-worker form by floating-point
-summation order only.
+A round at step 1 or right after another starts from one basis z that every
+worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D`` is formed as
+``(sum_i c_i M_i) z D``: one d x d product with the cached global Gram under
+full participation, or with the weighted sum of the sampled Grams under
+partial participation, and D the one alignment of z against itself. Each
+worker's local noise is still drawn from its own stream, so such a round
+differs from the per-worker form by floating-point summation order only.
 """
 
 from __future__ import annotations
@@ -331,22 +333,6 @@ def _round_members(part: Participation, weights, seed: int, round_idx: int):
     return ids, coefs, int(ids[0])
 
 
-def _output_basis(zs, alignment, synced, ids, coefs, base):
-    """Aggregate the listed worker bases of each (m, d, r) slice of ``zs`` per
-    the protocol's output rule, then orthonormalize.
-
-    At a synchronization step every worker holds the broadcast basis, which
-    that rule returns unchanged, so it is returned as a copy (the caller
-    overwrites ``zs`` in place). Otherwise each basis is aligned to the
-    baseline worker first.
-    """
-    if synced:
-        return zs[:, 0].copy()
-    selected = zs[:, ids]
-    selected = selected @ _alignment_matrix(alignment, selected, zs[:, base, None])
-    return linalg.orth(np.stack([np.tensordot(coefs, sel, axes=1) for sel in selected]), require_full_rank=False)
-
-
 def run(dataset: ShardedDataset, cfg: RunConfig, reference=None) -> RunTrace:
     """Run the protocol with the config's participation, full or partial:
     :func:`run_budgets` with one budget.
@@ -383,10 +369,10 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
         reference = dataset.reference_basis(cfg.k)
     reference = linalg.as_matrix(reference)[:, : cfg.k]
 
-    # The output basis weights the last round's participants. Before any
-    # round, both kinds take every worker by data weight, as full participation does.
-    out_ids, out_coefs, out_base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
-    base_full = out_base
+    # Every event aggregates the last round's members (ids, coefficients, baseline). Before
+    # any round, both kinds take every worker by data weight, as full participation does.
+    ids, coefs, base = _round_members(FULL_PARTICIPATION, weights, cfg.seed, 0)
+    base_full = base
 
     records: list[list[SyncRecord]] = [[] for _ in cfgs]
     histories = [[] if cfg.keep_basis_history else None for _ in cfgs]
@@ -396,48 +382,46 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
     # Each event (a sync step, the horizon, or every step under record_every_step)
     # writes a record; the plain steps before it run in one local_steps call.
     events = range(1, cfg.horizon + 1) if cfg.record_every_step else sorted(sync_steps | {cfg.horizon})
-    done = 0
-    for t in events:
+    for prev, t in zip((0, *events), events):
         synced = t in sync_steps
-        zs = dataset.local_steps(zs, t - done - synced)
-        done = t
+        zs = dataset.local_steps(zs, t - prev - synced)
         if synced:
             ids, coefs, base = _round_members(part, weights, cfg.seed, comm)
-            # Every worker holds the same basis at step 1 and right after a sync;
-            # the round then aligns that one basis, else each participant's own.
-            shared = t == 1 or t - 1 in sync_steps
-            held = zs[:, :1] if shared else zs[:, ids]
-            d_ids = _alignment_matrix(cfg.alignment, held, zs[:, base, None])
-            with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
-                if shared:
-                    # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
-                    g_s = (dataset.global_gram() if part.kind == "full"
-                           else np.tensordot(coefs, dataset.shard_grams[ids], axes=1))
-                    agg = g_s @ zs[:, 0] @ d_ids[:, 0]
-                else:
-                    uploads = dataset.local_products(zs)[:, ids] @ d_ids
-                    agg = np.stack([np.tensordot(coefs, up, axes=1) for up in uploads])
+        # At a round at step 1 or right after another, every worker holds the same
+        # basis; the round then aligns that one basis, else each member's own.
+        shared = synced and (t == 1 or t - 1 in sync_steps)
+        held = zs[:, :1] if shared else zs[:, ids]
+        d_ids = _alignment_matrix(cfg.alignment, held, zs[:, base, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
+            if shared:
+                # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
+                g_s = (dataset.global_gram() if part.kind == "full"
+                       else np.tensordot(coefs, dataset.shard_grams[ids], axes=1))
+                agg = g_s @ zs[:, 0] @ d_ids[:, 0]
+            else:
+                # A round sums its members' aligned products, any other event their aligned bases.
+                terms = (dataset.local_products(zs)[:, ids] if synced else held) @ d_ids
+                agg = np.stack([np.tensordot(coefs, x, axes=1) for x in terms])
+            if synced:
                 # Each (site, round, worker) stream is drawn once; budget b scales it by its own
-                # sigma and by the max-abs entry of its own slice b of the bases.
+                # sigma and by the max-abs entry of its own slice b of the held bases (one on a shared round).
                 if any(sc.sigma_local > 0.0 for sc in scales):
-                    draws = [privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_LOCAL, comm, int(i)))
-                             for i in ids]
-                    held_max = np.abs(zs[:, ids]).max(axis=(-2, -1))
+                    draws = np.stack([privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_LOCAL, comm, int(i)))
+                                      for i in ids])
+                    held_max = np.abs(held).max(axis=(-2, -1))
                 if any(sc.sigma_server > 0.0 for sc in scales):
                     draw = privacy.standard_gaussian(d, cfg.r, cfg.seed, (privacy.STREAM_SERVER, comm, 0))
                     upload_max = np.abs(held @ d_ids).max(axis=(-3, -2, -1))
                 for b, sc in enumerate(scales):
                     if sc.sigma_local > 0.0:
-                        agg[b] += np.tensordot(coefs, np.stack([
-                            float(top) * sc.sigma_local * g for top, g in zip(held_max[b], draws)
-                        ]), axes=1)
+                        agg[b] += np.tensordot(coefs, (held_max[b] * sc.sigma_local)[:, None, None] * draws, axes=1)
                     if sc.sigma_server > 0.0:
                         agg[b] += float(upload_max[b]) * sc.sigma_server * draw
-            zs[:] = linalg.orth(agg, require_full_rank=False)[:, None]
+        z_bar = linalg.orth(agg, require_full_rank=False)
+        if synced:
+            zs[:] = z_bar[:, None]
             comm += 1
-            out_ids, out_coefs, out_base = ids, coefs, base
 
-        z_bar = _output_basis(zs, cfg.alignment, synced, out_ids, out_coefs, out_base)
         sins = [linalg.sin_theta_k(z, reference) for z in z_bar]
         # After a sync every worker holds the broadcast basis: rho is 0.
         rhos = [0.0] * len(zs) if synced else [residual_rho(z, cfg.alignment, base_full) for z in zs]

@@ -1,12 +1,12 @@
-"""Test helpers that only tests use: the distributed power method, the
-oracle the engine's every-step-sync runs are checked against, and an
-orthonormality check."""
+"""Test helpers that only tests use: the power iterates of any product,
+the distributed power method, the oracle the engine's every-step-sync runs
+are checked against, and an orthonormality check."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from fedpower.baselines import _power_iterates
+from fedpower import linalg
 from fedpower.data import ShardedDataset
 from fedpower.engine import initial_basis
 
@@ -17,6 +17,14 @@ ORTHO_TOL = 1e-10
 def is_orthonormal(q) -> bool:
     q = np.asarray(q, dtype=np.float64)
     return bool(np.abs(q.T @ q - np.eye(q.shape[1])).max() <= ORTHO_TOL)
+
+
+def power_iterates(apply, z0, steps):
+    """Yield ``z <- orth(apply(z))`` ``steps`` times, from ``z0``."""
+    z = z0
+    for _ in range(steps):
+        z = linalg.orth(apply(z))
+        yield z
 
 
 def sharded_product(dataset: ShardedDataset, z: np.ndarray) -> np.ndarray:
@@ -34,6 +42,6 @@ def distributed_power(dataset: ShardedDataset, r: int, num_iterations: int, seed
     engine.
     """
     z = initial_basis(dataset.d, r, seed)
-    for z in _power_iterates(lambda y: sharded_product(dataset, y), z, num_iterations):
+    for z in power_iterates(lambda y: sharded_product(dataset, y), z, num_iterations):
         pass
     return z

@@ -6,12 +6,11 @@ import math
 import numpy as np
 
 from fedpower import baselines, cli, data, engine, linalg, privacy
-from fedpower.baselines import _power_iterates
 from fedpower.cli import ExperimentConfig
 from fedpower.data import SyntheticSpec
 from fedpower.engine import RunConfig, SyncSchedule
 from fedpower.privacy import PrivacyConfig
-from reference import sharded_product
+from reference import power_iterates, sharded_product
 
 
 def noiseless(schedule):
@@ -48,8 +47,8 @@ def test_c01_distributed_power_matches_assembled_power_method():
         z0 = engine.initial_basis(30, 5, seed=split + 7)
         m_global = ds.global_gram()
         for z_dist, z_power in zip(
-            _power_iterates(lambda z: sharded_product(ds, z), z0, 50),
-            _power_iterates(m_global.__matmul__, z0, 50),
+            power_iterates(lambda z: sharded_product(ds, z), z0, 50),
+            power_iterates(m_global.__matmul__, z0, 50),
         ):
             worst = max(worst, float(np.abs(z_dist - z_power).max()))
     assert worst <= 1e-12

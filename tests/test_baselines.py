@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, linalg
-from fedpower.baselines import _power_iterates
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import initial_basis
-from reference import distributed_power, is_orthonormal, sharded_product
+from reference import distributed_power, is_orthonormal, power_iterates, sharded_product
 
 
 def random_orthonormal(rng, rows, cols):
@@ -64,8 +63,8 @@ def test_distributed_power_random_split_per_iteration():
     z0 = initial_basis(8, 3, seed=21)
     m_global = ds.global_gram()
     for z_d, z_p in zip(
-        _power_iterates(lambda z: sharded_product(ds, z), z0, 30),
-        _power_iterates(m_global.__matmul__, z0, 30),
+        power_iterates(lambda z: sharded_product(ds, z), z0, 30),
+        power_iterates(m_global.__matmul__, z0, 30),
     ):
         assert np.abs(z_d - z_p).max() <= 1e-12
 
@@ -79,8 +78,8 @@ def test_distributed_power_applies_short_shards_through_their_rows():
     assert "shard_grams" not in vars(ds)
     z0 = initial_basis(30, 4, seed=22)
     for z_d, z_p in zip(
-        _power_iterates(lambda z: sharded_product(ds, z), z0, 40),
-        _power_iterates(ds.global_gram().__matmul__, z0, 40),
+        power_iterates(lambda z: sharded_product(ds, z), z0, 40),
+        power_iterates(ds.global_gram().__matmul__, z0, 40),
     ):
         assert np.abs(z_d - z_p).max() <= 1e-12
     np.testing.assert_array_equal(z_final, z_d)

@@ -935,10 +935,13 @@ def test_main_missing_config_is_an_error(tmp_path, capsys):
     (b'{"m": 3,', "line 1 column 9"),
     (b'{\n "m": 3,\n "k" 2}', "line 3 column 6"),
     (b"\xff\xfe", "can't decode byte 0xff"),
-], ids=["truncated", "no-colon", "not-utf8"])
+    (b'{"m": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+    (b'{"m": ' + b"1" * 5_000 + b"}", "integer string conversion"),
+], ids=["truncated", "no-colon", "not-utf8", "nested-100000-deep", "integer-of-5000-digits"])
 @pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
 def test_unreadable_config_file_is_a_config_error(command, text, detail, tmp_path, capsys, monkeypatch):
-    # Each exited 1 with a JSONDecodeError or UnicodeDecodeError, neither a FedPowerError.
+    # Each exited 1 with a JSONDecodeError, a UnicodeDecodeError or (the long integer) json's
+    # ValueError, none a FedPowerError; the deep nesting printed a RecursionError traceback.
     def never(*args, **kwargs):
         raise AssertionError("the dataset was loaded from an unreadable config")
 
@@ -946,7 +949,9 @@ def test_unreadable_config_file_is_a_config_error(command, text, detail, tmp_pat
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(text)
     code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
     assert (code, payload["error"]) == (1, "ConfigError")
     assert repr(str(cfg_path)) in payload["message"] and detail in payload["message"]
 
@@ -971,7 +976,7 @@ def test_a_repeated_config_key_is_a_config_error(command, key, tmp_path, capsys,
     code = cli.main([command, "--config", str(cfg_path)])
     payload = json.loads(capsys.readouterr().err.strip())
     assert (code, payload["error"]) == (1, "ConfigError")
-    assert repr(key) in payload["message"]
+    assert payload["message"] == f"config key {key!r} is written more than once"
 
 
 def test_main_inspect_dataset(tmp_path, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fedpower import baselines, data, engine, linalg, privacy
-from fedpower.baselines import _power_iterates
 from fedpower.cli import CsvTrace, ExperimentConfig
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import (
@@ -19,7 +18,7 @@ from fedpower.engine import (
     SyncSchedule,
 )
 from fedpower.errors import DegenerateData, InvalidBudget, NonFinite
-from reference import is_orthonormal, sharded_product
+from reference import is_orthonormal, power_iterates, sharded_product
 
 
 def noiseless(schedule):
@@ -80,7 +79,7 @@ def test_single_worker_matches_power_method_per_step():
     )
     trace = engine.run_full(ds, cfg)
     z = engine.initial_basis(8, 2, seed=17)
-    for (t, z_bar), z_power in zip(trace.basis_history, _power_iterates(ds.global_gram().__matmul__, z, 15)):
+    for (t, z_bar), z_power in zip(trace.basis_history, power_iterates(ds.global_gram().__matmul__, z, 15)):
         assert np.abs(z_bar - z_power).max() <= 1e-12
 
 
@@ -143,7 +142,7 @@ def test_every_step_sync_matches_distributed_power():
         trace = engine.run_full(ds, cfg)
         z = engine.initial_basis(ds.d, 3, seed=9)
         for (t, z_bar), z_ref in zip(
-            trace.basis_history, _power_iterates(lambda y: sharded_product(ds, y), z, 20)
+            trace.basis_history, power_iterates(lambda y: sharded_product(ds, y), z, 20)
         ):
             assert np.abs(z_bar - z_ref).max() <= 1e-12
     ds = small_dataset(seed=5, n=122)  # shard weights differ, so the schemes' coefficients do
