@@ -160,7 +160,7 @@ _TYPES.update(*[t for t in _TYPES.values() if isinstance(t, dict)])  # the synth
 _SECTIONS = {path.rsplit(".", 1)[0] for path in _TYPES if "." in path}
 _MAX_INT = int(np.iinfo(np.intp).max)
 _SEEDS = ("seed", "dataset.synthetic.seed")  # numpy's generators take any non-negative integer
-_WHAT = {int: "a non-negative integer", COUNT: "a positive integer", float: "a number", BUDGET: 'a number or "inf"',
+_WHAT = {int: "a non-negative integer", COUNT: "a positive integer", float: "a finite number", BUDGET: 'a number or "inf"',
          bool: "true or false", str: "a string", list: "a list", dict: "a JSON object"}
 
 
@@ -204,7 +204,9 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
         raise ConfigError(f"config key {path!r}: unknown {noun} {value!r}, expected one of {json_type}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     integral = number and value % 1 == 0
-    ok = {int: integral and value >= 0, COUNT: integral and value >= 1, float: number, BUDGET: number or value == "inf"}
+    # A float key is finite: its header would write 1e400 or -1e400 as "inf", which reads back as no number.
+    finite = number and abs(value) <= sys.float_info.max  # false for NaN, and for an int past float's range
+    ok = {int: integral and value >= 0, COUNT: integral and value >= 1, float: finite, BUDGET: number or value == "inf"}
     if not (ok[json_type] if json_type in ok else isinstance(value, json_type)):
         where = f"config key {path!r}" if path else "a config document"
         raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")

@@ -4,6 +4,7 @@ import pytest
 from fedpower import baselines, data, linalg
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.engine import initial_basis
+from fedpower.errors import DimensionMismatch
 from reference import distributed_power, is_orthonormal, power_iterates, sharded_product
 
 
@@ -188,3 +189,17 @@ def test_dr_svd_requires_enough_rows():
     ds = data.partition(a, 2)
     with pytest.raises(Exception):
         baselines.dr_svd(ds, 2, seed=1)
+
+
+# ---------------------------------------------------------------- library guards
+
+GUARDS = {
+    "uda k above d": (lambda: baselines.uda(data.partition(np.eye(3), 1), 4), DimensionMismatch, "k=4 exceeds d=3"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -164,10 +164,17 @@ def _without(path):
     ("run", _with_synthetic(singular_values=[1.0] * 13), "'dataset.synthetic': need between 1 and min(n, d)=12"),
     # -inf is no noiseless epsilon, so it cannot stand beside eps_split; the header wrote it as "inf".
     ("run", config_doc(privacy={"epsilon": -math.inf, "eps_split": [2, 4]}), "eps_split"),
+    # JSON reads 1e400 as infinity: a noiseless run wrote delta as "inf", which its replay refused.
+    ("run", config_doc(privacy={"delta": 1e400}), "config key 'privacy.delta' must be a finite number, got inf"),
+    ("run", config_doc(privacy={"delta": -1e400}), "config key 'privacy.delta' must be a finite number, got -inf"),
 ])
-def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys):
+def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys, monkeypatch):
     # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
     # a missing key or an ambiguous dataset is named too, not a bare KeyError or ValueError.
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was loaded from a mistyped config")
+
+    monkeypatch.setattr(cli, "load_matrix", never)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code = cli.main([command, "--config", str(cfg_path)])
@@ -369,10 +376,15 @@ def test_trace_parse_types_cells_by_column():
 
 
 def test_threads_do_not_change_results():
-    cfg = ExperimentConfig.from_dict(config_doc(repeats=3))
-    solo = cli.run_experiment(cfg, threads=1)
-    pooled = cli.run_experiment(cfg, threads=3)
-    assert solo.render() == pooled.render()
+    # The second config's shards of 8 rows (d = 40) take the row path, and its T = p = 200 is one
+    # stretch of 199 local steps, run in chunks in the shards' eigenbases.
+    stretch = config_doc(dataset={"synthetic": {"n": 80, "d": 40, "singular_values": [4, 3, 2, 1, 0.5, 0.25]}},
+                         m=10, k=2, r=4, T=200, schedule={"kind": "fixed", "p": 200}, repeats=2)
+    for doc in (config_doc(repeats=3), stretch):
+        cfg = ExperimentConfig.from_dict(doc)
+        solo = cli.run_experiment(cfg, threads=1)
+        pooled = cli.run_experiment(cfg, threads=3)
+        assert solo.render() == pooled.render()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -1095,3 +1107,20 @@ def test_main_run_libsvm_override(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("# schema=fedpower.trace.v1")
+
+
+# ---------------------------------------------------------------- library guards
+
+GUARDS = {
+    "trace kind": (lambda: cli.CsvTrace("x", ExperimentConfig.from_dict(config_doc())).render(), ValueError,
+                   "unknown trace kind 'x'"),
+    "no budget": (lambda: cli.privacy_sweep(ExperimentConfig.from_dict(config_doc()), []), ConfigError,
+                  "--eps-list must name at least one budget"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -110,6 +110,7 @@ MALFORMED = {
     "cr inside a line": (b"1\r2 1:3\n", None, *_bad("expected idx:val, got '2'")),
     "undecodable bytes": (b"1 1:\xff\n", None, *_bad(
         "undecodable bytes: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte")),
+    "word for a value": (b"1 2:oops\n", None, *_bad("bad feature token '2:oops'")),
 }
 
 
@@ -865,6 +866,7 @@ SYNTH_SHAPES = {
     "rank 1, square": (3, 3, 1),
     "rank 1, n = 4": (4, 3, 1),
     "20000 x 300": (20000, 300, 300),
+    "full rank, square": (6, 6, 6),
 }
 
 
@@ -915,3 +917,20 @@ def test_sharded_dataset_validation():
     # The first shard's width was read before its shape was checked: a bare IndexError.
     with pytest.raises(DimensionMismatch, match=r"shard 0 has shape \(3,\)"):
         ShardedDataset((np.zeros(3),))
+
+
+# ---------------------------------------------------------------- library guards
+
+GUARDS = {
+    "empty shard": (lambda: ShardedDataset((np.ones((2, 3)), np.ones((0, 3)))), DimensionMismatch, "shard 1 is empty"),
+    "m 0": (lambda: data.partition(np.ones((4, 2)), 0), ValueError, "m must be >= 1, got 0"),
+    "partition mode": (lambda: data.partition(np.ones((4, 2)), 2, mode="random"), ValueError,
+                       "unknown partition mode 'random'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

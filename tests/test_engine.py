@@ -17,7 +17,7 @@ from fedpower.engine import (
     RunConfig,
     SyncSchedule,
 )
-from fedpower.errors import DegenerateData, InvalidBudget, NonFinite
+from fedpower.errors import DegenerateData, DimensionMismatch, InvalidBudget, NonFinite
 from reference import is_orthonormal, power_iterates, sharded_product
 
 
@@ -786,3 +786,36 @@ def test_run_budgets_steps_samples_and_draws_once_for_all_budgets(participation,
         ids = engine._round_members(participation, ds.weights, 6, comm)[0]
         keys += [(privacy.STREAM_LOCAL, comm, int(i)) for i in ids] + [(privacy.STREAM_SERVER, comm, 0)]
     assert {key: n for key, n in one.items() if isinstance(key, tuple)} == Counter(keys)
+
+
+# ---------------------------------------------------------------- library guards
+
+# Library callers skip the CLI's config checks, so the engine checks the same ranges again.
+GUARDS = {
+    "horizon 0": (lambda: SyncSchedule(0, ()), ValueError, "horizon must be >= 1, got 0"),
+    "fixed p 0": (lambda: SyncSchedule.fixed(0, 5), ValueError, "p must be >= 1, got 0"),
+    "decaying p 0": (lambda: SyncSchedule.decaying(0, 5), ValueError, "p0 must be >= 1, got 0"),
+    "schedule kind": (lambda: engine.build_schedule("geometric", 5, p=2), ValueError,
+                      "unknown schedule kind 'geometric'"),
+    "participation kind": (lambda: Participation("some"), ValueError,
+                           "participation kind must be 'full' or 'partial', got 'some'"),
+    "count 0": (lambda: Participation("partial", 0, 1), ValueError, "partial participation needs count >= 1, got 0"),
+    "participation scheme 3": (lambda: Participation("partial", 2, 3), ValueError, "scheme must be 1 or 2, got 3"),
+    "k above r": (lambda: make_config(3, 2, SyncSchedule.fixed(2, 4)), ValueError, "need 1 <= k <= r, got k=3, r=2"),
+    "run alignment": (lambda: make_config(2, 2, SyncSchedule.fixed(2, 4), alignment="procrustes"), ValueError,
+                      f"alignment must be one of {engine.ALIGNMENTS}, got 'procrustes'"),
+    "r above d": (lambda: engine.initial_basis(3, 4, seed=0), DimensionMismatch, "iteration rank 4 exceeds dimension 3"),
+    "empty stack": (lambda: engine.residual_rho(np.zeros((0, 3, 2))), ValueError,
+                    "need a non-empty stack of d x r worker bases"),
+    "rho alignment": (lambda: engine.residual_rho(np.ones((2, 3, 2)), "procrustes"), ValueError,
+                      "unknown alignment 'procrustes'"),
+    "draw scheme 3": (lambda: engine.draw_participants(3, 2, [0.5, 0.5], np.random.default_rng(0)), ValueError,
+                      "scheme must be 1 or 2, got 3"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -428,3 +428,27 @@ def test_orth_and_svd_reject_non_finite_with_named_error():
     with pytest.raises(NonFinite):
         linalg.svd(y)
     assert issubclass(NonFinite, FedPowerError)
+
+
+# ---------------------------------------------------------------- library guards
+
+GUARDS = {
+    "vector as matrix": (lambda: linalg.as_matrix(np.ones(3)), DimensionMismatch,
+                         "expected a 2-D array, got shape (3,)"),
+    "orth of a vector": (lambda: linalg.orth(np.ones(3)), DimensionMismatch,
+                         "expected a matrix or a stack of matrices, got shape (3,)"),
+    "gram of no rows": (lambda: linalg.gram(np.ones((0, 3))), DimensionMismatch, "shard must contain at least one row"),
+    "k above the reference": (lambda: linalg.sin_theta_k(np.eye(3)[:, :2], np.eye(3)[:, :2], k=3), DimensionMismatch,
+                              "k=3 exceeds reference width 2"),
+    "ambient dimensions": (lambda: linalg.sin_theta_k(np.eye(4)[:, :2], np.eye(3)[:, :2]), DimensionMismatch,
+                           "ambient dimensions differ: 4 vs 3"),
+    "alignment operands": (lambda: linalg.procrustes(np.eye(3)[:, :2], np.eye(3)), DimensionMismatch,
+                           "alignment operands differ in shape: (3, 2) vs (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

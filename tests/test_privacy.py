@@ -229,3 +229,26 @@ def test_account_noiseless_and_split():
     eps, delta = privacy.account(split, 2)
     assert abs(eps - 1.0) <= 1e-15
     assert abs(delta - 4e-4) <= 1e-18
+
+
+# ---------------------------------------------------------------- library guards
+
+NOISY = PrivacyConfig(1.0, 1e-3, rounds=2)
+QUARTERS = np.full(4, 0.25)
+GUARDS = {
+    "min_shard 0": (lambda: privacy.scales_full(NOISY, 0, 0.5), ValueError, "min_shard must be >= 1, got 0"),
+    "max_weight 0": (lambda: privacy.scales_full(NOISY, 5, 0.0), ValueError, "max_weight must lie in (0, 1], got 0.0"),
+    "scheme 3": (lambda: privacy.scales_partial(NOISY, 5, QUARTERS, 2, 3), ValueError, "scheme must be 1 or 2, got 3"),
+    "partial eps_split": (lambda: privacy.scales_partial(PrivacyConfig(math.inf, 1e-3, rounds=2, eps_split=(1.0, 1.0)),
+                                                         5, QUARTERS, 2, 1), InvalidBudget,
+                          "per-round budget splitting is only calibrated for full participation"),
+    "account past its rounds": (lambda: privacy.account(NOISY, 3), ValueError,
+                                "rounds_completed must lie in [0, 2], got 3"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_library_guard_raises_its_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
