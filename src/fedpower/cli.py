@@ -212,6 +212,8 @@ def _read(flat: dict, path: str, json_type, default=MISSING):
         raise ConfigError(f"{where} must be {_WHAT[json_type]}, got {value!r}")
     if json_type in (int, COUNT) and value > _MAX_INT and path not in _SEEDS:  # numpy sizes and counts overflow
         raise ConfigError(f"config key {path!r} must be at most {_MAX_INT}, got {value!r}")
+    if json_type is BUDGET and isinstance(value, int) and not finite:  # float(value) would overflow; 1e400 is inf
+        raise ConfigError(f"config key {path!r} must lie within float's range, got {value!r}")
     return int(value) if json_type in (int, COUNT) else float(value) if json_type in (float, BUDGET) else value
 
 

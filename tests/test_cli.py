@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from fedpower import cli, engine, privacy
 from fedpower.cli import ExperimentConfig
 from fedpower.data import partition, write_libsvm
-from fedpower.errors import ConfigError
+from fedpower.errors import ConfigError, DegenerateData, DimensionMismatch, FedPowerError, InvalidBudget, NonFinite
 from trace_csv import parse_trace
 
 
@@ -75,28 +76,6 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(doc)
 
 
-@pytest.mark.parametrize("overrides, path", [
-    ({"record_every_step": "false"}, "record_every_step"),
-    ({"dataset": {"scale": "false"}}, "dataset.scale"),
-    ({"m": 2.7}, "m"),
-    ({"m": True}, "m"),
-    ({"schedule": {"kind": "explicit", "steps": [2, "5"]}}, "schedule.steps"),
-])
-def test_config_rejects_values_it_would_coerce(overrides, path, tmp_path, capsys):
-    # bool("false") is True and int(2.7) is 2: each would run another config.
-    if "dataset" in overrides:
-        libsvm = tmp_path / "tiny.libsvm"
-        write_libsvm(libsvm, np.random.default_rng(71).standard_normal((40, 12)))
-        overrides = {"dataset": {"libsvm": str(libsvm), **overrides["dataset"]}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(**overrides)))
-    code = cli.main(["run", "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert code == 1
-    assert payload["error"] == "ConfigError"
-    assert repr(path) in payload["message"]
-
-
 def _with_synthetic(**changes):
     doc = config_doc()
     doc["dataset"]["synthetic"].update(changes)
@@ -113,77 +92,6 @@ def _without(path):
     return doc
 
 
-@pytest.mark.parametrize("command, doc, path", [
-    ("run", [1, 2], "a config document"),
-    ("run", config_doc(dataset=[1]), "'dataset'"),
-    ("run", config_doc(dataset={"synthetic": [1]}), "'dataset.synthetic'"),
-    ("run", config_doc(schedule="fixed"), "'schedule'"),
-    ("run", config_doc(privacy={"eps_split": 3}), "'privacy.eps_split'"),
-    ("run", config_doc(schedule={"kind": "explicit", "steps": 5}), "'schedule.steps'"),
-    ("run", _with_synthetic(singular_values=3), "'dataset.synthetic.singular_values'"),
-    ("run", config_doc(privacy={"epsilon": True}), "'privacy.epsilon'"),
-    ("run", config_doc(privacy={"epsilon": "1.0"}), "'privacy.epsilon'"),
-    ("run", config_doc(privacy={"delta": True}), "'privacy.delta'"),
-    ("run", config_doc(privacy={"delta": "inf"}), "'privacy.delta'"),
-    ("run", config_doc(privacy={"eps_split": [True, 1.0]}), "'privacy.eps_split'"),
-    ("run", config_doc(privacy={"eps_split": ["2", 4.0]}), "'privacy.eps_split'"),
-    ("run", _with_synthetic(singular_values=[True, 1]), "'dataset.synthetic.singular_values'"),
-    ("run", config_doc(out=0), "'out'"),
-    ("inspect-dataset", config_doc(dataset={"libsvm": 0}), "'dataset.libsvm'"),
-    ("run", _without("k"), "'k'"),
-    ("run", _without("T"), "'T'"),
-    ("run", _without("dataset.synthetic.n"), "'dataset.synthetic.n'"),
-    ("run", _without("dataset.synthetic.d"), "'dataset.synthetic.d'"),
-    ("run", _without("dataset.synthetic.singular_values"), "'dataset.synthetic.singular_values'"),
-    ("run", config_doc(dataset={}), "'dataset'"),
-    ("inspect-dataset", config_doc(dataset={**config_doc()["dataset"], "libsvm": "a.libsvm"}), "'dataset'"),
-    # Each ran as another config: the key outside its kind was dropped, or "partal" ran partial.
-    ("run", config_doc(participation={"kind": "full", "K": 3, "scheme": 2}),
-     "'participation.K' does not apply under participation kind 'full'"),
-    ("run", config_doc(schedule={"kind": "fixed", "p": 3, "steps": [1, 2]}),
-     "'schedule.steps' does not apply under schedule kind 'fixed'"),
-    ("run", config_doc(schedule={"kind": "explicit", "steps": [3, 6], "p": 7}),
-     "'schedule.p' does not apply under schedule kind 'explicit'"),
-    ("run", config_doc(dataset={**config_doc()["dataset"], "scale": False}),
-     "'dataset.scale' does not apply under dataset kind 'synthetic'"),
-    ("run", config_doc(participation={"kind": "partal", "K": 2, "scheme": 1}), "participation kind 'partal'"),
-    ("run", config_doc(privacy={"epsilon": 1.0, "eps_split": [2, 4]}), "eps_split"),
-    # numpy's "expected non-negative integer" or a bare ValueError named no key.
-    ("run", config_doc(seed=-1), "'seed'"),
-    ("run", _with_synthetic(seed=-3), "'dataset.synthetic.seed'"),
-    ("run", config_doc(repeats=0), "repeats"),
-    # SyntheticSpec's bare ValueError named no key.
-    ("run", _with_synthetic(singular_values=[3.0, -1.0]), "'dataset.synthetic.singular_values'"),
-    ("run", _with_synthetic(singular_values=[1.0, 3.0]), "'dataset.synthetic.singular_values'"),
-    # An OverflowError traceback from the schedule, and numpy's "Maximum allowed dimension exceeded".
-    ("run", config_doc(T=1e20), f"'T' must be at most {np.iinfo(np.intp).max}, got 1e+20"),
-    ("run", _with_synthetic(d=1e300), f"'dataset.synthetic.d' must be at most {np.iinfo(np.intp).max}, got 1e+300"),
-    # numpy's bare "array is too big", and a DimensionMismatch that named no key.
-    ("run", _with_synthetic(n=1e18), f"'dataset.synthetic': dense matrix of {10**18} x 12 exceeds the 1e+08-entry limit"),
-    ("run", _with_synthetic(d=1e18), f"'dataset.synthetic': dense matrix of 200 x {10**18} exceeds the 1e+08-entry limit"),
-    ("run", _with_synthetic(singular_values=[1.0] * 13), "'dataset.synthetic': need between 1 and min(n, d)=12"),
-    # -inf is no noiseless epsilon, so it cannot stand beside eps_split; the header wrote it as "inf".
-    ("run", config_doc(privacy={"epsilon": -math.inf, "eps_split": [2, 4]}), "eps_split"),
-    # JSON reads 1e400 as infinity: a noiseless run wrote delta as "inf", which its replay refused.
-    ("run", config_doc(privacy={"delta": 1e400}), "config key 'privacy.delta' must be a finite number, got inf"),
-    ("run", config_doc(privacy={"delta": -1e400}), "config key 'privacy.delta' must be a finite number, got -inf"),
-])
-def test_mistyped_config_is_a_config_error(command, doc, path, tmp_path, capsys, monkeypatch):
-    # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
-    # a missing key or an ambiguous dataset is named too, not a bare KeyError or ValueError.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded from a mistyped config")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert code == 1
-    assert payload["error"] == "ConfigError"
-    assert path in payload["message"]
-
-
 @pytest.mark.parametrize("doc", [config_doc(seed=2**64), _with_synthetic(seed=2**70)], ids=["seed", "synthetic seed"])
 def test_a_seed_above_the_index_bound_still_runs(doc, tmp_path):
     # The bound on integers is for counts and sizes; numpy's generators take any non-negative seed.
@@ -193,72 +101,6 @@ def test_a_seed_above_the_index_bound_still_runs(doc, tmp_path):
     trace = parse_trace(out.read_text())
     synthetic_seed = trace["config"]["dataset"]["synthetic"]["seed"]
     assert (trace["seed"], synthetic_seed) == (doc["seed"], doc["dataset"]["synthetic"]["seed"])
-
-
-def test_unknown_partition_mode_fails_before_the_dataset_is_parsed(tmp_path, capsys, monkeypatch):
-    libsvm = tmp_path / "tiny.libsvm"
-    write_libsvm(libsvm, np.random.default_rng(72).standard_normal((40, 12)))
-    parsed = []
-    real = cli.parse_libsvm
-    monkeypatch.setattr(cli, "parse_libsvm", lambda *a, **kw: parsed.append(a) or real(*a, **kw))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, partition="shufled")))
-    code = cli.main(["run", "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "ConfigError")
-    assert "partition mode 'shufled'" in payload["message"]
-    assert parsed == []
-
-
-@pytest.mark.parametrize("overrides, flags, message", [
-    ({"m": 0}, [], "config key 'm' must be a positive integer, got 0"),
-    ({"k": 0}, [], "config key 'k' must be a positive integer, got 0"),
-    ({"r": 0}, [], "config key 'r' must be a positive integer, got 0"),
-    ({"T": 0}, [], "config key 'T' must be a positive integer, got 0"),
-    ({}, ["--T", "0"], "config key 'T' must be a positive integer, got 0"),
-    ({"schedule": {"kind": "fixed", "p": 0}}, [], "config key 'schedule.p' must be a positive integer, got 0"),
-    ({"participation": {"kind": "partial", "K": 0, "scheme": 1}}, [],
-     "config key 'participation.K' must be a positive integer, got 0"),
-    ({"participation": {"kind": "partial", "K": 2, "scheme": 0}}, [],
-     "config key 'participation.scheme' must be a positive integer, got 0"),
-    ({"participation": {"kind": "partial", "K": 2, "scheme": 3}}, [],
-     "config key 'participation.scheme' must be 1 or 2, got 3"),
-    ({"participation": {"kind": "partial"}}, [],
-     "config key 'participation.K' is required under participation kind 'partial'"),
-    ({"participation": {"kind": "partial", "K": 2}}, [],
-     "config key 'participation.scheme' is required under participation kind 'partial'"),
-    ({"k": 3, "r": 2}, [], "config key 'r' must be at least k=3, got 2"),
-    ({"repeats": 0}, [], "config key 'repeats' must be a positive integer, got 0"),
-    ({}, ["--repeats", "0"], "config key 'repeats' must be a positive integer, got 0"),
-    ({"participation": {"kind": "partial", "K": 5, "scheme": 1}}, [],
-     "config key 'participation.K' must be at most m=4, got 5"),
-    ({"participation": {"kind": "partial", "K": 3, "scheme": 2}}, ["--m", "2"],
-     "config key 'participation.K' must be at most m=2, got 3"),
-    ({"schedule": {"kind": "explicit", "steps": [5, 31]}}, [],
-     "config key 'schedule.steps' must lie within [1, T=30], got step 31"),
-    ({"schedule": {"kind": "explicit", "steps": [0, 5]}}, [],
-     "config key 'schedule.steps' must lie within [1, T=30], got step 0"),
-    ({"schedule": {"kind": "explicit", "steps": [5, 20]}}, ["--T", "10"],
-     "config key 'schedule.steps' must lie within [1, T=10], got step 20"),
-    ({}, ["--threads", "0"], "--threads / FEDPOWER_THREADS must be an integer of at least 1, got 0"),
-    ({"schedule": {"kind": "explicit", "steps": [4, 4, 2]}}, [],
-     "config key 'schedule.steps' must be strictly increasing, got [4, 4, 2]"),
-    ({"schedule": {"kind": "explicit", "steps": [2, 9, 5]}}, [],
-     "config key 'schedule.steps' must be strictly increasing, got [2, 9, 5]"),
-])
-def test_out_of_range_count_fails_before_the_dataset_is_parsed(overrides, flags, message, tmp_path, capsys,
-                                                               monkeypatch):
-    # Each failed after the file was parsed, most in the engine as a bare ValueError naming no key.
-    libsvm = tmp_path / "tiny.libsvm"
-    write_libsvm(libsvm, np.random.default_rng(74).standard_normal((40, 12)))
-    parsed = []
-    monkeypatch.setattr(cli, "parse_libsvm", lambda *a, **kw: parsed.append(a))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, **overrides)))
-    code = cli.main(["run", "--config", str(cfg_path), *flags])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"], payload["message"]) == (1, "ConfigError", message)
-    assert parsed == []
 
 
 def test_libsvm_flag_replaces_the_config_source(tmp_path):
@@ -296,6 +138,7 @@ def test_unknown_partition_mode_is_an_error():
 def test_config_accepts_integral_floats():
     cfg = ExperimentConfig.from_dict(config_doc(m=4.0, T=30.0))
     assert (cfg.m, cfg.horizon) == (4, 30) and isinstance(cfg.m, int)
+    assert ExperimentConfig.from_dict(config_doc(T=cli.MAX_HORIZON)).horizon == cli.MAX_HORIZON
 
 
 def test_config_accepts_every_key_it_writes():
@@ -387,37 +230,6 @@ def test_threads_do_not_change_results():
         assert solo.render() == pooled.render()
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("via_env", [False, True])
-def test_thread_count_below_one_is_an_error(value, via_env, tmp_path, capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a thread pool was started or the dataset loaded")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", never)
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(repeats=3)))
-    argv = ["run", "--config", str(cfg_path)]
-    if via_env:
-        monkeypatch.setenv(cli.THREADS_ENV, value)
-    else:
-        argv += ["--threads", value]
-    assert cli.main(argv) == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ConfigError"
-    assert "at least 1" in payload["message"]
-
-
-def test_non_integer_thread_env_is_an_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "two")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc()))
-    assert cli.main(["run", "--config", str(cfg_path)]) == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ConfigError"
-    assert cli.THREADS_ENV in payload["message"]
-
-
 # ---------------------------------------------------------------- compare
 
 
@@ -458,19 +270,6 @@ def test_compare_computes_no_eta_and_run_and_sweep_write_each_repeats_own(monkey
     assert [row["algorithm"] for row in rows] == list(cli.COMPARE_ALGORITHMS)
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
-def test_all_zero_data_is_degenerate_in_every_command(command, tmp_path, capsys):
-    # The only check sat in eta, which compare no longer computes.
-    libsvm = tmp_path / "zero.libsvm"
-    libsvm.write_text("0 1:0 2:0 3:0\n" * 12)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, m=3, k=2, r=2, T=8, repeats=1)))
-    code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "DegenerateData")
-    assert "zero" in payload["message"]
-
-
 def test_compare_single_shard_degenerate():
     # exact rank-k data so every one-shot method degenerates to an exact
     # single-machine factorization
@@ -509,8 +308,6 @@ def drifting_rows(n, d, k, seed, drift=0.6):
 def test_compare_heterogeneous_one_shot_gap(tmp_path):
     # converged runs on sorted heterogeneous shards beat one-shot averaging
     # by far more than the required factor of two
-    from fedpower.data import write_libsvm
-
     path = tmp_path / "drift.libsvm"
     write_libsvm(path, drifting_rows(1000, 20, 5, seed=1))
     doc = {
@@ -713,40 +510,6 @@ def test_privacy_sweep_numbers_sub_traces_by_row(tmp_path):
     assert _sweep_epsilons(tmp_path, "bad", 2) == {1: "inf"}
 
 
-@pytest.mark.parametrize("eps_list", ["1,x", ",", "inf,,1", "1,"])
-def test_bad_eps_list_is_a_config_error_before_the_dataset_is_loaded(eps_list, tmp_path, capsys, monkeypatch):
-    # "1,x" gave a bare ValueError; "," loaded the dataset and wrote a sweep without rows;
-    # "inf,,1" and "1," ran as if their empty entries were not there.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before --eps-list was checked")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc()))
-    code = cli.main(["privacy-sweep", "--config", str(cfg_path), "--eps-list", eps_list])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "ConfigError")
-    assert "--eps-list" in payload["message"]
-
-
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
-def test_a_horizon_above_the_step_limit_is_a_config_error_before_the_dataset_is_loaded(
-        command, tmp_path, capsys, monkeypatch):
-    # "T": 1e18 was a MemoryError traceback from the schedule, which lists every step.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before T was checked")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    for horizon in (cli.MAX_HORIZON + 1, 1e18):
-        cfg_path.write_text(json.dumps(config_doc(T=horizon)))
-        code = cli.main([command, "--config", str(cfg_path)])
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert (code, payload["error"]) == (1, "ConfigError")
-        assert f"config key 'T' must be at most {cli.MAX_HORIZON}, got {int(horizon)}" == payload["message"]
-    assert ExperimentConfig.from_dict(config_doc(T=cli.MAX_HORIZON)).horizon == cli.MAX_HORIZON
-
-
 def test_privacy_sweep_writes_per_epsilon_traces(tmp_path):
     out = tmp_path / "sweep.csv"
     doc = config_doc(repeats=1, T=20, privacy={"epsilon": 2.0, "delta": 1e-3}, out=str(out))
@@ -781,15 +544,6 @@ def test_privacy_sweep_budgets_write_the_bytes_they_write_alone(tmp_path):
     assert sweep("inf,-1,1", "pooled", threads="2") == swept
 
 
-def test_privacy_sweep_with_an_overflowing_budget_is_non_finite(tmp_path, capsys):
-    # The noiseless budget shares the overflowing one's pass, which fails as a whole, without a warning.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc()))
-    code = cli.main(["privacy-sweep", "--config", str(cfg_path), "--eps-list", "inf,1e-320"])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "NonFinite")
-
-
 # ---------------------------------------------------------------- command line
 
 
@@ -804,121 +558,12 @@ def test_main_run_writes_csv(tmp_path):
     assert cli.TRACE_COLUMNS in text
 
 
-@pytest.mark.parametrize("overrides", [
-    {"privacy": {"epsilon": -2.0, "delta": 1e-3}},
-    {"privacy": {"epsilon": 1.0, "delta": 2.0}},
-    {"privacy": {"epsilon": "inf", "eps_split": [1.0, -1.0], "delta": 1e-3}},
-    {"privacy": {"epsilon": 1.0, "delta": 1e-3}, "schedule": {"kind": "fixed", "p": 40}},  # p > T: no rounds
-    {"privacy": {"epsilon": "inf", "eps_split": [1.0, 1.0], "delta": 1e-3},
-     "participation": {"kind": "partial", "K": 2, "scheme": 1}},  # eps_split is calibrated for full participation only
-], ids=["epsilon", "delta", "eps_split", "no-rounds", "eps_split-partial"])
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_main_reports_errors_as_json(command, overrides, tmp_path, capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before the budget was checked")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(**overrides)))
-    code = cli.main([command, "--config", str(cfg_path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    payload = json.loads(captured.err.strip())
-    assert payload["error"] == "InvalidBudget"
-
-
-@pytest.mark.parametrize("budget", ['"epsilon": -1e400', '"eps_split": [-1e400, -1e400]'])
-def test_negative_infinite_budget_is_invalid_before_the_dataset_is_loaded(budget, tmp_path, capsys, monkeypatch):
-    # JSON reads -1e400 as -inf, which ran noiseless with "epsilon": "inf" in the trace header.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before the budget was checked")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc()).replace('"epsilon": "inf"', budget))
-    code = cli.main(["run", "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "InvalidBudget")
-    assert "must be positive" in payload["message"]
-
-
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
-def test_every_command_refuses_a_negative_infinite_base_budget_before_the_dataset_is_loaded(
-        command, tmp_path, capsys, monkeypatch):
-    # The sweep replaces the base epsilon per budget, so it ran and wrote "epsilon": "inf" in its header.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before the budget was checked")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc()).replace('"epsilon": "inf"', '"epsilon": -1e400'))
-    out = tmp_path / "out.csv"
-    extra = {"privacy-sweep": ["--eps-list", "inf,1"], "inspect-dataset": []}.get(command, [])
-    if command != "inspect-dataset":
-        extra += ["--out", str(out)]
-    code = cli.main([command, "--config", str(cfg_path), *extra])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "InvalidBudget")
-    assert payload["message"] == "config key 'privacy.epsilon' must be positive, got -inf"
-    assert not out.exists()
-
-
 def test_privacy_sweep_reports_a_negative_infinite_budget_as_invalid():
     sweep = cli.privacy_sweep(ExperimentConfig.from_dict(config_doc(repeats=1)), ["-inf", "1"])
     assert [row["epsilon"] for row in sweep.rows] == [-math.inf, 1.0]
     assert sweep.rows[0]["status"].startswith("invalid-budget: ") and "must be positive" in sweep.rows[0]["status"]
     assert sweep.rows[1]["status"] == "ok" and sweep.rows[1]["eps_spent_total"] == 2.0
     assert sorted(sweep.sub_traces) == [1]
-
-
-def test_main_reports_non_finite_iterate_as_json(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(privacy={"epsilon": 1e-320, "delta": 1e-3})))
-    with np.errstate(invalid="ignore", over="ignore"):
-        code = cli.main(["run", "--config", str(cfg_path)])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "NonFinite"
-    assert "NaN or infinite" in payload["message"]
-
-
-@pytest.mark.parametrize("epsilon", ["1e-320", "5e-309"])
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep"])
-def test_overflowing_noise_is_non_finite_without_a_warning(command, epsilon, tmp_path, capsys):
-    # Each budget's noise scale overflows to infinity; numpy printed "invalid value encountered in add"
-    # before the NonFinite payload.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(privacy={"epsilon": float(epsilon), "delta": 1e-3})))
-    argv = [command, "--config", str(cfg_path)] + (["--eps-list", epsilon] if command == "privacy-sweep" else [])
-    code = cli.main(argv)
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "NonFinite")
-
-
-@pytest.mark.parametrize("command", ["run", "inspect-dataset"])
-def test_zero_width_libsvm_is_a_dimension_mismatch(command, tmp_path, capsys):
-    # Labels and no idx:val entry give d = 0; inspect-dataset crashed with an IndexError traceback.
-    libsvm = tmp_path / "labels.libsvm"
-    libsvm.write_text("1\n-1\n1\n1\n")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(dataset={"libsvm": str(libsvm)}, m=2)))
-    code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "DimensionMismatch")
-    assert "at least one column" in payload["message"]
-
-
-@pytest.mark.parametrize("command", ["run", "compare", "inspect-dataset"])
-def test_overflowing_second_moments_are_non_finite_in_every_command(command, tmp_path, capsys):
-    # Squares of 1e160 overflow; run reported numpy's LinAlgError from eta.
-    doc = config_doc(dataset={"synthetic": {"n": 60, "d": 6, "singular_values": [1e160, 1e160, 1, 1, 1, 1]}},
-                     m=3, k=2, r=2, T=8, repeats=1)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
-    code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "NonFinite")
-    assert "second-moment" in payload["message"]
 
 
 def test_python_m_fedpower_runs_the_cli_without_a_warning(tmp_path):
@@ -935,60 +580,6 @@ def test_python_m_fedpower_runs_the_cli_without_a_warning(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert out.read_text() == cli.run_experiment(ExperimentConfig.from_dict(doc)).render()
-
-
-def test_main_missing_config_is_an_error(tmp_path, capsys):
-    code = cli.main(["run", "--config", str(tmp_path / "nope.json")])
-    assert code == 1
-    assert "error" in json.loads(capsys.readouterr().err.strip())
-
-
-@pytest.mark.parametrize("text, detail", [
-    (b'{"m": 3,', "line 1 column 9"),
-    (b'{\n "m": 3,\n "k" 2}', "line 3 column 6"),
-    (b"\xff\xfe", "can't decode byte 0xff"),
-    (b'{"m": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
-    (b'{"m": ' + b"1" * 5_000 + b"}", "integer string conversion"),
-], ids=["truncated", "no-colon", "not-utf8", "nested-100000-deep", "integer-of-5000-digits"])
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
-def test_unreadable_config_file_is_a_config_error(command, text, detail, tmp_path, capsys, monkeypatch):
-    # Each exited 1 with a JSONDecodeError, a UnicodeDecodeError or (the long integer) json's
-    # ValueError, none a FedPowerError; the deep nesting printed a RecursionError traceback.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded from an unreadable config")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(text)
-    code = cli.main([command, "--config", str(cfg_path)])
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    payload = json.loads(err)
-    assert (code, payload["error"]) == (1, "ConfigError")
-    assert repr(str(cfg_path)) in payload["message"] and detail in payload["message"]
-
-
-@pytest.mark.parametrize("key", ["m", "delta"])
-@pytest.mark.parametrize("command", ["run", "compare", "privacy-sweep", "inspect-dataset"])
-def test_a_repeated_config_key_is_a_config_error(command, key, tmp_path, capsys, monkeypatch):
-    # json keeps a repeated key's last value, so {"m": 3, "m": 4} ran 4 shards.
-    def never(*args, **kwargs):
-        raise AssertionError("the dataset was loaded from a config with a repeated key")
-
-    monkeypatch.setattr(cli, "load_matrix", never)
-    doc = config_doc()
-    if key == "m":
-        del doc["m"]
-        text = '{"m": 3, "m": 4, ' + json.dumps(doc)[1:]
-    else:
-        del doc["privacy"]
-        text = json.dumps(doc)[:-1] + ', "privacy": {"delta": 1e-5, "delta": 1e-6}}'
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text, encoding="utf-8")
-    code = cli.main([command, "--config", str(cfg_path)])
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert (code, payload["error"]) == (1, "ConfigError")
-    assert payload["message"] == f"config key {key!r} is written more than once"
 
 
 def test_main_inspect_dataset(tmp_path, capsys):
@@ -1094,8 +685,6 @@ def test_inspect_dataset_leaves_the_other_commands_keys_unused(tmp_path, capsys,
 
 def test_main_run_libsvm_override(tmp_path, capsys):
     rng = np.random.default_rng(70)
-    from fedpower.data import write_libsvm
-
     path = tmp_path / "tiny.libsvm"
     write_libsvm(path, rng.standard_normal((40, 6)))
     cfg_path = tmp_path / "cfg.json"
@@ -1107,6 +696,267 @@ def test_main_run_libsvm_override(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("# schema=fedpower.trace.v1")
+
+
+# ---------------------------------------------------------------- refusals
+# A config the CLI cannot run as written exits 1 with one JSON line on standard error and writes nothing.
+# REFUSALS groups its rows by what they show; a group's cases keep the ids they had as a test function.
+
+EVERY_COMMAND = ("run", "compare", "privacy-sweep", "inspect-dataset")
+DATA = {"libsvm": "data.libsvm"}  # written from the row's libsvm text
+
+
+@dataclass(frozen=True)
+class Refusal:
+    """A config each of ``commands`` refuses with ``error`` and ``message``, where "..." stands for any text."""
+
+    message: str
+    config: object = field(default_factory=config_doc)  # a document, or the file's bytes; None: no file
+    name: str = ""  # the case id, after the command when the row has several
+    error: type = ConfigError
+    commands: tuple = ("run",)
+    argv: tuple = ()
+    eps_list: str | None = None  # privacy-sweep's --eps-list
+    env: dict = field(default_factory=dict)
+    libsvm: str = "1 1:0.5 2:-1.5 3:2\n-1 1:1.25 3:-0.5\n" * 20
+    loads: bool = False  # refused after the dataset is loaded
+
+
+def _partial(**keys) -> dict:
+    return {"participation": {"kind": "partial", **keys}}
+
+
+def _steps(*steps) -> dict:
+    return {"schedule": {"kind": "explicit", "steps": list(steps)}}
+
+
+SYNTHETIC, MAX_INT = config_doc()["dataset"], np.iinfo(np.intp).max
+REFUSALS = {
+    # bool("false") is True and int(2.7) is 2: each would run another config.
+    "test_config_rejects_values_it_would_coerce": [
+        Refusal(f"...{path!r}...", config_doc(**overrides), f"overrides{i}-{path}")
+        for i, (overrides, path) in enumerate([
+            ({"record_every_step": "false"}, "record_every_step"),
+            ({"dataset": {**DATA, "scale": "false"}}, "dataset.scale"), ({"m": 2.7}, "m"), ({"m": True}, "m"),
+            (_steps(2, "5"), "schedule.steps")])],
+    # Coerced, these would run another config (`true` as epsilon 1.0, 0 as file descriptor 0);
+    # a missing key or an ambiguous dataset is named too, not a bare KeyError or ValueError.
+    "test_mistyped_config_is_a_config_error": [
+        Refusal(f"...{part}...", doc, f"{command}-doc{i}-{part}", commands=(command,))
+        for i, (command, doc, part) in enumerate([
+            ("run", [1, 2], "a config document"),
+            ("run", config_doc(dataset=[1]), "'dataset'"),
+            ("run", config_doc(dataset={"synthetic": [1]}), "'dataset.synthetic'"),
+            ("run", config_doc(schedule="fixed"), "'schedule'"),
+            ("run", config_doc(privacy={"eps_split": 3}), "'privacy.eps_split'"),
+            ("run", config_doc(schedule={"kind": "explicit", "steps": 5}), "'schedule.steps'"),
+            ("run", _with_synthetic(singular_values=3), "'dataset.synthetic.singular_values'"),
+            *[("run", config_doc(privacy={key: value}), f"'privacy.{key}'") for key, value in [
+                ("epsilon", True), ("epsilon", "1.0"), ("delta", True), ("delta", "inf"), ("eps_split", [True, 1.0]),
+                ("eps_split", ["2", 4.0])]],
+            ("run", _with_synthetic(singular_values=[True, 1]), "'dataset.synthetic.singular_values'"),
+            ("run", config_doc(out=0), "'out'"),
+            ("inspect-dataset", config_doc(dataset={"libsvm": 0}), "'dataset.libsvm'"),
+            *[("run", _without(path), repr(path)) for path in (
+                "k", "T", "dataset.synthetic.n", "dataset.synthetic.d", "dataset.synthetic.singular_values")],
+            ("run", config_doc(dataset={}), "'dataset'"),
+            ("inspect-dataset", config_doc(dataset={**SYNTHETIC, "libsvm": "a.libsvm"}), "'dataset'"),
+            # Each ran as another config: the key outside its kind was dropped, or "partal" ran partial.
+            ("run", config_doc(participation={"kind": "full", "K": 3, "scheme": 2}),
+             "'participation.K' does not apply under participation kind 'full'"),
+            ("run", config_doc(schedule={"kind": "fixed", "p": 3, "steps": [1, 2]}),
+             "'schedule.steps' does not apply under schedule kind 'fixed'"),
+            ("run", config_doc(schedule={"kind": "explicit", "steps": [3, 6], "p": 7}),
+             "'schedule.p' does not apply under schedule kind 'explicit'"),
+            ("run", config_doc(dataset={**SYNTHETIC, "scale": False}),
+             "'dataset.scale' does not apply under dataset kind 'synthetic'"),
+            ("run", config_doc(participation={"kind": "partal", "K": 2, "scheme": 1}), "participation kind 'partal'"),
+            ("run", config_doc(privacy={"epsilon": 1.0, "eps_split": [2, 4]}), "eps_split"),
+            # numpy's "expected non-negative integer" or a bare ValueError named no key.
+            ("run", config_doc(seed=-1), "'seed'"),
+            ("run", _with_synthetic(seed=-3), "'dataset.synthetic.seed'"),
+            ("run", config_doc(repeats=0), "repeats"),
+            # SyntheticSpec's bare ValueError named no key.
+            *[("run", _with_synthetic(singular_values=values), "'dataset.synthetic.singular_values'")
+              for values in ([3.0, -1.0], [1.0, 3.0])],
+            # An OverflowError traceback from the schedule, and numpy's "Maximum allowed dimension exceeded".
+            ("run", config_doc(T=1e20), f"'T' must be at most {MAX_INT}, got 1e+20"),
+            ("run", _with_synthetic(d=1e300), f"'dataset.synthetic.d' must be at most {MAX_INT}, got 1e+300"),
+            # numpy's bare "array is too big", and a DimensionMismatch that named no key.
+            *[("run", _with_synthetic(**{key: 1e18}),
+               f"'dataset.synthetic': dense matrix of {size} exceeds the 1e+08-entry limit")
+              for key, size in (("n", f"{10**18} x 12"), ("d", f"200 x {10**18}"))],
+            ("run", _with_synthetic(singular_values=[1.0] * 13),
+             "'dataset.synthetic': need between 1 and min(n, d)=12"),
+            # -inf is no noiseless epsilon, so it cannot stand beside eps_split; the header wrote it as "inf".
+            ("run", config_doc(privacy={"epsilon": -math.inf, "eps_split": [2, 4]}), "eps_split"),
+            # JSON reads 1e400 as infinity: a noiseless run wrote delta as "inf", which its replay refused.
+            ("run", config_doc(privacy={"delta": 1e400}), "config key 'privacy.delta' must be a finite number, got inf"),
+            ("run", config_doc(privacy={"delta": -1e400}), "config key 'privacy.delta' must be a finite number, got -inf"),
+        ])],
+    "test_unknown_partition_mode_fails_before_the_dataset_is_parsed": [
+        Refusal("...partition mode 'shufled'...", config_doc(dataset=DATA, partition="shufled"))],
+    # Each failed after the file was parsed, most in the engine as a bare ValueError naming no key.
+    "test_out_of_range_count_fails_before_the_dataset_is_parsed": [
+        Refusal(message, config_doc(dataset=DATA, **overrides), f"overrides{i}-flags{i}-{message}", argv=tuple(flags))
+        for i, (overrides, flags, message) in enumerate([
+            *[({key: 0}, [], f"config key {key!r} must be a positive integer, got 0") for key in ("m", "k", "r", "T")],
+            ({}, ["--T", "0"], "config key 'T' must be a positive integer, got 0"),
+            ({"schedule": {"kind": "fixed", "p": 0}}, [], "config key 'schedule.p' must be a positive integer, got 0"),
+            (_partial(K=0, scheme=1), [], "config key 'participation.K' must be a positive integer, got 0"),
+            (_partial(K=2, scheme=0), [], "config key 'participation.scheme' must be a positive integer, got 0"),
+            (_partial(K=2, scheme=3), [], "config key 'participation.scheme' must be 1 or 2, got 3"),
+            (_partial(), [], "config key 'participation.K' is required under participation kind 'partial'"),
+            (_partial(K=2), [], "config key 'participation.scheme' is required under participation kind 'partial'"),
+            ({"k": 3, "r": 2}, [], "config key 'r' must be at least k=3, got 2"),
+            ({"repeats": 0}, [], "config key 'repeats' must be a positive integer, got 0"),
+            ({}, ["--repeats", "0"], "config key 'repeats' must be a positive integer, got 0"),
+            (_partial(K=5, scheme=1), [], "config key 'participation.K' must be at most m=4, got 5"),
+            (_partial(K=3, scheme=2), ["--m", "2"], "config key 'participation.K' must be at most m=2, got 3"),
+            (_steps(5, 31), [], "config key 'schedule.steps' must lie within [1, T=30], got step 31"),
+            (_steps(0, 5), [], "config key 'schedule.steps' must lie within [1, T=30], got step 0"),
+            (_steps(5, 20), ["--T", "10"], "config key 'schedule.steps' must lie within [1, T=10], got step 20"),
+            ({}, ["--threads", "0"], "--threads / FEDPOWER_THREADS must be an integer of at least 1, got 0"),
+            (_steps(4, 4, 2), [], "config key 'schedule.steps' must be strictly increasing, got [4, 4, 2]"),
+            (_steps(2, 9, 5), [], "config key 'schedule.steps' must be strictly increasing, got [2, 9, 5]"),
+        ])],
+    "test_thread_count_below_one_is_an_error": [
+        Refusal("...at least 1...", config_doc(repeats=3), f"{via_env}-{n}", argv=() if via_env else ("--threads", n),
+                env={cli.THREADS_ENV: n} if via_env else {}) for via_env in (False, True) for n in ("0", "-3")],
+    "test_non_integer_thread_env_is_an_error": [Refusal(f"...{cli.THREADS_ENV}...", env={cli.THREADS_ENV: "two"})],
+    # The only check sat in eta, which compare no longer computes.
+    "test_all_zero_data_is_degenerate_in_every_command": [
+        Refusal("...zero...", config_doc(dataset=DATA, m=3, k=2, r=2, T=8, repeats=1), "", DegenerateData,
+                EVERY_COMMAND, libsvm="0 1:0 2:0 3:0\n" * 12, loads=True)],
+    # "1,x" gave a bare ValueError; "," loaded the dataset and wrote a sweep without rows;
+    # "inf,,1" and "1," ran as if their empty entries were not there.
+    "test_bad_eps_list_is_a_config_error_before_the_dataset_is_loaded": [
+        Refusal("...--eps-list...", name=eps, commands=("privacy-sweep",), eps_list=eps)
+        for eps in ("1,x", ",", "inf,,1", "1,")],
+    # "T": 1e18 was a MemoryError traceback from the schedule, which lists every step.
+    "test_a_horizon_above_the_step_limit_is_a_config_error_before_the_dataset_is_loaded": [
+        Refusal(f"config key 'T' must be at most {cli.MAX_HORIZON}, got {int(T)}", config_doc(T=T), name,
+                commands=EVERY_COMMAND) for T, name in ((cli.MAX_HORIZON + 1, ""), (1e18, "1e18"))],
+    # The noiseless budget shares the overflowing one's pass, which fails as a whole, without a warning.
+    "test_privacy_sweep_with_an_overflowing_budget_is_non_finite": [
+        Refusal("...NaN or infinite...", error=NonFinite, commands=("privacy-sweep",), eps_list="inf,1e-320", loads=True)],
+    "test_main_reports_errors_as_json": [
+        Refusal(message, config_doc(**overrides), name, InvalidBudget, ("run", "compare"))
+        for name, overrides, message in [
+            ("epsilon", {"privacy": {"epsilon": -2.0, "delta": 1e-3}}, "epsilon must be positive, got -2.0"),
+            ("delta", {"privacy": {"epsilon": 1.0, "delta": 2.0}}, "delta must lie in (0, 1), got 2.0"),
+            ("eps_split", {"privacy": {"epsilon": "inf", "eps_split": [1.0, -1.0], "delta": 1e-3}},
+             "eps_split budgets must be positive, got (1.0, -1.0)"),
+            ("no-rounds", {"privacy": {"epsilon": 1.0, "delta": 1e-3}, "schedule": {"kind": "fixed", "p": 40}},
+             "at least one communication round is required when noise is enabled"),
+            ("eps_split-partial", {"privacy": {"epsilon": "inf", "eps_split": [1.0, 1.0]}, **_partial(K=2, scheme=1)},
+             "per-round budget splitting is only calibrated for full participation"),
+        ]],
+    # JSON reads -1e400 as -inf, which ran noiseless with "epsilon": "inf" in the trace header.
+    "test_negative_infinite_budget_is_invalid_before_the_dataset_is_loaded": [
+        Refusal(f"config key 'privacy.{key}' must be positive, got -inf",
+                json.dumps(config_doc()).replace('"epsilon": "inf"', budget).encode(), budget, InvalidBudget)
+        for key, budget in (("epsilon", '"epsilon": -1e400'), ("eps_split", '"eps_split": [-1e400, -1e400]'))],
+    # The sweep replaces the base epsilon per budget, so it ran and wrote "epsilon": "inf" in its header.
+    "test_every_command_refuses_a_negative_infinite_base_budget_before_the_dataset_is_loaded": [
+        Refusal("config key 'privacy.epsilon' must be positive, got -inf",
+                json.dumps(config_doc()).replace('"epsilon": "inf"', '"epsilon": -1e400').encode(), "", InvalidBudget,
+                EVERY_COMMAND, eps_list="inf,1")],
+    "test_main_reports_non_finite_iterate_as_json": [
+        Refusal("...NaN or infinite...", config_doc(privacy={"epsilon": 1e-320, "delta": 1e-3}), "", NonFinite,
+                loads=True)],
+    # Each budget's noise scale overflows; numpy printed "invalid value encountered in add" before the payload.
+    "test_overflowing_noise_is_non_finite_without_a_warning": [
+        Refusal("...NaN or infinite...", config_doc(privacy={"epsilon": float(eps), "delta": 1e-3}), eps, NonFinite,
+                ("run", "compare", "privacy-sweep"), eps_list=eps, loads=True) for eps in ("1e-320", "5e-309")],
+    # Labels and no idx:val entry give d = 0; inspect-dataset crashed with an IndexError traceback.
+    "test_zero_width_libsvm_is_a_dimension_mismatch": [
+        Refusal("...at least one column...", config_doc(dataset=DATA, m=2), "", DimensionMismatch,
+                ("run", "inspect-dataset"), libsvm="1\n-1\n1\n1\n", loads=True)],
+    # Squares of 1e160 overflow; run reported numpy's LinAlgError from eta.
+    "test_overflowing_second_moments_are_non_finite_in_every_command": [
+        Refusal("...second-moment...", config_doc(
+            dataset={"synthetic": {"n": 60, "d": 6, "singular_values": [1e160, 1e160, 1, 1, 1, 1]}}, m=3, k=2, r=2, T=8,
+            repeats=1), "", NonFinite, ("run", "compare", "inspect-dataset"), loads=True)],
+    "test_main_missing_config_is_an_error": [
+        Refusal("[Errno 2] No such file or directory: 'cfg.json'", None, "", FileNotFoundError)],
+    # Each exited 1 with a JSONDecodeError, a UnicodeDecodeError or (the long integer) json's
+    # ValueError, none a FedPowerError; the deep nesting printed a RecursionError traceback.
+    "test_unreadable_config_file_is_a_config_error": [
+        Refusal(f"config file 'cfg.json' is not UTF-8 JSON that json can read: ...{detail}...", text, name,
+                commands=EVERY_COMMAND) for name, text, detail in [
+            ("truncated", b'{"m": 3,', "line 1 column 9"),
+            ("no-colon", b'{\n "m": 3,\n "k" 2}', "line 3 column 6"),
+            ("not-utf8", b"\xff\xfe", "can't decode byte 0xff"),
+            ("nested-100000-deep", b'{"m": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+            ("integer-of-5000-digits", b'{"m": ' + b"1" * 5_000 + b"}", "integer string conversion"),
+        ]],
+    # json keeps a repeated key's last value, so {"m": 3, "m": 4} ran 4 shards.
+    "test_a_repeated_config_key_is_a_config_error": [
+        Refusal(f"config key {key!r} is written more than once", text.encode(), key, commands=EVERY_COMMAND)
+        for key, text in [
+            ("m", '{"m": 3, "m": 4, ' + json.dumps(_without("m"))[1:]),
+            ("delta", json.dumps(_without("privacy"))[:-1] + ', "privacy": {"delta": 1e-5, "delta": 1e-6}}'),
+        ]],
+    # float() of an integer past float's range raised an OverflowError traceback; JSON's 1e400 is infinity.
+    "test_an_integer_budget_past_float_range_is_a_config_error": [
+        Refusal(f"config key 'privacy.{key}' must lie within float's range, got {10**400}",
+                config_doc(privacy={key: value}), key, commands=EVERY_COMMAND)
+        for key, value in (("epsilon", 10**400), ("eps_split", [10**400, 1]))],
+    # The local noise scale needs the shard weights (K = 3 of m = 100 shards of 4 rows), so run and compare
+    # refuse this budget after loading the dataset; privacy-sweep reports it in the budget's row.
+    "test_a_budget_the_shard_weights_cannot_calibrate_is_invalid_after_loading": [
+        Refusal("local noise formula needs log argument > 1, got 0.025 (rounds=1, max q=0.01, delta=0.5)",
+                {**_with_synthetic(n=400), "m": 100, "T": 4, "schedule": {"kind": "fixed", "p": 4},
+                 "privacy": {"epsilon": 1.0, "delta": 0.5}, **_partial(K=3, scheme=2)},
+                "", InvalidBudget, ("run", "compare"), loads=True)],
+}
+
+
+def check_refusal(row: Refusal, command: str, tmp_path, capsys, monkeypatch) -> None:
+    """``command`` exits 1 on ``row`` and prints one JSON line, on standard error only, naming the row's error
+    and message, the command and the config; it writes no CSV and loads the dataset only if the row says so."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    for key, value in row.env.items():
+        monkeypatch.setenv(key, value)
+    Path(DATA["libsvm"]).write_text(row.libsvm)
+    if row.config is not None:
+        Path("cfg.json").write_bytes(row.config if isinstance(row.config, bytes) else json.dumps(row.config).encode())
+    loaded, load_matrix = [], cli.load_matrix
+    monkeypatch.setattr(cli, "load_matrix", lambda cfg: loaded.append(cfg) or load_matrix(cfg))
+    for name in () if row.loads else ("load_matrix", "parse_libsvm", "ThreadPoolExecutor"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran before the refusal"))
+    argv = [command, "--config", "cfg.json", *row.argv]
+    if command == "privacy-sweep" and row.eps_list:
+        argv += ["--eps-list", row.eps_list]
+    if command != "inspect-dataset" and not (isinstance(row.config, dict) and "out" in row.config):  # --out replaces it
+        argv += ["--out", "out.csv"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err.count("\n"), err[-1:]) == (1, "", 1, "\n")
+    payload = json.loads(err)
+    assert payload.keys() == {"error", "message", "command", "config"}
+    assert (payload["error"], payload["command"], payload["config"]) == (row.error.__name__, command, "cfg.json")
+    assert issubclass(row.error, OSError if row.config is None else FedPowerError)
+    assert re.fullmatch(".*".join(map(re.escape, row.message.split("..."))), payload["message"], re.S), payload
+    assert not list(tmp_path.glob("*.csv")) and bool(loaded) == row.loads
+
+
+def _refusal_test(rows: list):
+    """A test of each row under each of its commands; a single case without an id takes no parameters."""
+    cases = {"-".join(filter(None, [command if len(row.commands) > 1 else "", row.name])): (row, command)
+             for row in rows for command in row.commands}
+    if list(cases) == [""]:
+        return lambda tmp_path, capsys, monkeypatch: check_refusal(*cases[""], tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("row, command", list(cases.values()), ids=list(cases))
+    def test(row, command, tmp_path, capsys, monkeypatch):
+        check_refusal(row, command, tmp_path, capsys, monkeypatch)
+    return test
+
+
+globals().update({name: _refusal_test(rows) for name, rows in REFUSALS.items()})
 
 
 # ---------------------------------------------------------------- library guards

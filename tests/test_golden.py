@@ -291,13 +291,10 @@ def test_rho_is_exactly_zero_at_sync_rows():
 def moved_cells(old: str, new: str) -> list[str]:
     """Every difference between two renderings of one golden file, as
     readable strings. Comment lines must match exactly; data cells are
-    compared one by one, and a ``rho_t`` cell at a sync row that became
-    ``0.0`` is reported as ``rho_t@sync``."""
+    compared one by one, each labelled by its column."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
         return [f"line count {len(old_lines)} -> {len(new_lines)}"]
-    is_trace = _data_rows(old)[0] == cli.TRACE_COLUMNS.split(",")
-    sync = _sync_steps(old) if is_trace else set()
     columns = None
     moved = []
     for idx, (a, b) in enumerate(zip(old_lines, new_lines), 1):
@@ -311,13 +308,21 @@ def moved_cells(old: str, new: str) -> list[str]:
                 moved.append(f"header: {a!r} -> {b!r}")
             continue
         for col, x, y in zip(columns, a.split(","), b.split(",")):
-            if x == y:
-                continue
-            kind = "rho_t@sync" if (
-                is_trace and col == "rho_t" and y == "0.0" and int(b.split(",")[0]) in sync
-            ) else col
-            moved.append(f"line {idx} {kind}: {x} -> {y}")
+            if x != y:
+                moved.append(f"line {idx} {col}: {x} -> {y}")
     return moved
+
+
+def test_moved_cells_reports_a_sync_row_rho_moving_to_zero_as_a_rho_move():
+    # p = 2: step 2 is a sync row, whose rho_t every golden now holds at 0.0.
+    head = {"dataset": {"libsvm": "x"}, "k": 1, "T": 2, "schedule": {"kind": "fixed", "p": 2}}
+    old = f"""# config={json.dumps(head)}
+{cli.TRACE_COLUMNS}
+1,1,0.0,0.0,0.5,0.25,0.1,0.0
+2,1,0.0,0.0,0.25,0.125,0.1,0.0
+"""
+    new = old.replace(",0.125,", ",0.0,")
+    assert moved_cells(old, new) == ["line 4 rho_t: 0.125 -> 0.0"]
 
 
 def drift_by_column(old: str, new: str) -> dict[str, tuple[int, float]]:
@@ -385,7 +390,7 @@ def _write_goldens() -> None:
 
 def _report_moved(rev: str) -> int:
     root = GOLDEN.parent.parent
-    other = 0
+    total = 0
     for path in sorted(GOLDEN.glob("*.csv")):
         rel = path.relative_to(root).as_posix()
         shown = subprocess.run(["git", "show", f"{rev}:{rel}"], cwd=root, capture_output=True, text=True)
@@ -394,15 +399,13 @@ def _report_moved(rev: str) -> int:
             continue
         new = path.read_text(encoding="utf-8")
         moved = moved_cells(shown.stdout, new)
-        at_sync = sum(1 for m in moved if " rho_t@sync:" in m)
-        rest = [m for m in moved if " rho_t@sync:" not in m]
-        other += len(rest)
-        print(f"{path.name}: {at_sync} rho_t cells at sync rows set to 0.0, {len(rest)} other cells moved")
-        for m in rest:
+        total += len(moved)
+        print(f"{path.name}: {len(moved)} cells moved")
+        for m in moved:
             print(f"  {m}")
         for col, (count, worst) in drift_by_column(shown.stdout, new).items():
             print(f"  drift {col}: {count} numeric cells moved, largest |change| {worst:.3g}")
-    return 1 if other else 0
+    return 1 if total else 0
 
 
 if __name__ == "__main__":
