@@ -137,12 +137,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict, overrides: dict | None = None) -> "ExperimentConfig":
         """Read a config document; ``overrides`` (dotted path: value) replace its keys.
+        A key an override replaces or drops is still read first, so a mistyped one is refused.
         A budget of -inf raises :class:`InvalidBudget` here, before any command reads data."""
         flat = _flatten(doc)
         for path, value in (overrides or {}).items():
             # An override that selects a kind (a dataset source) drops the document's keys of other kinds.
             kinds = {path.split(".")[0]: kind for kind in _FIELDS[path].metadata["under"]}
-            flat = {p: v for p, v in flat.items() if not (p in _FIELDS and _outside(_FIELDS[p], kinds))}
+            for p in [p for p in flat if p in _FIELDS and (p == path or _outside(_FIELDS[p], kinds))]:
+                _read(flat, p, _TYPES[p])
+                del flat[p]
             flat[path] = value
         cfg = cls(**{f.name: _read(flat, f.metadata["path"], f.metadata["type"], f.default) for f in fields(cls)})
         if -math.inf in (cfg.epsilon, *(cfg.eps_split or ())):  # JSON reads -1e400 as -inf; _to_json writes "inf"

@@ -164,20 +164,26 @@ class ShardedDataset:
             grams[i] = gram(shard)
         return _frozen(grams)
 
-    def local_products(self, zs: np.ndarray) -> np.ndarray:
-        """(..., m, d, r) stack of the local products ``M_i @ zs[..., i, :, :]``.
+    def local_products(self, zs: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """(..., K, d, r) stack of the local products ``M_i @ z`` of the shards
+        in ``ids`` (K distinct ids in ascending order; every shard when None)
+        with their workers' bases ``zs``, a (..., K, d, r) stack, or one
+        (..., 1, d, r) basis that every member holds.
 
         This is the one place that decides how the protocol applies a shard's
-        second-moment matrix to its worker's basis. A shard Gram costs
-        d * d * r flops per product, the shard's rows about 2 * h * d * r,
-        with h the height of the tallest shard. So when ``2 * h < d`` the
-        product is ``V_i @ (lam_i * (V_i.T @ z_i))`` with the cached row
-        factor ``M_i = V_i diag(lam_i) V_i.T`` (see :meth:`local_steps`), and
-        otherwise ``shard_grams @ zs``. Both equal ``M_i @ z_i`` up to rounding.
+        second-moment matrix to its worker's basis, and it applies only the
+        shards named: a member's product has the bits of its slice of every
+        shard's. A shard Gram costs d * d * r flops per product, the shard's
+        rows about 2 * h * d * r, with h the height of the tallest shard. So
+        when ``2 * h < d`` the product is ``V_i @ (lam_i * (V_i.T @ z_i))``
+        with the cached row factor ``M_i = V_i diag(lam_i) V_i.T`` (see
+        :meth:`local_steps`), and otherwise ``shard_grams[ids] @ zs``. Both
+        equal ``M_i @ z_i`` up to rounding.
         """
+        ids = slice(None) if ids is None or len(ids) == self.m else ids  # all m: a view, no copy
         if not self._row_path:
-            return self.shard_grams @ zs
-        v, lam = self._row_factor
+            return self.shard_grams[ids] @ zs
+        v, lam = (a[ids] for a in self._row_factor)
         return v @ (lam[:, :, None] * (np.swapaxes(v, 1, 2) @ zs))
 
     def local_steps(self, zs: np.ndarray, steps: int) -> np.ndarray:
@@ -331,7 +337,7 @@ def synth(spec: SyntheticSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     sv = np.asarray(spec.singular_values)
     g = rng.standard_normal((spec.n, sv.size))
-    v = orth(rng.standard_normal((spec.d, sv.size)))
+    v = orth(rng.standard_normal((spec.d, sv.size)), require_full_rank=False)  # Householder Q is orthonormal at any rank
     if spec.n >= _CHOLESKY_MIN_ASPECT * sv.size:
         try:
             chol = np.linalg.cholesky(g.T @ g)

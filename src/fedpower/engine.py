@@ -25,22 +25,26 @@ differ only in their privacy budget in one pass, with one draw of
 participants per round and one standard-normal draw per (site, round,
 worker) that each budget scales by its own noise scale, and :func:`run` is
 that pass with B = 1. The plain steps before each event run in one
-``ShardedDataset.local_steps`` call, and a round from differing bases takes
-one batched ``ShardedDataset.local_products``, one batched QR and one
-stacked alignment. The QR and the alignment give each slice exactly the
-arithmetic of a lone worker. The local products and steps give each slice
-``orth(M_i z_i)`` up to rounding only: when the shards are shorter than d/2
-they run through each shard's ``M_i = V_i diag(lam_i) V_i.T`` (a run of
-local steps as one h x r QR per chunk of steps on ``V_i.T z_i`` when every
-shard has r rows or more), and otherwise through the cached Gram stack.
+``ShardedDataset.local_steps`` call. A round's products come from one
+``ShardedDataset.local_products`` call for its members only (except a full
+round from a shared basis, below), and a round from differing bases adds
+one batched QR and one stacked alignment. The QR and the alignment give
+each slice exactly the arithmetic of a lone worker, and a member's product
+has the bits of its slice of every worker's. The local products and steps
+give each slice ``orth(M_i z_i)`` up to rounding only: when the shards are
+shorter than d/2 they run through each shard's ``M_i = V_i diag(lam_i)
+V_i.T`` (a run of local steps as one h x r QR per chunk of steps on ``V_i.T
+z_i`` when every shard has r rows or more), and otherwise through the
+cached Gram stack.
 
 A round at step 1 or right after another starts from one basis z that every
-worker holds, so its aligned upload sum ``sum_i c_i (M_i z) D`` is formed as
-``(sum_i c_i M_i) z D``: one d x d product with the cached global Gram under
-full participation, or with the weighted sum of the sampled Grams under
-partial participation, and D the one alignment of z against itself. Each
-worker's local noise is still drawn from its own stream, so such a round
-differs from the per-worker form by floating-point summation order only.
+worker holds, so it aligns z once, against itself (D). Under full
+participation its aligned upload sum ``sum_i p_i (M_i z) D`` is formed as
+``M z D``: one d x d product with the cached global Gram, which differs
+from the per-worker form by floating-point summation order only. Under
+partial participation its members' products ``M_i z`` come from
+``local_products``, as on any other round. Each worker's local noise is
+still drawn from its own stream.
 """
 
 from __future__ import annotations
@@ -393,14 +397,12 @@ def run_budgets(dataset: ShardedDataset, cfgs: list[RunConfig], reference=None) 
         held = zs[:, :1] if shared else zs[:, ids]
         d_ids = _alignment_matrix(cfg.alignment, held, zs[:, base, None])
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing noise is NonFinite in orth below
-            if shared:
-                # sum_i c_i (M_i z) D = (sum_i c_i M_i) z D: one d x d product.
-                g_s = (dataset.global_gram() if part.kind == "full"
-                       else np.tensordot(coefs, dataset.shard_grams[ids], axes=1))
-                agg = g_s @ zs[:, 0] @ d_ids[:, 0]
+            if shared and part.kind == "full":
+                # sum_i p_i (M_i z) D = M z D: one d x d product with the global Gram.
+                agg = dataset.global_gram() @ zs[:, 0] @ d_ids[:, 0]
             else:
                 # A round sums its members' aligned products, any other event their aligned bases.
-                terms = (dataset.local_products(zs)[:, ids] if synced else held) @ d_ids
+                terms = (dataset.local_products(held, ids) if synced else held) @ d_ids
                 agg = np.stack([np.tensordot(coefs, x, axes=1) for x in terms])
             if synced:
                 # Each (site, round, worker) stream is drawn once; budget b scales it by its own

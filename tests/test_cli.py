@@ -903,6 +903,26 @@ REFUSALS = {
         Refusal(f"config key 'privacy.{key}' must lie within float's range, got {10**400}",
                 config_doc(privacy={key: value}), key, commands=EVERY_COMMAND)
         for key, value in (("epsilon", 10**400), ("eps_split", [10**400, 1]))],
+    # A flag replaced the document's key before it was read, so each ran: "m": "four" under --m 4 ran 4 shards,
+    # and --libsvm dropped the synthetic recipe unread. The harness's --out flag replaces "out": 0.
+    "test_a_flag_does_not_hide_a_mistyped_config_key": [
+        Refusal(f"config key {message}", doc, name, argv=argv, commands=commands)
+        for name, doc, argv, commands, message in [
+            ("m", config_doc(m="four"), ("--m", "4"), EVERY_COMMAND, "'m' must be a positive integer, got 'four'"),
+            ("m-out", config_doc(m="four", out=0), ("--m", "4"), ("run",), "'m' must be a positive integer, got 'four'"),
+            ("out", config_doc(m=4, out=0), (), ("compare", "privacy-sweep"), "'out' must be a string, got 0"),
+            ("k", config_doc(k=2.5), ("--k", "2"), ("run",), "'k' must be a positive integer, got 2.5"),
+            ("T", config_doc(T="30"), ("--T", "30"), ("run",), "'T' must be a positive integer, got '30'"),
+            ("repeats", config_doc(repeats=True), ("--repeats", "1"), ("run",),
+             "'repeats' must be a positive integer, got True"),
+            ("seed", config_doc(seed=-1), ("--seed", "3"), ("run",), "'seed' must be a non-negative integer, got -1"),
+            ("libsvm", config_doc(dataset={"libsvm": 0}), ("--libsvm", DATA["libsvm"]), EVERY_COMMAND,
+             "'dataset.libsvm' must be a string, got 0"),
+            ("synthetic-recipe", _with_synthetic(singular_values=[1.0, 3.0]), ("--libsvm", DATA["libsvm"]),
+             EVERY_COMMAND, "'dataset.synthetic.singular_values': singular values must be non-increasing"),
+            ("synthetic-key", _with_synthetic(n="200"), ("--libsvm", DATA["libsvm"]), ("run",),
+             "'dataset.synthetic.n' must be a non-negative integer, got '200'"),
+        ]],
     # The local noise scale needs the shard weights (K = 3 of m = 100 shards of 4 rows), so run and compare
     # refuse this budget after loading the dataset; privacy-sweep reports it in the budget's row.
     "test_a_budget_the_shard_weights_cannot_calibrate_is_invalid_after_loading": [
@@ -930,7 +950,7 @@ def check_refusal(row: Refusal, command: str, tmp_path, capsys, monkeypatch) -> 
     argv = [command, "--config", "cfg.json", *row.argv]
     if command == "privacy-sweep" and row.eps_list:
         argv += ["--eps-list", row.eps_list]
-    if command != "inspect-dataset" and not (isinstance(row.config, dict) and "out" in row.config):  # --out replaces it
+    if command != "inspect-dataset":
         argv += ["--out", "out.csv"]
     code = cli.main(argv)
     out, err = capsys.readouterr()

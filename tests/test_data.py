@@ -559,6 +559,10 @@ def test_local_products_equal_the_shard_grams_times_the_bases(n, d, m):
     got = ds.local_products(zs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # Some of the shards, with their own bases or with one basis they all hold, give the bits of their slices.
+    ids = np.arange(0, m, 2)
+    np.testing.assert_array_equal(ds.local_products(zs[ids], ids), got[ids])
+    np.testing.assert_array_equal(ds.local_products(zs[:1], ids), ds.local_products(np.repeat(zs[:1], m, axis=0))[ids])
     short = 2 * max(ds.sizes) < d
     assert ("_row_factor" in vars(ds)) == short  # only short shards are applied through their rows
     if short:

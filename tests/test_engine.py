@@ -669,7 +669,7 @@ def test_short_shard_runs_match_the_gram_product(alignment, participation, monke
             zs = linalg.orth(self.shard_grams @ zs, require_full_rank=False)
         return zs
 
-    monkeypatch.setattr(ShardedDataset, "local_products", lambda self, zs: self.shard_grams @ zs)
+    monkeypatch.setattr(ShardedDataset, "local_products", lambda self, zs, ids: self.shard_grams[ids] @ zs)
     monkeypatch.setattr(ShardedDataset, "local_steps", gram_steps)
     ds = short_shard_dataset(seed=26)
     grams = engine.run(ds, cfg)
@@ -691,6 +691,51 @@ def test_only_short_shard_runs_build_the_row_factor_and_only_once(monkeypatch):
     for ds in (tall, tall, short, short):
         engine.run(ds, cfg)
     assert len(builds) == 1 and builds[0] is short
+
+
+@pytest.mark.parametrize("shards", ["rows", "grams"])
+@pytest.mark.parametrize("participation", [
+    engine.FULL_PARTICIPATION, Participation("partial", 4, 1), Participation("partial", 4, 2),
+], ids=["full", "scheme1", "scheme2"])
+def test_a_round_applies_the_shards_of_its_members_only(participation, shards, monkeypatch):
+    # Rounds at 1 and 2 start from the broadcast basis, rounds at 5 and 9 from differing bases.
+    schedule = SyncSchedule.explicit([1, 2, 5, 9], 10)
+    calls, products = [], ShardedDataset.local_products
+
+    def counted(ds, zs, ids=None):
+        calls.append((ids if ids is None else tuple(ids), zs.shape[-3]))
+        return products(ds, zs, ids)
+
+    monkeypatch.setattr(ShardedDataset, "local_products", counted)
+    ds = short_shard_dataset(seed=31) if shards == "rows" else small_dataset(seed=31, m=6)
+    cfg = make_config(2, 3, schedule, participation=participation, seed=8,
+                      privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-5, schedule))
+    engine.run(ds, cfg)
+    # Every call without ids is a local step of every worker; a round names its members and passes
+    # their bases, or the one basis they all hold.
+    assert all(width == ds.m for ids, width in calls if ids is None)
+    want = []
+    for comm, t in enumerate(schedule.steps):
+        ids = engine._round_members(participation, ds.weights, 8, comm)[0]
+        shared = t == 1 or t - 1 in schedule.steps
+        if participation.kind == "partial":
+            assert len(ids) == len(set(ids)) <= participation.count
+        else:
+            assert list(ids) == list(range(ds.m))
+        if not (shared and participation.kind == "full"):  # a full shared round is one global Gram product
+            want.append((tuple(ids), 1 if shared else len(ids)))
+    assert [call for call in calls if call[0] is not None] == want
+
+
+def test_a_partial_run_on_short_shards_builds_no_gram():
+    # Every round of a p = 1 run starts from the broadcast basis; its members' products come from the row factor.
+    ds = short_shard_dataset(seed=32)
+    schedule = SyncSchedule.fixed(1, 6)
+    cfg = make_config(2, 3, schedule, participation=Participation("partial", 4, 2), seed=9,
+                      privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-5, schedule))
+    engine.run(ds, cfg, reference=engine.initial_basis(ds.d, 2, seed=10))
+    assert "_row_factor" in vars(ds)
+    assert "shard_grams" not in vars(ds) and "_global_gram" not in vars(ds)
 
 
 # ---------------------------------------------------------------- budgets in one pass
