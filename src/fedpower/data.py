@@ -408,9 +408,11 @@ def parse_libsvm(path, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
             part = _parse_chunk(chunk, d)
             if part is None:
                 part = _parse_lines(chunk, d, line, offset)
+                line += chunk.count(b"\n")
+            else:  # a bulk-parsed chunk holds one label per line
+                line += part[0].size
             labels.append(part[0])
             parts.append(part[1:])
-            line += chunk.count(b"\n")
             offset += len(chunk)
     labels = np.concatenate(labels)
     n = labels.size

@@ -27,15 +27,16 @@ worker) that each budget scales by its own noise scale, and :func:`run` is
 that pass with B = 1. The plain steps before each event run in one
 ``ShardedDataset.local_steps`` call. A round's products come from one
 ``ShardedDataset.local_products`` call for its members only (except a full
-round from a shared basis, below), and a round from differing bases adds
-one batched QR and one stacked alignment. The QR and the alignment give
-each slice exactly the arithmetic of a lone worker, and a member's product
-has the bits of its slice of every worker's. The local products and steps
-give each slice ``orth(M_i z_i)`` up to rounding only: when the shards are
-shorter than d/2 they run through each shard's ``M_i = V_i diag(lam_i)
-V_i.T`` (a run of local steps as one h x r QR per chunk of steps on ``V_i.T
-z_i`` when every shard has r rows or more), and otherwise through the
-cached Gram stack.
+round from a shared basis, below). Every event aligns its held bases in one
+stacked call, each member's own on a round from differing bases, and
+orthonormalizes only the aggregate, once, as a round from a shared basis
+does. The alignment gives each slice exactly the arithmetic of a lone
+worker, and a member's product has the bits of its slice of every worker's.
+The local products and steps give each slice ``orth(M_i z_i)`` up to
+rounding only: when the shards are shorter than d/2 they run through each
+shard's ``M_i = V_i diag(lam_i) V_i.T`` (a run of local steps as one h x r
+QR per chunk of steps on ``V_i.T z_i`` when every shard has r rows or
+more), and otherwise through the cached Gram stack.
 
 A round at step 1 or right after another starts from one basis z that every
 worker holds, so it aligns z once, against itself (D). Under full

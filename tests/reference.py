@@ -1,6 +1,7 @@
 """Test helpers that only tests use: the power iterates of any product,
-the distributed power method, the oracle the engine's every-step-sync runs
-are checked against, and an orthonormality check."""
+the shard-weighted sum of the local products, the distributed power method
+and an orthonormality check. The engine's runs are checked against
+``test_engine._per_worker_reference`` instead."""
 
 from __future__ import annotations
 

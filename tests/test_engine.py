@@ -18,7 +18,7 @@ from fedpower.engine import (
     SyncSchedule,
 )
 from fedpower.errors import DegenerateData, DimensionMismatch, InvalidBudget, NonFinite
-from reference import is_orthonormal, power_iterates, sharded_product
+from reference import is_orthonormal, power_iterates
 
 
 def noiseless(schedule):
@@ -65,164 +65,197 @@ def test_build_schedule_dispatch():
             engine.build_schedule("explicit", 9, steps=steps)
 
 
-# ---------------------------------------------------------------- reductions
+# ---------------------------------------------------------------- engine against a per-worker reference
+# One harness checks every run of REFERENCE_RUNS against _per_worker_reference, record by record. The table
+# groups its runs by what they show; a group's cases keep the ids they had as a test function.
 
 
-def test_single_worker_matches_power_method_per_step():
-    rng = np.random.default_rng(60)
-    a = rng.standard_normal((50, 8))
-    ds = data.partition(a, 1)
-    schedule = SyncSchedule.fixed(3, 15)
-    cfg = make_config(
-        2, 2, schedule, alignment=ALIGN_OPT, seed=17,
-        record_every_step=True, keep_basis_history=True,
-    )
-    trace = engine.run_full(ds, cfg)
-    z = engine.initial_basis(8, 2, seed=17)
-    for (t, z_bar), z_power in zip(trace.basis_history, power_iterates(ds.global_gram().__matmul__, z, 15)):
-        assert np.abs(z_bar - z_power).max() <= 1e-12
-
-
-def _per_worker_reference(ds, cfg, scales):
-    """Output basis after each step of a run, one worker at a time, following
-    ``cfg.schedule``. Between rounds every worker takes its own local step
-    ``orth(M_i z_i)``, and the output is the last round's participants' bases,
-    aligned to its baseline, weighted and summed in worker order. At a round
-    each participant uploads ``(M_i z_i) D_i`` plus its local noise from its
-    own stream; the uploads are weighted by their coefficients and summed in
-    worker order, then the server noise is added and ``orth`` gives the basis
-    every worker takes."""
-    part = cfg.participation
-    align = {
-        ALIGN_NONE: lambda z, base: np.eye(cfg.r), ALIGN_SIGN: linalg.sign_fix, ALIGN_OPT: linalg.procrustes,
-    }[cfg.alignment]
+def _per_worker_reference(ds, cfg):
+    """``(t, comm_count, sin_theta_k, rho_t, eps_spent, delta_spent, basis)`` at each step a run of ``cfg``
+    records, one worker at a time (a stacked ``orth`` gives each slice a lone call's result). Between rounds
+    every worker takes its own local step ``orth(M_i z_i)``; the output is the last round's participants'
+    bases aligned to its baseline, weighted and summed in worker order, and ``rho_t`` is
+    ``max_i ||z_i D_i - z_b||_2`` with z_b the heaviest worker's basis. At a round each participant uploads
+    ``(M_i z_i) D_i`` plus its local noise from its own stream; the uploads are weighted and summed in worker
+    order, the server noise is added, and ``orth`` gives the basis every worker takes (``rho_t`` 0). The
+    budget spent is ``privacy.account`` of the rounds so far."""
+    part, scales = cfg.participation, engine.noise_scales(ds, cfg)
+    align = {ALIGN_NONE: lambda z, base: np.eye(cfg.r), ALIGN_SIGN: linalg.sign_fix, ALIGN_OPT: linalg.procrustes}
+    align = align[cfg.alignment]
     grams = [linalg.gram(s) for s in ds.shards]
-    zs = [engine.initial_basis(ds.d, cfg.r, cfg.seed)] * ds.m
-    ids, coefs, base = np.arange(ds.m), ds.weights, int(np.argmax(ds.weights))
-    round_idx = 0
+    v, heaviest = ds.reference_basis(cfg.k), int(np.argmax(ds.weights))
+    zs = np.stack([engine.initial_basis(ds.d, cfg.r, cfg.seed)] * ds.m)  # worker i's basis is zs[i]
+    ids, coefs, base = np.arange(ds.m), ds.weights, heaviest
+    comm = 0
     for t in range(1, cfg.horizon + 1):
         if t not in cfg.schedule.steps:
-            zs = [linalg.orth(g @ z, require_full_rank=False) for g, z in zip(grams, zs)]
-            out = np.zeros((ds.d, cfg.r))
+            zs = linalg.orth(np.stack([g @ z for g, z in zip(grams, zs)]), require_full_rank=False)
+            if not (cfg.record_every_step or t == cfg.horizon):
+                continue
+            z_out = linalg.orth(sum(coef * (zs[i] @ align(zs[i], zs[base])) for coef, i in zip(coefs, ids)),
+                                require_full_rank=False)
+            rho = np.linalg.norm(zs @ align(zs, zs[heaviest]) - zs[heaviest], 2, axis=(-2, -1)).max()
+        else:
+            ids, coefs, base = np.arange(ds.m), ds.weights, heaviest
+            if part.kind == "partial":
+                rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, comm, 0))
+                ids, counts = np.unique(engine.draw_participants(part.scheme, part.count, ds.weights, rng),
+                                        return_counts=True)
+                coefs = counts / part.count if part.scheme == 1 else ds.m / part.count * ds.weights[ids]
+                base = int(ids[0])
+            agg = np.zeros((ds.d, cfg.r))
+            aligned_max = 0.0
             for coef, i in zip(coefs, ids):
-                out += coef * (zs[i] @ align(zs[i], zs[base]))
-            yield linalg.orth(out, require_full_rank=False)
-            continue
-        ids, coefs, base = np.arange(ds.m), ds.weights, int(np.argmax(ds.weights))
-        if part.kind == "partial":
-            rng = privacy.stream(cfg.seed, (privacy.STREAM_SAMPLER, round_idx, 0))
-            ids, counts = np.unique(engine.draw_participants(part.scheme, part.count, ds.weights, rng),
-                                    return_counts=True)
-            coefs = counts / part.count if part.scheme == 1 else ds.m / part.count * ds.weights[ids]
-            base = int(ids[0])
-        agg = np.zeros((ds.d, cfg.r))
-        aligned_max = 0.0
-        for coef, i in zip(coefs, ids):
-            d_mat = align(zs[i], zs[base])
-            y = (grams[i] @ zs[i]) @ d_mat
-            y += privacy.sample_noise(ds.d, cfg.r, np.abs(zs[i]).max() * scales.sigma_local, cfg.seed,
-                                      (privacy.STREAM_LOCAL, round_idx, int(i)))
-            agg += coef * y
-            aligned_max = max(aligned_max, np.abs(zs[i] @ d_mat).max())
-        agg += privacy.sample_noise(ds.d, cfg.r, aligned_max * scales.sigma_server, cfg.seed,
-                                    (privacy.STREAM_SERVER, round_idx, 0))
-        zs = [linalg.orth(agg, require_full_rank=False)] * ds.m
-        round_idx += 1
-        yield zs[0]
+                d_mat = align(zs[i], zs[base])
+                y = (grams[i] @ zs[i]) @ d_mat
+                y += privacy.sample_noise(ds.d, cfg.r, np.abs(zs[i]).max() * scales.sigma_local, cfg.seed,
+                                          (privacy.STREAM_LOCAL, comm, int(i)))
+                agg += coef * y
+                aligned_max = max(aligned_max, np.abs(zs[i] @ d_mat).max())
+            agg += privacy.sample_noise(ds.d, cfg.r, aligned_max * scales.sigma_server, cfg.seed,
+                                        (privacy.STREAM_SERVER, comm, 0))
+            z_out = linalg.orth(agg, require_full_rank=False)
+            zs, rho, comm = np.stack([z_out] * ds.m), 0.0, comm + 1
+        sin = min(np.linalg.norm(v - z_out @ (z_out.T @ v), 2), 1.0)
+        yield (t, comm, sin, rho, *privacy.account(cfg.privacy, comm), z_out)
 
 
-def test_every_step_sync_matches_distributed_power():
-    # Every round of a p = 1 run starts from the broadcast basis. Noiseless and
-    # under full participation it is the distributed power method; with
-    # sampling and both noises it still matches a loop over the workers.
-    ds = small_dataset(seed=5)
-    schedule = SyncSchedule.fixed(1, 20)
-    for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
-        cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, keep_basis_history=True)
-        trace = engine.run_full(ds, cfg)
-        z = engine.initial_basis(ds.d, 3, seed=9)
-        for (t, z_bar), z_ref in zip(
-            trace.basis_history, power_iterates(lambda y: sharded_product(ds, y), z, 20)
-        ):
-            assert np.abs(z_bar - z_ref).max() <= 1e-12
-    ds = small_dataset(seed=5, n=122)  # shard weights differ, so the schemes' coefficients do
-    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
-    for participation in (engine.FULL_PARTICIPATION, Participation("partial", 3, 1), Participation("partial", 3, 2)):
-        for priv in (noiseless(schedule), noisy):
-            for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
-                cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, keep_basis_history=True,
-                                  participation=participation, privacy=priv)
-                trace = engine.run(ds, cfg)
-                assert priv.noiseless or min(trace.scales.sigma_local, trace.scales.sigma_server) > 0.0
-                history = list(_per_worker_reference(ds, cfg, trace.scales))
-                assert len(history) == len(trace.basis_history) == 20
-                for (t, z_bar), z_ref in zip(trace.basis_history, history):
-                    assert np.abs(z_bar - z_ref).max() <= 1e-12, (participation, priv.epsilon, alignment, t)
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """One ``engine.run`` on ``REFERENCE_DATASETS[dataset]``; ``budget`` is None (noiseless), a total epsilon
+    or an ``eps_split`` pair, with delta 1e-5."""
+
+    dataset: str
+    schedule: SyncSchedule
+    participation: Participation = engine.FULL_PARTICIPATION
+    budget: float | tuple | None = None
+    alignment: str = ALIGN_SIGN
+    every_step: bool = False
+    k: int = 3
+    r: int = 3
+    seed: int = 9
+
+    def config(self) -> RunConfig:
+        split = self.budget if isinstance(self.budget, tuple) else None
+        epsilon = math.inf if self.budget is None or split else self.budget
+        return make_config(self.k, self.r, self.schedule, alignment=self.alignment, participation=self.participation,
+                           seed=self.seed, record_every_step=self.every_step, keep_basis_history=True,
+                           privacy=privacy.PrivacyConfig.for_schedule(epsilon, 1e-5, self.schedule, eps_split=split))
 
 
-def test_rounds_from_differing_bases_match_a_per_worker_reference():
-    # At p = 3 the workers' bases differ when a round starts, so each
-    # participant's (M_i z_i) D_i is its own. Shards of 30 rows apply M_i
-    # through the Gram stack, shards of 10 rows (d = 30) through their rows.
-    schedule = SyncSchedule.fixed(3, 12)
-    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
-    for ds in (small_dataset(seed=5, n=122), small_dataset(seed=6, n=62, d=30, m=6)):
-        for participation in (engine.FULL_PARTICIPATION, Participation("partial", 3, 1),
-                              Participation("partial", 3, 2)):
-            for priv in (noiseless(schedule), noisy):
-                for alignment in (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT):
-                    cfg = make_config(3, 3, schedule, alignment=alignment, seed=9, participation=participation,
-                                      privacy=priv, record_every_step=True, keep_basis_history=True)
-                    trace = engine.run(ds, cfg)
-                    assert priv.noiseless or min(trace.scales.sigma_local, trace.scales.sigma_server) > 0.0
-                    history = list(_per_worker_reference(ds, cfg, trace.scales))
-                    assert len(history) == len(trace.basis_history) == 12
-                    for (t, z_bar), z_ref in zip(trace.basis_history, history):
-                        assert np.abs(z_bar - z_ref).max() <= 1e-12, (ds.d, participation, priv.epsilon, alignment, t)
-
-
-# (n, m) with d = 20 and r = 4: shards of 3-4 rows (some below r), of 6-7 rows (between r
-# and d/2, so local steps run in the shards' row spaces) and of 10-11 rows (at or above d/2,
-# so every M_i is applied through the Gram stack).
-DIFFERENTIAL_SHAPES = {"below_r": (38, 12), "row_space": (62, 9), "gram": (103, 10)}
-# Horizon 12: every third step, gaps shrinking from 4, and explicit rounds whose horizon is no round.
-DIFFERENTIAL_SCHEDULES = {
-    "fixed": SyncSchedule.fixed(3, 12), "decaying": SyncSchedule.decaying(4, 12),
-    "explicit": SyncSchedule.explicit((1, 2, 5, 9), 12),
+REFERENCE_DATASETS = {
+    # One worker: every run on it is the power method on its Gram.
+    "one-worker-50x8": lambda: data.partition(np.random.default_rng(60).standard_normal((50, 8)), 1),
+    "one-worker-30x6": lambda: data.partition(np.random.default_rng(61).standard_normal((30, 6)), 1),
+    # 4 shards of 30 rows with d = 10; at n = 122 the shard weights, and so the schemes' coefficients, differ.
+    "equal-shards": lambda: small_dataset(seed=5),
+    "unequal-shards": lambda: small_dataset(seed=5, n=122),
+    "rows-d30": lambda: small_dataset(seed=6, n=62, d=30, m=6),  # M_i applied through the shards' rows
+    # d = 20 with r = 4: shards of 3-4 rows (some below r), of 6-7 rows (between r and d/2, so local steps
+    # run in the shards' row spaces) and of 10-11 rows (at or above d/2: the Gram stack).
+    "below_r": lambda: small_dataset(seed=38, n=38, d=20, m=12),
+    "row_space": lambda: small_dataset(seed=62, n=62, d=20, m=9),
+    "gram": lambda: small_dataset(seed=103, n=103, d=20, m=10),
+    "short-shards": lambda: short_shard_dataset(seed=26),
 }
 
 
-@pytest.mark.parametrize("schedule", DIFFERENTIAL_SCHEDULES.values(), ids=DIFFERENTIAL_SCHEDULES.keys())
-@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES.values(), ids=DIFFERENTIAL_SHAPES.keys())
-def test_runs_match_the_per_worker_reference_on_every_shard_height(shape, schedule):
-    # Every recorded basis of engine.run, whichever route its local steps take, equals the Gram-based
-    # per-worker reference's basis at that step. A shard of fewer than r rows gives a rank-deficient
-    # local step, whose missing directions orth completes from rounding noise, so on such a dataset
-    # the rows from the first local step on are left out.
-    n, m = shape
-    ds = small_dataset(seed=n, n=n, d=20, m=m)
-    rank_deficient = ds.min_shard_size < 4
-    first_local = min(set(range(1, 13)) - set(schedule.steps))
-    noisy = privacy.PrivacyConfig.for_schedule(20.0, 1e-5, schedule)
-    compared = 0
-    cases = [(part, priv, every) for part in (engine.FULL_PARTICIPATION, Participation("partial", 4, 1),
-                                              Participation("partial", 4, 2))
-             for priv in (noiseless(schedule), noisy) for every in (False, True)]
-    for idx, (participation, priv, every) in enumerate(cases):
-        alignment = (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT)[idx % 3]
-        cfg = make_config(3, 4, schedule, alignment=alignment, seed=idx, participation=participation,
-                          privacy=priv, record_every_step=every, keep_basis_history=True)
-        trace = engine.run(ds, cfg)
-        want_steps = list(range(1, 13)) if every else sorted({*schedule.steps, 12})
-        assert [t for t, _ in trace.basis_history] == [r.t for r in trace.records] == want_steps
-        history = list(_per_worker_reference(ds, cfg, trace.scales))
-        for t, z_bar in trace.basis_history:
-            if rank_deficient and t >= first_local:
-                continue
-            compared += 1
-            assert np.abs(z_bar - history[t - 1]).max() <= 1e-12, (participation, priv.epsilon, every, alignment, t)
-    assert compared > 0 or first_local == 1
+def check_against_reference(run: Run) -> None:
+    """``engine.run`` of ``run`` records what ``_per_worker_reference`` does: the same steps, round counts and
+    budget spent, and ``sin_theta_k``, ``rho_t`` and every basis within 1e-12. A shard of fewer than r rows
+    gives a rank-deficient local step, whose missing directions orth completes from rounding noise, so on
+    such a dataset those three from the first local step on are left out."""
+    ds, cfg = REFERENCE_DATASETS[run.dataset](), run.config()
+    trace, priv = engine.run(ds, cfg), cfg.privacy
+    applied = [sigma > 0.0 for sigma in (trace.scales.sigma_local, trace.scales.sigma_server)]
+    assert applied == [math.isfinite(eps) for eps in priv.eps_split or (priv.epsilon,) * 2], run
+    want = list(_per_worker_reference(ds, cfg))
+    assert [(rec.t, rec.comm_count, rec.eps_spent, rec.delta_spent) for rec in trace.records] == [
+        (t, comm, eps, delta) for t, comm, _, _, eps, delta, _ in want], run
+    assert [t for t, _ in trace.basis_history] == [rec.t for rec in trace.records]
+    assert np.array_equal(trace.final_basis, trace.basis_history[-1][1])
+    first_local = min(set(range(1, cfg.horizon + 1)) - set(cfg.schedule.steps), default=cfg.horizon + 1)
+    kept = [(rec, z, ref) for rec, (t, z), ref in zip(trace.records, trace.basis_history, want)
+            if ds.min_shard_size >= cfg.r or t < first_local]
+    assert kept or first_local == 1
+    for rec, z_bar, (t, _, sin, rho, _, _, z_ref) in kept:
+        gap = max(abs(rec.sin_theta_k - sin), abs(rec.rho_t - rho), np.abs(z_bar - z_ref).max())
+        assert gap <= 1e-12, (run, t, gap)
+    if ds.m == 1 and priv.noiseless:  # with one worker, any schedule gives the centralized power method
+        z0 = engine.initial_basis(ds.d, cfg.r, cfg.seed)
+        power = list(power_iterates(ds.global_gram().__matmul__, z0, cfg.horizon))
+        assert all(np.abs(z_bar - power[t - 1]).max() <= 1e-12 for t, z_bar in trace.basis_history), run
     assert ("_row_factor" in vars(ds)) == (2 * max(ds.sizes) < ds.d)  # the route the local products took
+
+
+ALIGNMENTS = (ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT)
+# Horizon 12: every third step, gaps shrinking from 4, and explicit rounds whose horizon is no round.
+SCHEDULES = {"fixed": SyncSchedule.fixed(3, 12), "decaying": SyncSchedule.decaying(4, 12),
+             "explicit": SyncSchedule.explicit((1, 2, 5, 9), 12)}
+
+
+def _participations(count: int) -> dict:
+    return {"full": engine.FULL_PARTICIPATION, "scheme1": Participation("partial", count, 1),
+            "scheme2": Participation("partial", count, 2)}
+
+
+def _shard_height_runs(dataset: str, schedule: SyncSchedule) -> list:
+    # Twelve runs, each with its own seed, taking the alignments in turn.
+    cases = [(part, eps, every) for part in _participations(4).values() for eps in (None, 20.0)
+             for every in (False, True)]
+    return [Run(dataset, schedule, part, eps, ALIGNMENTS[i % 3], every, r=4, seed=i)
+            for i, (part, eps, every) in enumerate(cases)]
+
+
+REFERENCE_RUNS = {
+    # With one worker, whatever the period, a run is the power method.
+    "test_single_worker_matches_power_method_per_step": {"": [
+        Run("one-worker-50x8", SyncSchedule.fixed(p, 15), alignment=a, every_step=True, k=2, r=2, seed=17)
+        for p in (1, 3, 7) for a in ALIGNMENTS]},
+    "test_partial_single_worker_matches_power_method": {"": [
+        Run("one-worker-30x6", SyncSchedule.fixed(2, 12), Participation("partial", 1, 2), alignment=ALIGN_NONE,
+            k=2, r=2, seed=3)]},
+    # Every round of a p = 1 run starts from the broadcast basis: noiseless and under full participation it
+    # is the distributed power method.
+    "test_every_step_sync_matches_distributed_power": {"": [
+        *[Run("equal-shards", SyncSchedule.fixed(1, 20), alignment=a) for a in ALIGNMENTS],
+        *[Run("unequal-shards", SyncSchedule.fixed(1, 20), part, eps, a)
+          for part in _participations(3).values() for eps in (None, 20.0) for a in ALIGNMENTS]]},
+    # At p = 3 the workers' bases differ when a round starts, so each participant's (M_i z_i) D_i is its own.
+    "test_rounds_from_differing_bases_match_a_per_worker_reference": {"": [
+        Run(dataset, SyncSchedule.fixed(3, 12), part, eps, a, every_step=True)
+        for dataset in ("unequal-shards", "rows-d30") for part in _participations(3).values()
+        for eps in (None, 20.0) for a in ALIGNMENTS]},
+    "test_runs_match_the_per_worker_reference_on_every_shard_height": {
+        f"{dataset}-{name}": _shard_height_runs(dataset, schedule)
+        for dataset in ("below_r", "row_space", "gram") for name, schedule in SCHEDULES.items()},
+    # Local steps and rounds from differing bases on shards shorter than d/2: both row-path products run.
+    "test_short_shard_runs_match_the_gram_product": {
+        f"{name}-{a}": [Run("short-shards", SyncSchedule.fixed(3, 12), part, 5.0, a, every_step=True, r=4, seed=5)]
+        for name, part in _participations(4).items() for a in ALIGNMENTS},
+    # Per-round budgets (full participation only); an infinite one zeroes its site's noise.
+    "test_split_budgets_match_the_per_worker_reference": {
+        f"{name}-{a}-{'every-step' if every else 'sync-steps'}-{split[0]:g},{split[1]:g}": [
+            Run("row_space", schedule, budget=split, alignment=a, every_step=every, r=4)]
+        for name, schedule in SCHEDULES.items() for a in ALIGNMENTS for every in (False, True)
+        for split in ((2.0, 3.0), (math.inf, 2.0), (4.0, math.inf))},
+}
+
+
+def _reference_test(cases: dict):
+    """A test of each case's runs; a single case without an id takes no parameters."""
+    def test(runs):
+        for run in runs:
+            check_against_reference(run)
+    if list(cases) == [""]:
+        return lambda: test(cases[""])
+    return pytest.mark.parametrize("runs", list(cases.values()), ids=list(cases))(test)
+
+
+globals().update({name: _reference_test(cases) for name, cases in REFERENCE_RUNS.items()})
+
+
+# ---------------------------------------------------------------- reductions
 
 
 def test_replicated_diagonal_converges_to_leading_axis():
@@ -251,20 +284,6 @@ def test_partial_full_cohort_scheme2_equals_full():
         assert np.abs(zf - zp).max() <= 1e-12
     for rf, rp in zip(trace_full.records, trace_part.records):
         assert abs(rf.sin_theta_k - rp.sin_theta_k) <= 1e-12
-
-
-def test_partial_single_worker_matches_power_method():
-    rng = np.random.default_rng(61)
-    a = rng.standard_normal((30, 6))
-    ds = data.partition(a, 1)
-    schedule = SyncSchedule.fixed(2, 12)
-    cfg = make_config(
-        2, 2, schedule, alignment=ALIGN_NONE, seed=3,
-        participation=Participation("partial", 1, 2),
-    )
-    trace = engine.run_partial(ds, cfg)
-    z_ref = baselines.power_method(ds.global_gram(), 2, 12, seed=3)
-    assert np.abs(trace.final_basis - z_ref).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- sampling
@@ -649,36 +668,6 @@ def test_non_finite_local_iterate_raises_named_error():
 def short_shard_dataset(seed=0):
     # 10 shards of 12 or 13 rows with d = 30: shorter than d/2, unequal, and taller than r.
     return small_dataset(seed=seed, n=125, d=30, m=10)
-
-
-@pytest.mark.parametrize("alignment", [ALIGN_NONE, ALIGN_SIGN, ALIGN_OPT])
-@pytest.mark.parametrize("participation", [
-    engine.FULL_PARTICIPATION, Participation("partial", 4, 1), Participation("partial", 4, 2),
-], ids=["full", "scheme1", "scheme2"])
-def test_short_shard_runs_match_the_gram_product(alignment, participation, monkeypatch):
-    # p = 3: local steps, and rounds whose workers hold different bases, so both products run.
-    schedule = SyncSchedule.fixed(3, 12)
-    cfg = make_config(
-        3, 4, schedule, alignment=alignment, participation=participation, seed=5,
-        privacy=privacy.PrivacyConfig.for_schedule(5.0, 1e-5, schedule), record_every_step=True,
-    )
-    rows = engine.run(short_shard_dataset(seed=26), cfg)
-
-    def gram_steps(self, zs, steps):
-        for _ in range(steps):
-            zs = linalg.orth(self.shard_grams @ zs, require_full_rank=False)
-        return zs
-
-    monkeypatch.setattr(ShardedDataset, "local_products", lambda self, zs, ids: self.shard_grams[ids] @ zs)
-    monkeypatch.setattr(ShardedDataset, "local_steps", gram_steps)
-    ds = short_shard_dataset(seed=26)
-    grams = engine.run(ds, cfg)
-    assert "_row_factor" not in vars(ds)  # the Gram-form run reaches no row-path code
-    assert len(rows.records) == len(grams.records) == 12 and rows.eta == grams.eta
-    for a, b in zip(rows.records, grams.records):
-        assert (a.t, a.comm_count) == (b.t, b.comm_count)
-        assert abs(a.sin_theta_k - b.sin_theta_k) <= 1e-10 and abs(a.rho_t - b.rho_t) <= 1e-10
-    assert np.abs(rows.final_basis - grams.final_basis).max() <= 1e-10
 
 
 def test_only_short_shard_runs_build_the_row_factor_and_only_once(monkeypatch):
