@@ -10,9 +10,11 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import stat
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -294,12 +296,47 @@ class CsvTrace:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        """Write the CSV to ``path``, and each sweep sub-trace next to it."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render())
+        """Write the CSV to ``path``, and each sweep sub-trace next to it.
+
+        A name that is free or holds a regular file (through any symlink, to the file it points to) is first
+        written whole to a new sibling ``<file>.<pid>.tmp``, which takes the old file's mode; once every
+        temporary is written, the sub-traces and then ``path`` are renamed over their files. Any other file,
+        such as a device, a FIFO or a file in a directory this process cannot write, is written in place in
+        the same turn. A name held by a directory is refused before anything is written. So a failed write
+        (a full disk, a file size limit, a directory in the way) raises its ``OSError``, removes its
+        temporaries, and leaves no new file and every regular file that was there as it was.
+        """
         stem, ext = os.path.splitext(path)
-        for row_idx, sub in self.sub_traces.items():
-            sub.write(f"{stem}.eps{row_idx}{ext or '.csv'}")
+        texts = {f"{stem}.eps{row_idx}{ext or '.csv'}": sub.render() for row_idx, sub in self.sub_traces.items()}
+        texts[os.fspath(path)] = self.render()
+        temps, plan = [], []  # plan: (file, text, its temporary, or None to write the file in place)
+        try:
+            for name, text in texts.items():
+                target = os.path.realpath(name)
+                mode = os.stat(target).st_mode if os.path.exists(target) else None
+                if mode is not None and stat.S_ISDIR(mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)  # as open() reports it
+                if mode is not None and not (stat.S_ISREG(mode) and os.access(os.path.dirname(target), os.W_OK)):
+                    plan.append((target, text, None))
+                    continue
+                fh = open(f"{target}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n")
+                temps.append(fh.name)
+                with fh:
+                    fh.write(text)
+                if mode is not None:
+                    os.chmod(fh.name, stat.S_IMODE(mode))
+                plan.append((target, text, fh.name))
+            for target, text, temp in plan:
+                if temp is not None:
+                    os.replace(temp, target)
+                    continue
+                with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+        except BaseException:
+            for temp in temps:
+                if os.path.exists(temp):
+                    os.remove(temp)
+            raise
 
 
 def load_matrix(cfg: ExperimentConfig) -> np.ndarray:

@@ -1,11 +1,14 @@
+import builtins
 import json
 import math
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from fedpower import cli, engine, privacy
 from fedpower.cli import ExperimentConfig
 from fedpower.data import partition, write_libsvm
 from fedpower.errors import ConfigError, DegenerateData, DimensionMismatch, FedPowerError, InvalidBudget, NonFinite
+from tables import table_test
 from trace_csv import parse_trace
 
 
@@ -566,17 +570,21 @@ def test_privacy_sweep_reports_a_negative_infinite_budget_as_invalid():
     assert sorted(sweep.sub_traces) == [1]
 
 
+def _child_env() -> dict:
+    # The environment of a `python -m fedpower` child that imports this package.
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_m_fedpower_runs_the_cli_without_a_warning(tmp_path):
     # Running fedpower.cli as a module warned, since the package imports it first.
     doc = config_doc(repeats=1, T=6)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "module.csv"
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedpower", "run", "--config", str(cfg_path),
-         "--out", str(out)], capture_output=True, text=True, env=env, timeout=300,
+         "--out", str(out)], capture_output=True, text=True, env=_child_env(), timeout=300,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert out.read_text() == cli.run_experiment(ExperimentConfig.from_dict(doc)).render()
@@ -933,9 +941,11 @@ REFUSALS = {
 }
 
 
-def check_refusal(row: Refusal, command: str, tmp_path, capsys, monkeypatch) -> None:
-    """``command`` exits 1 on ``row`` and prints one JSON line, on standard error only, naming the row's error
-    and message, the command and the config; it writes no CSV and loads the dataset only if the row says so."""
+def check_refusal(case: tuple, tmp_path, capsys, monkeypatch) -> None:
+    """``command`` exits 1 on ``row``, for ``case = (row, command)``, and prints one JSON line, on standard error
+    only, naming the row's error and message, the command and the config; it writes no CSV and loads the
+    dataset only if the row says so."""
+    row, command = case
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     for key, value in row.env.items():
@@ -963,20 +973,96 @@ def check_refusal(row: Refusal, command: str, tmp_path, capsys, monkeypatch) -> 
     assert not list(tmp_path.glob("*.csv")) and bool(loaded) == row.loads
 
 
-def _refusal_test(rows: list):
-    """A test of each row under each of its commands; a single case without an id takes no parameters."""
-    cases = {"-".join(filter(None, [command if len(row.commands) > 1 else "", row.name])): (row, command)
-             for row in rows for command in row.commands}
-    if list(cases) == [""]:
-        return lambda tmp_path, capsys, monkeypatch: check_refusal(*cases[""], tmp_path, capsys, monkeypatch)
-
-    @pytest.mark.parametrize("row, command", list(cases.values()), ids=list(cases))
-    def test(row, command, tmp_path, capsys, monkeypatch):
-        check_refusal(row, command, tmp_path, capsys, monkeypatch)
-    return test
+def _refusal_cases(rows: list) -> dict:
+    """Each row under each of its commands, by case id: the row's name, after the command if it has several."""
+    return {"-".join(filter(None, [command if len(row.commands) > 1 else "", row.name])): [(row, command)]
+            for row in rows for command in row.commands}
 
 
-globals().update({name: _refusal_test(rows) for name, rows in REFUSALS.items()})
+globals().update({name: table_test(check_refusal, _refusal_cases(rows)) for name, rows in REFUSALS.items()})
+
+
+# ---------------------------------------------------------------- failed writes
+# A command whose CSVs cannot all be written whole exits 1 with its OSError and leaves the directory as it
+# found it: no new file, no temporary, and every file that was there byte for byte.
+
+
+@dataclass(frozen=True)
+class FailedWrite:
+    """``command`` with ``--out out.csv`` in a directory holding ``existing`` (name -> bytes, or None for a
+    directory), its own process limited to files of ``file_size_limit`` bytes when that is set."""
+
+    error: str  # the payload's error, an OSError class
+    command: str = "run"
+    argv: tuple = ()
+    existing: dict = field(default_factory=dict)
+    file_size_limit: int | None = None
+
+
+EARLIER = b"# an earlier trace, longer than the file size limit\n" * 30
+FAILED_WRITES = {
+    "run-file-size-limit": FailedWrite("OSError", existing={"out.csv": EARLIER}, file_size_limit=1024),
+    "privacy-sweep-file-size-limit": FailedWrite("OSError", "privacy-sweep", ("--eps-list", "inf,1"),
+                                                 {"out.eps1.csv": EARLIER}, 1024),
+    "privacy-sweep-directory-at-a-sub-trace": FailedWrite("IsADirectoryError", "privacy-sweep", ("--eps-list", "inf,1"),
+                                                          {"out.eps1.csv": None}),
+}
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("row", FAILED_WRITES.values(), ids=list(FAILED_WRITES))
+def test_a_failed_write_leaves_no_new_file_and_no_half_file(row, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(config_doc(repeats=1, T=6)))
+    for name, content in row.existing.items():
+        (tmp_path / name).mkdir() if content is None else (tmp_path / name).write_bytes(content)
+    before = _files(tmp_path)
+    limit = row.file_size_limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedpower", row.command, "--config", "cfg.json", "--out", "out.csv", *row.argv],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=300,
+        preexec_fn=None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    payload = json.loads(proc.stderr)
+    assert (payload["error"], payload["command"]) == (row.error, row.command)
+    assert issubclass(getattr(builtins, row.error), OSError)
+    assert _files(tmp_path) == before
+
+
+def test_a_write_through_a_symlink_or_into_a_fifo_reaches_the_file_behind_it(tmp_path, monkeypatch):
+    # A symlinked --out and sub-trace update the files they point to, an existing one keeping its mode, and
+    # stay links; a FIFO, and a file in a directory the process cannot write, are written in place, so the
+    # FIFO's reader gets the CSV and the FIFO stays a FIFO, and the file keeps its inode.
+    trace = cli.run_experiment(ExperimentConfig.from_dict(config_doc(repeats=1, T=6)))
+    trace = replace(trace, sub_traces={1: trace})
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "old.csv").write_bytes(EARLIER)
+    (real / "old.csv").chmod(0o640)
+    (tmp_path / "out.csv").symlink_to("real/old.csv")
+    (tmp_path / "out.eps1.csv").symlink_to(real / "new.csv")
+    trace.write(tmp_path / "out.csv")
+    assert (real / "old.csv").read_text() == (real / "new.csv").read_text() == trace.render()
+    assert (real / "old.csv").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "out.csv").is_symlink() and (tmp_path / "out.eps1.csv").is_symlink()
+    assert sorted(p.name for p in real.iterdir()) == ["new.csv", "old.csv"]
+
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    replace(trace, sub_traces={}).write(fifo)
+    reader.join(timeout=30)
+    assert got == [trace.render()] and stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    (real / "old.csv").write_bytes(EARLIER)
+    inode = (real / "old.csv").stat().st_ino
+    monkeypatch.setattr(os, "access", lambda path, mode: not (path == str(real.resolve()) and mode == os.W_OK))
+    replace(trace, sub_traces={}).write(real / "old.csv")
+    assert ((real / "old.csv").stat().st_ino, (real / "old.csv").read_text()) == (inode, trace.render())
 
 
 # ---------------------------------------------------------------- library guards

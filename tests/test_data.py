@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import tracemalloc
 
@@ -8,6 +9,7 @@ from fedpower import data, linalg, privacy
 from fedpower.data import ShardedDataset, SyntheticSpec
 from fedpower.errors import DimensionMismatch, IndexOutOfRange, NonFinite, ParseError, TooManyShards
 from reference import is_orthonormal
+from tables import table_test
 
 
 # ---------------------------------------------------------------- libsvm
@@ -528,75 +530,68 @@ def test_partition_shuffled_requires_seed():
         data.partition(np.ones((4, 2)), 2, mode="shuffled")
 
 
-def test_weights_and_gram_identity():
-    rng = np.random.default_rng(34)
-    a = rng.standard_normal((23, 5))
-    ds = data.partition(a, 4, mode="shuffled", seed=2)
-    assert abs(ds.weights.sum() - 1.0) <= 1e-12
-    # sum of weighted shard grams equals the global second-moment matrix
-    assembled = sum(w * linalg.gram(s) for w, s in zip(ds.weights, ds.shards))
-    direct = (a.T @ a) / a.shape[0]
-    assert np.abs(assembled - direct).max() <= 1e-12
+def test_dataset_needs_a_column():
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        ShardedDataset((np.zeros((3, 0)), np.zeros((2, 0))))
+    with pytest.raises(DimensionMismatch, match="at least one column"):
+        data.partition(np.zeros((4, 0)), 2)
 
 
-def test_global_gram_is_the_weighted_sum_of_shard_grams():
-    a = np.random.default_rng(35).standard_normal((61, 7)) * np.geomspace(10.0, 0.1, 7)
-    ds = data.partition(a, 5, mode="shuffled", seed=3)
-    direct = linalg.gram(ds.stacked())
-    assert np.abs(ds.global_gram() - direct).max() <= 1e-12 * np.abs(direct).max()
+def test_overflowing_second_moments_raise_non_finite():
+    ds = ShardedDataset((np.full((3, 2), 1e160), np.ones((2, 2))))
+    with pytest.raises(NonFinite, match="second-moment"):
+        ds.global_gram()
 
 
-# (n, d, m): shards shorter than d/2, equal and unequal, then as tall as d/2 or taller, and one shard.
-LOCAL_PRODUCT_SHAPES = [(40, 12, 10), (125, 30, 10), (9, 20, 1), (100, 40, 5), (123, 10, 4), (30, 20, 1)]
+# ---------------------------------------------------------------- operators against their Gram-stack definitions
+# One harness checks every ShardedDataset operator on every row of OPERATOR_ROWS against definitions built from
+# each shard's own rows. The table groups its rows by what they show; a group's cases keep the ids they had as
+# a test function. The tests after it show mechanisms that no definition fixes.
 
 
-@pytest.mark.parametrize("n, d, m", LOCAL_PRODUCT_SHAPES)
-def test_local_products_equal_the_shard_grams_times_the_bases(n, d, m):
-    rng = np.random.default_rng(n + d + m)
-    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=4)
-    zs = rng.standard_normal((m, d, 3))
-    want = ds.shard_grams @ zs
-    got = ds.local_products(zs)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    # Some of the shards, with their own bases or with one basis they all hold, give the bits of their slices.
-    ids = np.arange(0, m, 2)
-    np.testing.assert_array_equal(ds.local_products(zs[ids], ids), got[ids])
-    np.testing.assert_array_equal(ds.local_products(zs[:1], ids), ds.local_products(np.repeat(zs[:1], m, axis=0))[ids])
-    short = 2 * max(ds.sizes) < d
-    assert ("_row_factor" in vars(ds)) == short  # only short shards are applied through their rows
-    if short:
-        v, lam = vars(ds)["_row_factor"]
-        h = max(ds.sizes)
-        assert v.shape == (m, d, h) and lam.shape == (m, h)
-        assert not v.flags.writeable and not lam.flags.writeable
-        assert np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(h)).max() <= 1e-13
-        assert (np.diff(lam, axis=1) <= 0.0).all()  # descending
-        grams = v @ (lam[:, :, None] * np.swapaxes(v, 1, 2))  # M_i = V_i diag(lam_i) V_i.T
-        assert np.abs(grams - ds.shard_grams).max() <= 1e-13 * np.abs(ds.shard_grams).max()
+@dataclasses.dataclass(frozen=True)
+class Operands:
+    """A dataset and the arguments its operators take.
+
+    With an integer ``rows``, the dataset is that many seeded Gaussian rows with column scales
+    ``geomspace(*columns, d)`` (or ``synth`` of that spectrum), times ``scale``, split into m shards: shuffled
+    with ``partition_seed``, or contiguous when it is None. With a tuple, it is one such shard of each height,
+    of which ``pattern`` picks the dataset's shards in order. The bases are two (m, d, r) stacks of orthonormal
+    bases; the local steps start from the first in stretches of each length. A row that sets ``chunk`` pins
+    the number of steps that one QR takes: 1 off the eigenbasis route.
+    """
+
+    rows: int | tuple
+    d: int
+    seed: int
+    m: int = 1
+    partition_seed: int | None = None
+    columns: tuple = (10.0, 0.1)
+    synthetic: bool = False
+    scale: float = 1.0
+    pattern: tuple | None = None
+    k: int = 3
+    r: int = 3
+    stretches: tuple = (1, 2, 3, 4)
+    chunk: int | None = None
+
+    def build(self) -> tuple[ShardedDataset, np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        columns = np.geomspace(*self.columns, self.d)
+        if isinstance(self.rows, tuple):
+            shards = [rng.standard_normal((n, self.d)) * columns * self.scale for n in self.rows]
+            ds = ShardedDataset(tuple(shards[i] for i in self.pattern or range(len(shards))))
+        else:
+            a = (data.synth(SyntheticSpec(self.rows, self.d, tuple(columns), seed=self.seed)) if self.synthetic
+                 else rng.standard_normal((self.rows, self.d)) * columns) * self.scale
+            mode = "contiguous" if self.partition_seed is None else "shuffled"
+            ds = data.partition(a, self.m, mode=mode, seed=self.partition_seed)
+        return ds, linalg.orth(rng.standard_normal((2, ds.m, self.d, self.r)))
 
 
-# (n, d, m, r): shards of 3-4 rows with r at most 3, in their row spaces; shards of 6-7 rows, in
-# theirs; shards of 10-11 rows with d = 20, through the Gram stack; one shard of 9 rows.
-LOCAL_STEP_SHAPES = [(38, 20, 12, 3), (62, 20, 9, 4), (103, 20, 10, 4), (9, 20, 1, 5)]
-
-
-@pytest.mark.parametrize("n, d, m, r", LOCAL_STEP_SHAPES)
-def test_local_steps_equal_repeated_orth_of_the_gram_products(n, d, m, r):
-    rng = np.random.default_rng(n + d + m + r)
-    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=5)
-    zs = linalg.orth(rng.standard_normal((m, d, r)))  # a basis per worker
-    assert ds.local_steps(zs, 0) is zs
-    want = zs
-    for steps in range(1, 5):
-        want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
-        assert np.abs(ds.local_steps(zs, steps) - want).max() <= 1e-12, steps
-    assert ("_row_factor" in vars(ds)) == (2 * max(ds.sizes) < d)
-
-
-def _chunk(ds, r):
+def _chunk(grams, r):
     # The largest q with min_i (lambda_ir / lambda_i1)**q >= the floor, from the shard Grams' own eigenvalues.
-    lam = np.linalg.eigvalsh(ds.shard_grams)[:, ::-1]
+    lam = np.linalg.eigvalsh(grams)[:, ::-1]
     worst = float((lam[:, r - 1] / lam[:, 0]).min())
     q = 1
     while worst ** (q + 1) >= data._CHUNK_FLOOR:
@@ -610,29 +605,149 @@ def _counting_orth(monkeypatch):
     return calls
 
 
-# (n, d, m, r): shards of exactly r rows and of 8 rows, both shorter than d/2; shards of 12 rows, as tall
-# as d/2 or taller (the Gram path); shards of 2 rows, shorter than r.
-STRETCH_SHAPES = {"r-rows": (15, 20, 5, 3), "taller": (40, 20, 5, 3), "grams": (60, 20, 5, 3), "short": (10, 20, 5, 3)}
+def check_operators(row: Operands, monkeypatch) -> None:
+    """Every ShardedDataset operator on ``row`` against its definition from the shards' own Grams."""
+    ds, bases = row.build()
+    zs, m, d, h, k, r = bases[0], ds.m, ds.d, max(ds.sizes), row.k, row.r
+    grams = np.stack([linalg.gram(s) for s in ds.shards])
+    row_path = 2 * h < d  # the products apply the shards' row factor
 
+    # (a) Grams: the stack has each shard's bits, the global Gram those of their weighted sum.
+    assert abs(ds.weights.sum() - 1.0) <= 1e-12
+    assert np.array_equal(ds.shard_grams, grams)
+    assert np.array_equal(ds.global_gram(), np.tensordot(ds.weights, grams, axes=1))
+    direct = linalg.gram(ds.stacked())
+    assert np.abs(ds.global_gram() - direct).max() <= 1e-13 * np.abs(direct).max()
 
-@pytest.mark.parametrize("n, d, m, r", STRETCH_SHAPES.values(), ids=STRETCH_SHAPES.keys())
-def test_a_stretch_takes_one_qr_per_chunk_on_the_row_path(n, d, m, r, monkeypatch):
-    rng = np.random.default_rng(n + d + m)
-    ds = data.partition(rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d), m, mode="shuffled", seed=6)
-    zs = linalg.orth(rng.standard_normal((m, d, r)))
-    row_space = 2 * max(ds.sizes) < d and ds.min_shard_size >= r
-    chunk = _chunk(ds, r) if row_space else 1
-    assert chunk > 1 or not row_space  # else one QR per chunk is one per step
-    steps = 2 * chunk + 1
-    want = zs
-    for _ in range(steps):
-        want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
+    # (c) Products: the Gram products, through the row factor only on the row path; a member subset, a shared
+    # basis and a stack of bases per budget give the bits of their slices of lone calls.
+    got, want = ds.local_products(zs), grams @ zs
+    assert ("_row_factor" in vars(ds)) == row_path
+    assert got.shape == want.shape and np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    ids = np.arange(0, m, 2)
+    assert np.array_equal(ds.local_products(zs[ids], ids), got[ids])
+    assert np.array_equal(ds.local_products(zs[:1], ids), ds.local_products(np.repeat(zs[:1], m, axis=0))[ids])
+    assert np.array_equal(ds.local_products(bases), [ds.local_products(b) for b in bases])
+    assert np.array_equal(ds.local_products(bases[:, ids], ids), [ds.local_products(b[ids], ids) for b in bases])
+    if row_path:
+        v, lam = ds._row_factor
+        assert v.shape == (m, d, h) and lam.shape == (m, h)
+        assert np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(h)).max() <= 1e-13
+        assert (np.diff(lam, axis=1) <= 0.0).all()  # descending
+        rebuilt = v @ (lam[:, :, None] * np.swapaxes(v, 1, 2))  # M_i = V_i diag(lam_i) V_i.T
+        assert np.abs(rebuilt - grams).max() <= 1e-13 * np.abs(grams).max()
+
+    # (d, e) Steps: each stretch is repeated orth of the Gram products, taken in one QR per chunk in the row
+    # factor's eigenbases and one QR per step otherwise. A shard shorter than r gives a rank-deficient step,
+    # whose basis orth completes from rounding noise, so there only the QRs are counted.
+    assert ds.local_steps(zs, 0) is zs
+    eigenbasis = row_path and ds.min_shard_size >= r
+    chunk = _chunk(grams, r) if eigenbasis else 1
+    assert row.chunk in (None, chunk)
     calls = _counting_orth(monkeypatch)
-    got = ds.local_steps(zs, steps)
-    assert len(calls) == (3 if row_space else steps)
-    assert all(shape == ((m, max(ds.sizes), r) if row_space else (m, d, r)) for shape in calls)
-    if ds.min_shard_size >= r:  # a rank-deficient step completes its basis from rounding noise
-        assert np.abs(got - want).max() <= 1e-12
+    want, done = zs, 0
+    for steps in row.stretches:
+        calls.clear()
+        got = ds.local_steps(zs, steps)
+        assert calls == [(m, h if eigenbasis else d, r)] * -(-steps // chunk), steps
+        if ds.min_shard_size >= r:
+            for _ in range(steps - done):
+                want = linalg.orth(grams @ want, require_full_rank=False)
+            done = steps
+            assert np.abs(got - want).max() <= 1e-12, steps
+    steps = row.stretches[0]
+    assert np.array_equal(ds.local_steps(bases, steps), [ds.local_steps(b, steps) for b in bases])
+
+    # (f) Eigenpairs: the top k of each Gram, read off the row factor on the row path with k <= h only.
+    fresh = ShardedDataset(ds.shards)  # empty caches
+    vecs, vals = fresh.local_eigenpairs(k)
+    assert ("_row_factor" in vars(fresh)) == (row_path and k <= h)
+    assert vecs.shape == (m, d, k) and vals.shape == (m, k)
+    for v, lam, g, shard in zip(vecs, vals, grams, ds.shards):
+        top = linalg.top_eigenpairs(g, k)
+        # A shard of fewer than k rows fixes only its row space; the rest of the Gram's top k is an arbitrary
+        # null-space basis, so there the vectors need only be orthonormal and in the null space.
+        rank = min(shard.shape[0], k)
+        assert is_orthonormal(v)
+        assert linalg.projection_distance(v[:, :rank], top.u[:, :rank]) <= 1e-12
+        np.testing.assert_allclose(lam[:rank], top.singular_values[:rank], rtol=1e-12)
+        assert np.abs(lam[rank:]).max(initial=0.0) <= 1e-12 * lam[0]
+        assert np.abs(shard @ v[:, rank:]).max(initial=0.0) <= 1e-12 * np.abs(shard).max()
+
+    # (b) Caches are shared: a second call returns the same object, and a caller's write raises.
+    for call in (lambda: ds.shard_grams, ds.global_gram, lambda: ds.reference_basis(k),
+                 lambda: ds.local_eigenpairs(k), lambda: ds._row_factor if row_path else ()):
+        cached = call()
+        assert call() is cached
+        for array in cached if isinstance(cached, tuple) else (cached,):
+            with pytest.raises(ValueError):
+                array *= 2.0
+    assert np.array_equal(ds.reference_basis(k), linalg.top_eigenpairs(ds.global_gram(), k).u)
+
+    # (g) eta: the largest shard_eta to the bit, each from a dataset of its own so that eta cannot read a
+    # cached shard_eta, and its spectral-norm definition.
+    eta = ShardedDataset(ds.shards).eta
+    assert eta == max(ShardedDataset(ds.shards).shard_eta)
+    m_global = ds.global_gram()
+    want = np.linalg.norm(grams - m_global, 2, axis=(1, 2)).max() / np.linalg.norm(m_global, 2)
+    assert abs(eta - want) <= 1e-13 * want
+
+
+def _shard_rows(rows, **kw) -> Operands:
+    return Operands(rows, 12, 36, columns=(5.0, 0.2), k=4, **kw)
+
+
+# Shard heights around d = 12 with k = 4: shards near or above d/2, whose products use the Grams; shards
+# below d/2 (the row path), some shorter than k; and shards below d/2 that are all shorter than k, so k > h.
+SHARD_ROWS = [(5, 9, 3, 7), (20, 40, 17, 13), (2, 30, 12, 3), (5, 2, 4, 3, 5), (3, 2, 3)]
+OPERATOR_ROWS = {
+    "test_weights_and_gram_identity": {"": [Operands(23, 5, 34, 4, 2, columns=(1.0, 1.0))]},
+    "test_global_gram_is_the_weighted_sum_of_shard_grams": {"": [Operands(61, 7, 35, 5, 3)]},
+    # (n, d, m): shards shorter than d/2, equal and unequal, then as tall as d/2 or taller, and one shard.
+    "test_local_products_equal_the_shard_grams_times_the_bases": {
+        f"{n}-{d}-{m}": [Operands(n, d, n + d + m, m, 4)]
+        for n, d, m in [(40, 12, 10), (125, 30, 10), (9, 20, 1), (100, 40, 5), (123, 10, 4), (30, 20, 1)]},
+    # (n, d, m, r): shards of 3-4 rows with r = 3, in their row spaces; shards of 6-7 rows, in theirs; shards
+    # of 10-11 rows with d = 20, through the Gram stack; one shard of 9 rows.
+    "test_local_steps_equal_repeated_orth_of_the_gram_products": {
+        f"{n}-{d}-{m}-{r}": [Operands(n, d, n + d + m + r, m, 5, r=r)]
+        for n, d, m, r in [(38, 20, 12, 3), (62, 20, 9, 4), (103, 20, 10, 4), (9, 20, 1, 5)]},
+    # Five shards with d = 20, in a stretch of two chunks and one step: of exactly r = 3 rows and of 8 rows,
+    # both shorter than d/2, in chunks of 7 and 9 steps; of 12 rows (the Gram path) and of 2 rows (shorter
+    # than r), one step each.
+    "test_a_stretch_takes_one_qr_per_chunk_on_the_row_path": {
+        name: [Operands(n, 20, n + 25, 5, 6, stretches=(2 * chunk + 1,), chunk=chunk)]
+        for name, n, chunk in [("r-rows", 15, 7), ("taller", 40, 9), ("grams", 60, 1), ("short", 10, 1)]},
+    # 300 shards of 33-34 rows with d = 100 and r = 10, as in compare-many-shards, with its own geometric
+    # spectrum (worst lambda_1 / lambda_r over the shards about 8) and a wider one (about 90). Both routes
+    # differ by rounding only, but a QR basis column is as sensitive to it as its shard's eigenvalues are
+    # close: on other data of this shape, single steps in the eigenbasis differed from Gram steps by up to
+    # 5e-12, and single steps through M_i = P_i K_i P_i.T (A_i.T = P_i T_i) by up to 6e-12.
+    "test_long_stretches_equal_single_gram_steps": {
+        name: [Operands(10000, 100, 6, 300, 6, spectrum, synthetic=True, k=10, r=10, stretches=(3, 20, 160, 320, 640))]
+        for name, spectrum in [("geometric", (20.0, 0.05)), ("wide", (1e4, 1e-4))]},
+    "test_global_gram_is_built_once_and_read_only": {"": [Operands(40, 6, 37, 4, columns=(1.0, 1.0), k=2)]},
+    "test_eta_equals_its_spectral_norm_definition": {
+        f"rows{i}": [_shard_rows(rows)] for i, rows in enumerate(SHARD_ROWS)},
+    # 2**-250 and 2**250 scale every entry of M_i - M by 2**-500 or 2**500: its unscaled fourth power
+    # underflows to 0 or overflows, so only a bound that first divides by max|M_i - M| ranks the shards.
+    "test_eta_is_the_largest_shard_eta_to_the_bit": {
+        f"rows{i}-{scale}": [_shard_rows(rows, scale=scale)]
+        for i, rows in enumerate(SHARD_ROWS) for scale in (1.0, 2.0**-250, 2.0**250)},
+    # Ten shards of 400 rows from one distribution: their norms lie within the bounds' slack of one another, so
+    # eta takes the exact norms of four shards, the largest not the last, before a bound falls below it.
+    "test_eta_takes_the_largest_of_the_norms_it_visits": {"": [Operands(4000, 12, 7, 10, 1, columns=(1.0, 1.0))]},
+    # Tied bounds and norms, then shards that all equal M.
+    "test_eta_is_exact_on_replicated_shards": {"": [_shard_rows((7, 9), pattern=p)
+                                                    for p in [(0, 1, 0, 1, 1), (0, 0, 0)]]},
+    # M = 1.0 * M_1 is M_1 to the bit, so M_1 - M is 0, and so is eta.
+    "test_eta_of_one_shard_is_zero": {"": [_shard_rows((20,))]},
+    "test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams": {
+        f"rows{i}": [_shard_rows(rows)] for i, rows in enumerate(SHARD_ROWS)},
+}
+
+
+globals().update({name: table_test(check_operators, cases) for name, cases in OPERATOR_ROWS.items()})
 
 
 @pytest.mark.parametrize("row", ["generic", "axis"])
@@ -653,121 +768,17 @@ def test_a_shard_of_duplicated_rows_steps_one_at_a_time(row, monkeypatch):
         assert vars(ds)["_row_factor"][1][4, 2] == 0.0
 
 
-def _many_shards(top, bottom, seed, partition_seed):
-    # 300 shards of 33-34 rows with d = 100, as in compare-many-shards, and a basis of r = 10 per worker.
-    a = data.synth(SyntheticSpec(10000, 100, tuple(np.geomspace(top, bottom, 100)), seed=seed))
-    zs = linalg.orth(np.random.default_rng(seed).standard_normal((300, 100, 10)))
-    return data.partition(a, 300, mode="shuffled", seed=partition_seed), zs
-
-
-# Spectra of compare-many-shards' data: its own geometric one (worst lambda_1 / lambda_r over the shards
-# about 8), and a wider one (about 90).
-LONG_STRETCH_SPECTRA = {"geometric": (20.0, 0.05), "wide": (1e4, 1e-4)}
-
-
-@pytest.mark.parametrize("top, bottom", LONG_STRETCH_SPECTRA.values(), ids=LONG_STRETCH_SPECTRA.keys())
-def test_long_stretches_equal_single_gram_steps(top, bottom):
-    # Both routes differ by rounding only, but a QR basis column is as sensitive to it as its shard's
-    # eigenvalues are close: on other data of this shape, single steps in the eigenbasis differed from
-    # Gram steps by up to 5e-12, and single steps through M_i = P_i K_i P_i.T (A_i.T = P_i T_i) by up to 6e-12.
-    ds, zs = _many_shards(top, bottom, 6, 6)
-    want, done = zs, 0
-    for steps in (3, 20, 160, 320, 640):
-        for _ in range(steps - done):
-            want = linalg.orth(ds.shard_grams @ want, require_full_rank=False)
-        done = steps
-        assert np.abs(ds.local_steps(zs, steps) - want).max() <= 1e-12, steps
-
-
 def test_chunks_of_a_long_stretch_equal_its_single_steps():
     # A copy of the dataset whose first shard is all zeros steps one at a time: that shard's eigenvalues
     # are all 0. A chunk's QR grades its rows by up to _CHUNK_FLOOR; graded down to 1e-200, a stretch of
     # 160 steps on this data differed from its single steps by 4e-11.
-    ds, zs = _many_shards(20.0, 0.05, 3, privacy.derive_seed(3, 0))
+    ds, (zs, _) = Operands(10000, 100, 3, 300, privacy.derive_seed(3, 0), (20.0, 0.05), synthetic=True, r=10).build()
     zeroed = ShardedDataset((np.zeros_like(ds.shards[0]), *ds.shards[1:]))
     single, done = zs, 0
     for steps in (20, 160, 320):
         single, done = zeroed.local_steps(single, steps - done), steps
         assert np.abs(ds.local_steps(zs, steps)[1:] - single[1:]).max() <= 1e-12, steps
         assert np.isfinite(single[0]).all() and is_orthonormal(single[0])
-
-
-def test_global_gram_is_built_once_and_read_only():
-    ds = data.partition(np.random.default_rng(37).standard_normal((40, 6)), 4)
-    first = ds.global_gram()
-    assert np.array_equal(ds.global_gram(), first)
-    with pytest.raises(ValueError):
-        first[0, 0] = 0.0  # a caller's write must not reach later runs on this dataset
-    with pytest.raises(ValueError):
-        first *= 2.0
-    assert np.array_equal(ds.global_gram(), np.tensordot(ds.weights, ds.shard_grams, axes=1))
-    # Every other cache is shared the same way, so it is read-only too.
-    vecs, vals = ds.local_eigenpairs(2)
-    for cached in (ds.shard_grams, ds.reference_basis(2), vecs, vals):
-        with pytest.raises(ValueError):
-            cached[:] = 0.0
-    assert ds.reference_basis(2) is ds.reference_basis(2) and np.abs(ds.reference_basis(2)).max() > 0.0
-
-
-def test_dataset_needs_a_column():
-    with pytest.raises(DimensionMismatch, match="at least one column"):
-        ShardedDataset((np.zeros((3, 0)), np.zeros((2, 0))))
-    with pytest.raises(DimensionMismatch, match="at least one column"):
-        data.partition(np.zeros((4, 0)), 2)
-
-
-def test_overflowing_second_moments_raise_non_finite():
-    ds = ShardedDataset((np.full((3, 2), 1e160), np.ones((2, 2))))
-    with pytest.raises(NonFinite, match="second-moment"):
-        ds.global_gram()
-
-
-# ---------------------------------------------------------------- eta and local eigenpairs
-
-# Shard row counts around d = 12: all shorter than d, all taller, and mixed with shards of fewer rows than k = 4.
-# With d = 12 and k = 4: shards near or above d/2, whose products use the Grams; shards below d/2
-# (the row path), some shorter than k; and shards below d/2 that are all shorter than k, so k > h.
-SHARD_ROWS = [(5, 9, 3, 7), (20, 40, 17, 13), (2, 30, 12, 3), (5, 2, 4, 3, 5), (3, 2, 3)]
-
-
-def _dataset_with_rows(rows, seed=36, d=12):
-    rng = np.random.default_rng(seed)
-    return ShardedDataset(tuple(rng.standard_normal((n, d)) * np.geomspace(5.0, 0.2, d) for n in rows))
-
-
-@pytest.mark.parametrize("rows", SHARD_ROWS)
-def test_eta_equals_its_spectral_norm_definition(rows):
-    ds = _dataset_with_rows(rows)
-    m_global = ds.global_gram()
-    want = max(np.linalg.norm(g - m_global, 2) for g in ds.shard_grams) / np.linalg.norm(m_global, 2)
-    assert abs(ds.eta - want) <= 1e-13 * want
-
-
-def _eta_and_max_shard_eta(shards):
-    # Each from its own dataset, so that eta cannot read a cached shard_eta.
-    return ShardedDataset(shards).eta, max(ShardedDataset(shards).shard_eta)
-
-
-# 2**-250 and 2**250 scale every entry of M_i - M by 2**-500 or 2**500: its unscaled fourth power underflows
-# to 0 or overflows, so only a bound that first divides by max|M_i - M| ranks the shards.
-@pytest.mark.parametrize("scale", [1.0, 2.0**-250, 2.0**250])
-@pytest.mark.parametrize("rows", SHARD_ROWS)
-def test_eta_is_the_largest_shard_eta_to_the_bit(rows, scale):
-    eta, want = _eta_and_max_shard_eta(tuple(s * scale for s in _dataset_with_rows(rows).shards))
-    assert eta == want
-
-
-def test_eta_is_exact_on_replicated_shards():
-    a, b = _dataset_with_rows((7, 9)).shards
-    for shards in [(a, b, a, b, b), (a, a, a)]:  # tied bounds and norms, then shards that all equal M
-        eta, want = _eta_and_max_shard_eta(shards)
-        assert eta == want
-
-
-def test_eta_of_one_shard_is_zero():
-    # M = 1.0 * M_1 is M_1 to the bit, so M_1 - M is 0.
-    ds = ShardedDataset(_dataset_with_rows((20,)).shards)
-    assert ds.eta == 0.0 and ds.shard_eta == (0.0,)
 
 
 def test_eta_finds_a_maximum_on_the_shard_nearest_m_and_with_the_smallest_bound():
@@ -781,8 +792,7 @@ def test_eta_finds_a_maximum_on_the_shard_nearest_m_and_with_the_smallest_bound(
     devs = [g - ds.global_gram() for g in ds.shard_grams]
     assert np.argmax(ds.shard_eta) == np.argmin([np.linalg.norm(x) for x in devs]) == 0
     assert np.argmin([np.linalg.norm(np.linalg.matrix_power(x, 4)) for x in devs]) == 0
-    eta, want = _eta_and_max_shard_eta(shards)
-    assert eta == want
+    assert ShardedDataset(shards).eta == max(ShardedDataset(shards).shard_eta)
 
 
 def test_eta_runs_eigvalsh_only_on_shards_that_can_hold_the_maximum(monkeypatch):
@@ -801,26 +811,6 @@ def test_eta_runs_eigvalsh_only_on_shards_that_can_hold_the_maximum(monkeypatch)
     assert len(calls) <= 3
     monkeypatch.undo()
     assert eta == max(ShardedDataset(tuple(shards)).shard_eta)
-
-
-@pytest.mark.parametrize("rows", SHARD_ROWS)
-def test_local_eigenpairs_match_the_eigenpairs_of_the_shard_grams(rows):
-    k = 4
-    ds = _dataset_with_rows(rows)
-    vecs, vals = ds.local_eigenpairs(k)
-    assert vecs.shape == (ds.m, ds.d, k) and vals.shape == (ds.m, k)
-    # Only the row path with k <= h reads the eigenpairs off the row factor.
-    assert ("_row_factor" in vars(ds)) == (2 * max(rows) < ds.d and k <= max(rows))
-    for v, lam, g, shard in zip(vecs, vals, ds.shard_grams, ds.shards):
-        want = linalg.top_eigenpairs(g, k)
-        # A shard of fewer than k rows fixes only its row space; the rest of the Gram's top k is an
-        # arbitrary null-space basis, so there the vectors need only be orthonormal and in the null space.
-        rank = min(shard.shape[0], k)
-        assert is_orthonormal(v)
-        assert linalg.projection_distance(v[:, :rank], want.u[:, :rank]) <= 1e-12
-        np.testing.assert_allclose(lam[:rank], want.singular_values[:rank], rtol=1e-12)
-        assert np.abs(lam[rank:]).max(initial=0.0) <= 1e-12 * lam[0]
-        assert np.abs(shard @ v[:, rank:]).max(initial=0.0) <= 1e-12 * np.abs(shard).max()
 
 
 # ---------------------------------------------------------------- synthetic

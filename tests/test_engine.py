@@ -19,6 +19,7 @@ from fedpower.engine import (
 )
 from fedpower.errors import DegenerateData, DimensionMismatch, InvalidBudget, NonFinite
 from reference import is_orthonormal, power_iterates
+from tables import table_test
 
 
 def noiseless(schedule):
@@ -233,6 +234,16 @@ REFERENCE_RUNS = {
     "test_short_shard_runs_match_the_gram_product": {
         f"{name}-{a}": [Run("short-shards", SyncSchedule.fixed(3, 12), part, 5.0, a, every_step=True, r=4, seed=5)]
         for name, part in _participations(4).items() for a in ALIGNMENTS},
+    # k < r at p = 4, noiseless: rho_t is 0 at every round.
+    "test_noiseless_sync_rounds_have_zero_residual": {"": [
+        Run("equal-shards", SyncSchedule.fixed(4, 16), alignment=ALIGN_OPT, k=2, r=3, seed=5)]},
+    # A horizon of 17, past the last round at 15: the final record counts 5 rounds and their whole budget.
+    "test_output_basis_orthonormal_and_counters": {"": [
+        Run("equal-shards", SyncSchedule.fixed(3, 17), budget=1.5, k=2, r=3, seed=8)]},
+    # Partial participation recorded at every step: comm_count reads 0 before the first round at 5.
+    "test_partial_with_sync_notes_no_fallback": {"": [
+        Run("unequal-shards", SyncSchedule.fixed(5, 10), Participation("partial", 3, 1), every_step=True, k=2, r=2,
+            seed=15)]},
     # Per-round budgets (full participation only); an infinite one zeroes its site's noise.
     "test_split_budgets_match_the_per_worker_reference": {
         f"{name}-{a}-{'every-step' if every else 'sync-steps'}-{split[0]:g},{split[1]:g}": [
@@ -242,17 +253,7 @@ REFERENCE_RUNS = {
 }
 
 
-def _reference_test(cases: dict):
-    """A test of each case's runs; a single case without an id takes no parameters."""
-    def test(runs):
-        for run in runs:
-            check_against_reference(run)
-    if list(cases) == [""]:
-        return lambda: test(cases[""])
-    return pytest.mark.parametrize("runs", list(cases.values()), ids=list(cases))(test)
-
-
-globals().update({name: _reference_test(cases) for name, cases in REFERENCE_RUNS.items()})
+globals().update({name: table_test(check_against_reference, cases) for name, cases in REFERENCE_RUNS.items()})
 
 
 # ---------------------------------------------------------------- reductions
@@ -446,17 +447,6 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(t1.final_basis, t2.final_basis)
 
 
-def test_noiseless_sync_rounds_have_zero_residual():
-    ds = small_dataset(seed=9)
-    schedule = SyncSchedule.fixed(4, 16)
-    cfg = make_config(2, 3, schedule, alignment=ALIGN_OPT, seed=5)
-    trace = engine.run_full(ds, cfg)
-    sync_steps = set(schedule.steps)
-    for rec in trace.records:
-        if rec.t in sync_steps:
-            assert rec.rho_t <= 1e-12
-
-
 def test_single_worker_error_monotone_after_burn_in():
     rng = np.random.default_rng(66)
     a = rng.standard_normal((60, 8))
@@ -467,24 +457,6 @@ def test_single_worker_error_monotone_after_burn_in():
     sins = [rec.sin_theta_k for rec in trace.records]
     for prev, cur in zip(sins[3:], sins[4:]):
         assert cur <= prev + 1e-12
-
-
-def test_output_basis_orthonormal_and_counters():
-    ds = small_dataset(seed=10)
-    schedule = SyncSchedule.fixed(3, 17)  # horizon not in schedule
-    priv = privacy.PrivacyConfig.for_schedule(1.5, 1e-3, schedule)
-    cfg = RunConfig(k=2, r=3, schedule=schedule, privacy=priv, alignment=ALIGN_SIGN, seed=8)
-    trace = engine.run_full(ds, cfg)
-    assert is_orthonormal(trace.final_basis)
-    last = trace.records[-1]
-    assert last.t == 17
-    assert last.comm_count == len(schedule.steps)
-    eps_total, delta_total = privacy.account(priv)
-    assert abs(last.eps_spent - eps_total) <= 1e-12
-    assert abs(last.delta_spent - delta_total) <= 1e-15
-    for rec in trace.records:
-        assert 0.0 <= rec.sin_theta_k <= 1.0
-        assert rec.comm_count == sum(1 for s in schedule.steps if s <= rec.t)
 
 
 def test_noise_actually_perturbs():
@@ -547,17 +519,6 @@ def test_empty_schedule_runs_pure_local():
     assert len(trace.records) == 1
     assert trace.records[0].comm_count == 0
     assert is_orthonormal(trace.final_basis)
-
-
-def test_partial_with_sync_notes_no_fallback():
-    # Records taken before the first round read comm_count 0, the ones after it count the rounds.
-    ds = small_dataset(seed=14, m=5)
-    cfg = make_config(
-        2, 2, SyncSchedule.fixed(5, 10), seed=15, participation=Participation("partial", 3, 1),
-        record_every_step=True,
-    )
-    trace = engine.run_partial(ds, cfg)
-    assert [rec.comm_count for rec in trace.records] == [0] * 4 + [1] * 5 + [2]
 
 
 def test_privacy_rounds_must_match_schedule():
